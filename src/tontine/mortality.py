@@ -15,11 +15,10 @@ binomial thinning with the per-step conditional death probability
 
 from __future__ import annotations
 
-import csv as _csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 
 from .grid import TimeGrid
 from .rng import substream
@@ -80,13 +79,6 @@ class MortalityTable:
     def expected_survivors(self, n: int) -> np.ndarray:
         return n * self.pi[: self.grid.n_steps]
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["t", "p"])
-            for t, p in zip(self.grid.points, self.p):
-                writer.writerow([f"{t:.10g}", f"{p!r}"])
-
 
 # ---------------------------------------------------------------------------
 # Table constructors
@@ -140,24 +132,13 @@ def explicit_table(grid: TimeGrid, p: np.ndarray) -> MortalityTable:
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("death masses must be nonnegative")
-    total = p.sum() * grid.dt
-    if total <= 0:
+    peak = p.max(initial=0.0)
+    if peak <= 0:
         raise ValueError("death masses must have positive total")
-    return MortalityTable(grid, p / total)
-
-
-def table_from_csv(grid: TimeGrid, path: str) -> MortalityTable:
-    """Load an explicit table from CSV columns (t, p)."""
-    times, masses = [], []
-    with open(path, newline="") as fh:
-        for row in _csv.DictReader(fh):
-            times.append(float(row["t"]))
-            masses.append(float(row["p"]))
-    order = np.argsort(times)
-    times = np.asarray(times)[order]
-    if times.shape != (grid.n_steps,) or not np.allclose(times, grid.points, atol=1e-9):
-        raise ValueError("CSV grid points do not match the configured grid")
-    return explicit_table(grid, np.asarray(masses)[order])
+    # Scale to a unit peak first: subnormal masses carry too few bits for
+    # p / total to sum to one.
+    p = p / peak
+    return MortalityTable(grid, p / (p.sum() * grid.dt))
 
 
 def numeric_survival_from_hazard(hazard, t: float) -> float:
@@ -337,10 +318,32 @@ def check_time_point_bound(
 
 
 def binomial_transition_matrix(max_count: int, survive_prob: float) -> np.ndarray:
-    """Matrix T[j, k] = P(Binomial(j, survive_prob) = k), j,k <= max_count."""
-    j = np.arange(max_count + 1)[:, None]
-    k = np.arange(max_count + 1)[None, :]
-    return stats.binom.pmf(k, j, survive_prob)
+    """Matrix T[j, k] = P(Binomial(j, survive_prob) = k), j,k <= max_count.
+
+    Built by Pascal rows: Bin(j) = Bin(j-1) + Bernoulli(p), so row j is
+    ``q * row[j-1]`` plus ``p * row[j-1]`` shifted one place right, with
+    q = 1 - p.  Entries are sums of nonnegative products, exact at p = 0
+    and p = 1, and row j does not depend on ``max_count``.  Below p = 1/2
+    the float q can differ from 1 - p in its last bit; entry (j, k)
+    carries that bias as a factor (q/(1-p))^(j-k), which is divided out
+    at the end so that entries near one stay correct when p is tiny.
+    """
+    p = float(survive_prob)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("survive_prob must lie in [0, 1]")
+    q = 1.0 - p
+    trans = np.zeros((max_count + 1, max_count + 1))
+    trans[0, 0] = 1.0
+    for j in range(1, max_count + 1):
+        prev = trans[j - 1, :j]
+        np.multiply(prev, q, out=trans[j, :j])
+        trans[j, 1 : j + 1] += p * prev
+    q_error = (1.0 - q) - p  # exact: (1 - p) - q
+    if q_error:
+        log_bias = np.log1p(q_error / q) * np.arange(max_count + 1)
+        trans *= np.exp(log_bias)[:, None]
+        trans *= np.exp(-log_bias)[None, :]
+    return trans
 
 
 @dataclass(frozen=True)

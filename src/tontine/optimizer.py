@@ -227,14 +227,17 @@ def best_log_growth(lattice: Lattice) -> tuple[float, float]:
     return float(a_star), float(val)
 
 
-def _power_split(a_coef: float, b_coef: float, alpha: float) -> float:
-    """Optimal consumed fraction for the bracket A k^a + B (1-k)^a."""
-    if b_coef <= 0.0:
-        return 1.0
-    if a_coef <= 0.0:
-        return 0.0
-    ratio = (b_coef / a_coef) ** (1.0 / (alpha - 1.0))
-    return ratio / (1.0 + ratio)
+def _power_split(a_coef, b_coef, alpha: float):
+    """Optimal consumed fraction k and bracket value A k^a + B (1-k)^a.
+
+    Elementwise on arrays.  With s = 1/(1-a) the first-order condition
+    gives k = A^s / (A^s + B^s) and the bracket value (A^s + B^s)^(1-a);
+    B = 0 (no continuation) consumes everything.
+    """
+    s = 1.0 / (1.0 - alpha)
+    a_s = a_coef**s
+    total = a_s + b_coef**s
+    return a_s / total, total ** (1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +281,12 @@ def _solve_power_finite(problem: HomogeneousProblem) -> ValueResult:
     kappa_table = np.zeros((m, n + 1))
     frac_table = np.full((m, n + 1), a_star)
     disc = np.exp(-b * grid.points)
+    count_weight = np.arange(1, n + 1) ** (1.0 - alpha)
     for t in range(m - 1, -1, -1):
         trans = binomial_transition_matrix(n, s[t])
         theta_mixed = trans @ theta
-        new_theta = np.zeros(n + 1)
-        for j in range(1, n + 1):
-            a_coef = disc[t] * j ** (1.0 - alpha) * dt ** (1.0 - alpha) / n
-            b_coef = psi * theta_mixed[j]
-            kappa = _power_split(a_coef, b_coef, alpha)
-            kappa_table[t, j] = kappa
-            cont = b_coef * (1.0 - kappa) ** alpha if b_coef > 0 else 0.0
-            new_theta[j] = a_coef * kappa**alpha + cont
-        theta = new_theta
+        a_coef = disc[t] * count_weight * dt ** (1.0 - alpha) / n
+        kappa_table[t, 1:], theta[1:] = _power_split(a_coef, psi * theta_mixed[1:], alpha)
     f0 = n * problem.budget
     value = (f0**alpha / alpha) * theta[n]
     policy = TabulatedPolicy(grid, kappa_table, frac_table)
@@ -314,11 +311,7 @@ def _solve_power_infinite(problem: HomogeneousProblem) -> ValueResult:
             kappa[t] = 0.0
             continue
         a_coef = disc[t] * pi[t] ** (1.0 - alpha) * dt ** (1.0 - alpha)
-        b_coef = psi * theta
-        k = _power_split(a_coef, b_coef, alpha)
-        kappa[t] = k
-        cont = b_coef * (1.0 - k) ** alpha if b_coef > 0 else 0.0
-        theta = a_coef * k**alpha + cont
+        kappa[t], theta = _power_split(a_coef, psi * theta, alpha)
     value = (problem.budget**alpha / alpha) * theta
     policy = ProportionalPolicy(grid, kappa, np.full(m, a_star))
     return ValueResult(value=float(value), method="dp", strategy=policy, extras={"theta": theta})
@@ -338,21 +331,18 @@ def _solve_log_finite(problem: HomogeneousProblem) -> ValueResult:
     c_arr = np.zeros(n + 1)
     kappa_table = np.zeros((m, n + 1))
     frac_table = np.full((m, n + 1), a_star)
+    counts = np.arange(1, n + 1)
     for t in range(m - 1, -1, -1):
         trans = binomial_transition_matrix(n, s[t])
-        a_mixed = trans @ a_arr
-        c_mixed = trans @ c_arr
-        new_a = np.zeros(n + 1)
-        new_c = np.zeros(n + 1)
-        for j in range(1, n + 1):
-            w = disc[t] * (j / n) * dt
-            abar = a_mixed[j]
-            kappa = 1.0 if abar <= 0 else w / (w + abar)
-            kappa_table[t, j] = kappa
-            new_a[j] = w + abar
-            cont = abar * (math.log(1.0 - kappa) + log_growth) if abar > 0 else 0.0
-            new_c[j] = w * (math.log(kappa) - math.log(j * dt)) + cont + c_mixed[j]
-        a_arr, c_arr = new_a, new_c
+        abar = (trans @ a_arr)[1:]
+        c_mixed = (trans @ c_arr)[1:]
+        w = disc[t] * (counts / n) * dt
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa = np.where(abar <= 0, 1.0, w / (w + abar))
+            cont = np.where(abar > 0, abar * (np.log(1.0 - kappa) + log_growth), 0.0)
+        kappa_table[t, 1:] = kappa
+        a_arr[1:] = w + abar
+        c_arr[1:] = w * (np.log(kappa) - np.log(counts * dt)) + cont + c_mixed
     f0 = n * problem.budget
     value = a_arr[n] * math.log(f0) + c_arr[n]
     policy = TabulatedPolicy(grid, kappa_table, frac_table)
@@ -570,8 +560,11 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     frac_pol = np.zeros((m, len(values), fgrid.size))
     state_order = sorted(values.keys(), key=lambda x: -1 if x is None else x)
 
+    # Survivor-conditioned families mix over the other members' count:
+    # from j survivors including oneself, k of the j - 1 others survive.
+    offset = 1 if adapter.survivor_conditioned else 0
     for t in range(m - 1, -1, -1):
-        trans = binomial_transition_matrix(n, s[t]) if finite else None
+        trans = binomial_transition_matrix(n - offset, s[t]) if finite else None
         new_values = {}
         for state in states:
             dm = drain_measure_of(state, t)
@@ -581,20 +574,11 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
             # Mixed continuation on the common grid (exact: same nodes).
             if not finite:
                 mixed = values[None]
-            elif adapter.survivor_conditioned:
-                j = state
-                weights = binomial_transition_matrix(j - 1, s[t])[j - 1] if j > 1 else np.array([1.0])
-                mixed = np.zeros_like(fgrid)
-                for k, w in enumerate(weights):
-                    if w > 0:
-                        mixed = mixed + w * values[1 + k]
             else:
-                j = state
-                weights = trans[j, : j + 1]
                 mixed = np.zeros_like(fgrid)
-                for k, w in enumerate(weights):
+                for k, w in enumerate(trans[state - offset]):
                     if w > 0:
-                        mixed = mixed + w * values[k]
+                        mixed = mixed + w * values[offset + k]
             interp = PchipInterpolator(log_fgrid, mixed, extrapolate=False)
             top = fgrid[-1]
 
@@ -688,7 +672,7 @@ def solve_finite_dp(problem: HomogeneousProblem, wealth_points: int = 400) -> Va
 def solve_infinite(
     problem: HomogeneousProblem,
     wealth_points: int = 400,
-    methods: Sequence[str] = ("dp", "martingale"),
+    methods: Sequence[str] | None = None,
 ) -> ValueResult:
     """Value of the infinite pool, cross-checked between two routes.
 
@@ -697,11 +681,17 @@ def solve_infinite(
     over adapted streams costing at most the budget and replicates the
     winner.  The reported value comes from the pricing route when it is
     in closed form, otherwise from the DP; the cross-method gap is the
-    error estimate.
+    error estimate.  By default every route the family has runs: the
+    additive family has a pricing route for power and log utility only.
     """
     if problem.n != math.inf:
         problem = problem.with_n(math.inf)
     gain = problem.gain
+    if methods is None:
+        additive_without_pricing = isinstance(gain, VnmParams) and not isinstance(
+            gain.utility, (PowerUtility, LogUtility)
+        )
+        methods = ("dp",) if additive_without_pricing else ("dp", "martingale")
     dp_result = None
     mart_result = None
     if "dp" in methods:
@@ -1122,7 +1112,9 @@ def transfer_infinite_to_finite(
         expected_all = float(np.arange(n + 1) @ chain.count[t]) / n
         node_term = float(wp[t] @ u(lam * np.asarray(stream[t])))
         exact += disc[t] * dt * expected_live * node_term
-        if np.isfinite(u0) and u0 != 0.0:
+        # Survivors whose gate has closed consume nothing; skipping an
+        # empty gap keeps 0 * u(0) from turning into nan when u(0) = -inf.
+        if expected_all > expected_live:
             exact += disc[t] * dt * (expected_all - expected_live) * u0
     target = vnm_value_on_lattice(gain, scale_stream(stream, lam), table, lattice)
     return TransferResult(

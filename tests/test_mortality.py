@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from tontine.grid import TimeGrid
+from tontine.market import MarketModel
 from tontine.mortality import (
     BoundChain,
     MortalityTable,
     SurvivorPath,
+    binomial_transition_matrix,
     bound_chain,
     check_time_point_bound,
     counts_from_death_times,
@@ -23,6 +26,8 @@ from tontine.mortality import (
     survivor_bound_event,
     uniform_table,
 )
+from tontine.optimizer import HomogeneousProblem, solve_finite_dp
+from tontine.preferences import LogUtility, PowerUtility, VnmParams
 
 
 # --- table construction --------------------------------------------------------
@@ -281,8 +286,6 @@ def test_bound_chain_count_marginal_matches_binomial():
     table = uniform_table(grid)
     chain = bound_chain(8, table, lam=0.9)
     pi = table.pi[: grid.n_steps]
-    from scipy import stats
-
     for t in range(grid.n_steps):
         exact = stats.binom.pmf(np.arange(9), 8, pi[t])
         assert np.allclose(chain.count[t], exact, atol=1e-12)
@@ -294,3 +297,58 @@ def test_bound_chain_joint_below_marginal():
     assert np.all(chain.joint <= chain.count + 1e-15)
     probs = [chain.prob_bound_holds(t) for t in range(grid.n_steps)]
     assert np.all(np.diff(probs) <= 1e-15)
+
+
+# --- transition-matrix kernel -------------------------------------------------------
+
+
+@pytest.mark.parametrize("max_count", [0, 1, 8, 64, 512])
+@pytest.mark.parametrize("survive_prob", [0.0, 1e-12, 0.3, 0.987, 1.0 - 1e-12, 1.0])
+def test_transition_matrix_matches_scipy_binomial(max_count, survive_prob):
+    trans = binomial_transition_matrix(max_count, survive_prob)
+    j = np.arange(max_count + 1)[:, None]
+    k = np.arange(max_count + 1)[None, :]
+    reference = stats.binom.pmf(k, j, survive_prob)
+    assert trans.shape == reference.shape
+    assert np.max(np.abs(trans - reference)) <= 1e-14
+    assert np.max(np.abs(trans.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.all(np.triu(trans, 1) == 0.0)
+
+
+def test_transition_matrix_exact_at_certain_death_and_survival():
+    all_die = np.zeros((17, 17))
+    all_die[:, 0] = 1.0
+    assert np.array_equal(binomial_transition_matrix(16, 0.0), all_die)
+    assert np.array_equal(binomial_transition_matrix(16, 1.0), np.eye(17))
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            binomial_transition_matrix(4, bad)
+
+
+@pytest.mark.parametrize("survive_prob", [1e-9, 0.3, 0.987])
+def test_transition_matrix_rows_do_not_depend_on_max_count(survive_prob):
+    small = binomial_transition_matrix(8, survive_prob)
+    large = binomial_transition_matrix(64, survive_prob)
+    assert np.array_equal(large[:9, :9], small)
+
+
+# Value and consumed fractions of the scaling recursion at n = 64 on an
+# annual 40-year grid with heavy Gompertz mortality, pinned from the
+# scipy.stats kernel and the per-count Python loop that the Pascal kernel
+# and the array step replaced.
+@pytest.mark.parametrize(
+    "gain, value, first_fraction, fraction_sum",
+    [
+        (VnmParams(PowerUtility(-1.0), 0.02), -258.79388379861723, 0.062161716150164026, 508.89469738842905),
+        (VnmParams(LogUtility(), 0.02), -44.34034937355567, 0.06054634430535109, 517.0153283786544),
+    ],
+)
+def test_scaling_recursion_pinned(gain, value, first_fraction, fraction_sum):
+    grid = TimeGrid(1.0, 40.0)
+    table = gompertz_makeham_table(grid, 0.0, 0.01, 0.1)
+    model = MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(1.0,))
+    res = solve_finite_dp(HomogeneousProblem(gain, table, model, grid, 1.0, 64))
+    fractions = res.strategy.consumption_fraction
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert fractions[0, 64] == pytest.approx(first_fraction, rel=1e-12)
+    assert fractions.sum() == pytest.approx(fraction_sum, rel=1e-12)

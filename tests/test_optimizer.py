@@ -5,7 +5,7 @@ import pytest
 
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel, build_lattice
-from tontine.mortality import point_mass_table, uniform_table
+from tontine.mortality import gompertz_makeham_table, point_mass_table, uniform_table
 from tontine.optimizer import (
     annuity_value_for_budget,
     HomogeneousProblem,
@@ -251,6 +251,18 @@ def test_ez_dp_and_numeric_pricing_agree():
     assert direct == pytest.approx(v_mart, rel=1e-10)
 
 
+def test_default_routes_solve_exponential_utility_by_dp_alone():
+    # The pricing route covers power and log utility only; other additive
+    # utilities run the DP route unless a route is asked for explicitly.
+    problem = make_problem(VnmParams(ExponentialUtility(1.0), discount=0.02), mu=0.05, rate=0.01)
+    res = solve_infinite(problem, wealth_points=100)
+    assert res.method == "dp"
+    assert res.value == solve_infinite(problem, wealth_points=100, methods=("dp",)).value
+    assert res.value >= annuity_value(problem) - 1e-9
+    with pytest.raises(TypeError):
+        solve_infinite(problem, wealth_points=100, methods=("martingale",))
+
+
 # --- transfer to finite pools ----------------------------------------------------------
 
 
@@ -291,6 +303,38 @@ def test_transfer_gains_increase_with_pool_size():
         assert out.admissibility_violations == 0
         assert abs(out.gain_estimate - out.exact_gain) <= 4 * out.gain_se
     assert gains[0] < gains[1] < gains[2] <= target + 1e-12
+
+
+def heavy_mortality_problem(utility):
+    grid = TimeGrid(1.0, 20.0)
+    table = gompertz_makeham_table(grid, 0.0, 0.01, 0.1)
+    model = MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(1.0,))
+    return HomogeneousProblem(VnmParams(utility, discount=0.02), table, model, grid, 1.0, math.inf)
+
+
+def test_transfer_exact_gain_counts_gated_off_survivors_when_u0_is_minus_inf():
+    # Under CRRA alpha = -1, u(0) = -inf: a survivor whose gate has closed
+    # makes the gain -inf, on the sampled paths and in the exact chain alike.
+    problem = heavy_mortality_problem(PowerUtility(-1.0))
+    res = solve_infinite(problem)
+    with np.errstate(invalid="ignore"):  # the standard error of -inf samples is nan
+        out = transfer_infinite_to_finite(res.extras["stream"], res.extras["replication"], lam=0.9,
+                                          n=8, problem=problem, trials=2000, seed=7)
+    assert np.isneginf(out.gain_estimate)
+    assert np.isneginf(out.exact_gain)
+    assert out.exact_gain <= out.target_gain
+
+
+def test_transfer_exact_gain_with_finite_u0_unchanged():
+    # Exponential utility has u(0) = -1; the exact gain is pinned from the
+    # implementation before the u(0) = -inf fix.
+    stream_source = solve_infinite(heavy_mortality_problem(PowerUtility(-1.0)))
+    problem = heavy_mortality_problem(ExponentialUtility(1.0))
+    out = transfer_infinite_to_finite(stream_source.extras["stream"], stream_source.extras["replication"],
+                                      lam=0.9, n=8, problem=problem, trials=2000, seed=7)
+    assert out.exact_gain == pytest.approx(-13.324161576804459, rel=1e-12)
+    assert abs(out.gain_estimate - out.exact_gain) <= 4 * out.gain_se
+    assert out.exact_gain <= out.target_gain
 
 
 # --- consistency of reported values ------------------------------------------------------
