@@ -21,7 +21,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .grid import TimeGrid
-from .market import LatticePaths, ScenarioSet
+from .market import LatticePaths
 from .mortality import MortalityTable
 
 ADMISSIBILITY_TOL = 1e-9
@@ -81,29 +81,6 @@ class TabulatedPolicy:
 
 
 @dataclass(frozen=True)
-class NodeStreamStrategy:
-    """Consumption tabulated on lattice nodes, with node-tabulated allocation.
-
-    Arises from replication: ``rates[t][x]`` is the per-survivor rate at
-    node ``x`` and ``fractions[t][x]`` the risky fraction of post-payment
-    wealth.  Requires paths that carry node indices.
-    """
-
-    rates: list
-    fractions: list
-
-    def consumption_rate(self, t_idx, alive, wealth, node=None):
-        if node is None:
-            raise ValueError("node-stream strategies need lattice node indices")
-        return np.asarray(self.rates[t_idx])[node]
-
-    def risky_fraction(self, t_idx, alive, wealth, node=None):
-        if node is None:
-            raise ValueError("node-stream strategies need lattice node indices")
-        return np.asarray(self.fractions[t_idx])[node]
-
-
-@dataclass(frozen=True)
 class PathBundle:
     """Gross returns along simulated paths (batch-first arrays)."""
 
@@ -117,13 +94,6 @@ class PathBundle:
         grid = paths.lattice.grid
         bond = np.full(grid.n_steps, paths.bond_gross())
         return PathBundle(grid, paths.risky_gross(), bond, paths.node_idx)
-
-    @staticmethod
-    def from_scenarios(scen: ScenarioSet, asset: int = 0) -> "PathBundle":
-        prices = scen.risky(asset)
-        risky = prices[..., 1:] / prices[..., :-1]
-        bond = np.exp(scen.model.rate * scen.grid.dt) * np.ones(scen.grid.n_steps)
-        return PathBundle(scen.grid, risky, bond, None)
 
 
 @dataclass(frozen=True)

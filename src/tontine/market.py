@@ -16,7 +16,6 @@ the rate at the node reached by ``j`` up-moves in ``i`` steps.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -89,10 +88,6 @@ class MarketModel:
         return np.asarray(self.corr, dtype=float)
 
 
-def bond_price(rate: float, t: np.ndarray | float) -> np.ndarray | float:
-    return np.exp(rate * np.asarray(t, dtype=float)) if np.ndim(t) else float(np.exp(rate * t))
-
-
 # ---------------------------------------------------------------------------
 # Recombining binomial lattice
 # ---------------------------------------------------------------------------
@@ -143,12 +138,6 @@ class Lattice:
             nxt[1:] += prev * pu
             weights.append(nxt)
         return weights
-
-    def density_q_over_p(self, level: int) -> np.ndarray:
-        """Per-node likelihood ratio dQ/dP at the given level."""
-        wq = self.node_weights("Q")[level]
-        wp = self.node_weights("P")[level]
-        return wq / wp
 
 
 def build_lattice(model: MarketModel, grid: TimeGrid) -> Lattice:
@@ -319,16 +308,6 @@ class ScenarioSet:
 
     def risky(self, asset: int = 0) -> np.ndarray:
         return self.prices[:, :, 1 + asset]
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "t", "asset", "price"])
-            times = self.grid.times
-            for p in range(self.n_paths):
-                for ti, t in enumerate(times):
-                    for a in range(self.prices.shape[2]):
-                        writer.writerow([p, f"{t:.10g}", a, f"{self.prices[p, ti, a]!r}"])
 
 
 def simulate_paths(

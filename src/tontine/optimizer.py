@@ -156,17 +156,34 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float = 
 def golden_max_vec(
     fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, iters: int = 48
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized golden-section maximization with per-point brackets."""
+    """Vectorized golden-section maximization with per-point brackets.
+
+    Each iteration keeps the surviving interior point and its value, so
+    ``fn`` is called ``iters + 2`` times: two opening probes, one per
+    later iteration and one at the returned midpoint.
+    """
     a = np.array(lo, dtype=float, copy=True)
     b = np.array(hi, dtype=float, copy=True)
-    for _ in range(iters):
-        x1 = b - _INVPHI * (b - a)
-        x2 = a + _INVPHI * (b - a)
-        f1 = fn(x1)
-        f2 = fn(x2)
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1 = fn(x1)
+    f2 = fn(x2)
+    for i in range(iters):
         move_up = f1 < f2
         a = np.where(move_up, x1, a)
         b = np.where(move_up, b, x2)
+        if i == iters - 1:
+            break
+        # Moving up, the old x2 becomes x1 and a new x2 is probed; moving
+        # down, the old x1 becomes x2 and a new x1 is probed.
+        x_new = np.where(move_up, a + _INVPHI * (b - a), b - _INVPHI * (b - a))
+        f_new = fn(x_new)
+        x1, f1, x2, f2 = (
+            np.where(move_up, x2, x_new),
+            np.where(move_up, f2, f_new),
+            np.where(move_up, x_new, x1),
+            np.where(move_up, f_new, f1),
+        )
     x = 0.5 * (a + b)
     return x, fn(x)
 
@@ -435,9 +452,14 @@ class _FamilyAdapter:
     def terminal(self, fgrid: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def node_value(self, t: float, drain_measure: float, death_prob: float,
+    def node_value(self, t: float, drain_measure: np.ndarray, death_prob: float,
                    fgrid: np.ndarray, kappa: np.ndarray, cont: np.ndarray) -> np.ndarray:
-        """Objective to maximize, given the continuation expectation."""
+        """Objective to maximize, given the continuation expectation.
+
+        ``kappa`` and ``cont`` are (states x wealth) arrays; ``drain_measure``
+        is the (states, 1) column of survivor counts, or of the survival
+        fraction in the infinite pool.
+        """
         raise NotImplementedError
 
 
@@ -498,8 +520,9 @@ class _EzAdapter(_FamilyAdapter):
         result = expected + agg * self.dt
         # The explicit aggregator step can overshoot the family's upper
         # bound (zero) at extreme probe rates; cap just below zero.  The
-        # cap only binds at wealth levels far above anything reachable,
-        # where the true value is itself vanishingly close to zero.
+        # cap can bind at reachable wealth: with light mortality on a
+        # 40-step annual grid the infinite-pool solve returns the cap
+        # itself as the value at the starting wealth.
         cap = -1e-12 * abs(p.adequacy_value)
         return np.minimum(result, cap)
 
@@ -519,8 +542,30 @@ def _grid_adapter(gain: GainFunction, n: float, dt: float) -> _FamilyAdapter:
     raise TypeError(f"unsupported gain family {type(gain)!r}")
 
 
+def _pchip_pieces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-interval cubics of the PCHIP interpolant of each row of ``y``.
+
+    Returns shape (4, rows * (len(x) - 1)): the coefficients of
+    (x - x_k)^3, ^2, ^1 and ^0 on interval k of each row, rows laid end to
+    end so that one flat gather reads any (row, interval) pair.  The node
+    slopes come from the interpolant itself.
+    """
+    slopes = PchipInterpolator(x, y, axis=1)(x, nu=1)
+    dx = np.diff(x)
+    secant = np.diff(y, axis=1) / dx
+    d0, d1 = slopes[:, :-1], slopes[:, 1:]
+    curv = (d0 + d1 - 2.0 * secant) / dx
+    return np.stack([curv / dx, (secant - d0) / dx - curv, d0, y[:, :-1]]).reshape(4, -1)
+
+
 def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
-    """Backward induction on the wealth grid, finite or infinite pool."""
+    """Backward induction on the wealth grid, finite or infinite pool.
+
+    Each time step handles every survivor state at once: values are one
+    (states x wealth) array, survivors are mixed by one product with the
+    step's transition matrix, and the alternating line searches run on
+    the whole array.
+    """
     lattice = problem.lattice()
     grid = problem.grid
     m = grid.n_steps
@@ -535,107 +580,87 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     pi = problem.table.pi[:m]
     p_up = lattice.p_up
     a_lo, a_hi = allocation_bounds(lattice)
-
-    if finite:
-        if adapter.survivor_conditioned:
-            states = list(range(1, n + 1))
-        else:
-            states = list(range(0, n + 1))
-    else:
-        states = [None]
-
-    def drain_measure_of(state, t):
-        return pi[t] if state is None else float(state)
-
-    def death_prob_of(state, t):
-        # Own-death probability for survivor-conditioned families; the
-        # additive family carries mortality in its drain weights instead.
-        return 1.0 - s[t]
-
-    values = {state: adapter.terminal(fgrid) for state in states}
-    if finite and not adapter.survivor_conditioned:
-        values[0] = np.zeros_like(fgrid)
-
-    kappa_pol = np.zeros((m, len(values), fgrid.size))
-    frac_pol = np.zeros((m, len(values), fgrid.size))
-    state_order = sorted(values.keys(), key=lambda x: -1 if x is None else x)
+    # The grid is geometric, so a log wealth finds its interval by arithmetic.
+    log_step = (log_fgrid[-1] - log_fgrid[0]) / (n_points - 1)
 
     # Survivor-conditioned families mix over the other members' count:
     # from j survivors including oneself, k of the j - 1 others survive.
+    # Row i of ``values`` is the state with offset + i survivors.
     offset = 1 if adapter.survivor_conditioned else 0
+    counts = np.arange(offset, n + 1) if finite else None
+    values = np.tile(adapter.terminal(fgrid), (counts.size if finite else 1, 1))
+    kappa_pol = np.zeros((m,) + values.shape)
+    frac_pol = np.zeros((m,) + values.shape)
+
     for t in range(m - 1, -1, -1):
-        trans = binomial_transition_matrix(n - offset, s[t]) if finite else None
-        new_values = {}
-        for state in states:
-            dm = drain_measure_of(state, t)
-            if dm <= 0:
-                new_values[state] = values[state]
-                continue
-            # Mixed continuation on the common grid (exact: same nodes).
-            if not finite:
-                mixed = values[None]
-            else:
-                mixed = np.zeros_like(fgrid)
-                for k, w in enumerate(trans[state - offset]):
-                    if w > 0:
-                        mixed = mixed + w * values[offset + k]
-            interp = PchipInterpolator(log_fgrid, mixed, extrapolate=False)
-            top = fgrid[-1]
+        drain = counts if finite else np.array([pi[t]])
+        # States with nothing to drain (no survivors) keep their values.
+        live = np.flatnonzero(drain > 0)
+        if live.size == 0:
+            continue
+        if finite:
+            trans = binomial_transition_matrix(n - offset, s[t])
+            mixed = trans[counts[live] - offset] @ values
+        else:
+            mixed = values
+        pieces = _pchip_pieces(log_fgrid, mixed)
+        row_base = np.arange(live.size)[:, None] * (n_points - 1)
 
-            def continuation(kappa_vec, frac_vec):
-                # Clamped at both ends: the top carries headroom above any
-                # wealth reachable from the start, so clamping only touches
-                # line-search probes at extreme leverage.
-                post = (1.0 - kappa_vec) * fgrid
-                g_down, g_up = _portfolio_gross(lattice, frac_vec)
-                vals = 0.0
-                for g, prob in ((g_down, 1.0 - p_up), (g_up, p_up)):
-                    nxt = np.clip(post * g, fgrid[0], top)
-                    vals = vals + prob * interp(np.log(nxt))
-                return vals
+        def continuation(log_x):
+            # Expected mixed value at probe log wealths stacked as (down, up).
+            # Clamped at both ends: the top carries headroom above any
+            # wealth reachable from the start, so clamping only touches
+            # line-search probes at extreme leverage.
+            log_x = np.minimum(np.maximum(log_x, log_fgrid[0]), log_fgrid[-1])
+            k = np.minimum(((log_x - log_fgrid[0]) / log_step).astype(np.intp), n_points - 2)
+            c3, c2, c1, c0 = np.take(pieces, row_base + k, axis=1)
+            u = log_x - log_fgrid[k]
+            down, up = ((c3 * u + c2) * u + c1) * u + c0
+            return (1.0 - p_up) * down + p_up * up
 
-            death_prob = death_prob_of(state, t)
+        dm = drain[live, None]
+        death_prob = 1.0 - s[t]
+        t_now = grid.points[t]
 
-            def objective_kappa(kappa_vec, frac_vec):
-                cont = continuation(kappa_vec, frac_vec)
-                return adapter.node_value(grid.points[t], dm, death_prob, fgrid, kappa_vec, cont)
+        def objective(kappa_arr, log_post, log_gross):
+            # log_post: log wealth after consumption; log_gross: (down, up)
+            # log returns.  Each search holds one of them fixed.
+            cont = continuation(log_post + log_gross)
+            return adapter.node_value(t_now, dm, death_prob, fgrid, kappa_arr, cont)
 
-            kappa_v = np.full(fgrid.size, 0.5)
-            frac_v = np.zeros(fgrid.size)
-            lo_k = np.full(fgrid.size, 1e-9)
-            hi_k = np.full(fgrid.size, 1.0 - 1e-9)
-            lo_a = np.full(fgrid.size, a_lo)
-            hi_a = np.full(fgrid.size, a_hi)
-            last_val = None
-            for _ in range(3):
-                frac_v, _ = golden_max_vec(lambda a_vec: objective_kappa(kappa_v, a_vec), lo_a, hi_a)
-                kappa_v, last_val = golden_max_vec(lambda k_vec: objective_kappa(k_vec, frac_v), lo_k, hi_k)
-            # Consuming everything may dominate when the future is worthless.
-            all_now = objective_kappa(np.full(fgrid.size, 1.0 - 1e-12), frac_v)
-            take_all = all_now > last_val
-            kappa_v = np.where(take_all, 1.0, kappa_v)
-            last_val = np.maximum(all_now, last_val)
-            new_values[state] = last_val
-            sidx = state_order.index(state)
-            kappa_pol[t, sidx] = kappa_v
-            frac_pol[t, sidx] = frac_v
-        for state in states:
-            values[state] = new_values.get(state, values[state])
+        def log_gross_of(frac_arr):
+            return np.log(np.stack(_portfolio_gross(lattice, frac_arr)))
 
-    start_wealth = scale
-    start_state = n if finite else None
-    start_values = values[start_state]
-    value = float(np.interp(math.log(start_wealth), log_fgrid, start_values))
+        def log_post_of(kappa_arr):
+            return np.log1p(-kappa_arr) + log_fgrid
+
+        shape = mixed.shape
+        kappa_v = np.full(shape, 0.5)
+        lo_k = np.full(shape, 1e-9)
+        hi_k = np.full(shape, 1.0 - 1e-9)
+        lo_a = np.full(shape, a_lo)
+        hi_a = np.full(shape, a_hi)
+        for _ in range(3):
+            log_post = log_post_of(kappa_v)
+            frac_v, _ = golden_max_vec(lambda a_arr: objective(kappa_v, log_post, log_gross_of(a_arr)), lo_a, hi_a)
+            log_gross = log_gross_of(frac_v)
+            kappa_v, last_val = golden_max_vec(lambda k_arr: objective(k_arr, log_post_of(k_arr), log_gross), lo_k, hi_k)
+        # Consuming everything may dominate when the future is worthless.
+        all_in = np.full(shape, 1.0 - 1e-12)
+        all_now = objective(all_in, log_post_of(all_in), log_gross)
+        kappa_pol[t, live] = np.where(all_now > last_val, 1.0, kappa_v)
+        frac_pol[t, live] = frac_v
+        values[live] = np.maximum(all_now, last_val)
+
+    value = float(np.interp(math.log(scale), log_fgrid, values[-1]))
     if finite and adapter.survivor_conditioned:
         padded_kappa = np.zeros((m, n + 1, fgrid.size))
         padded_frac = np.zeros((m, n + 1, fgrid.size))
         padded_kappa[:, 1:] = kappa_pol
         padded_frac[:, 1:] = frac_pol
         policy = GridPolicy(grid, fgrid, padded_kappa, padded_frac, by_count=True)
-    elif finite:
-        policy = GridPolicy(grid, fgrid, kappa_pol, frac_pol, by_count=True)
     else:
-        policy = GridPolicy(grid, fgrid, kappa_pol, frac_pol, by_count=False)
+        policy = GridPolicy(grid, fgrid, kappa_pol, frac_pol, by_count=finite)
     return ValueResult(value=value, method="dp", strategy=policy, extras={"fgrid": fgrid})
 
 
@@ -1031,7 +1056,12 @@ def solve_measure_problem(
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Monte Carlo outcome of running a scaled infinite-pool stream at finite n."""
+    """Monte Carlo outcome of running a scaled infinite-pool stream at finite n.
+
+    ``gain_se`` is ``math.inf`` when a sampled path scores minus infinity
+    (u(0) = -inf with a closed gate): the estimate is then -inf and its
+    spread is undefined.
+    """
 
     n: int
     lam: float
@@ -1079,7 +1109,6 @@ def transfer_infinite_to_finite(
     within = counts <= bound[None, :] + 1e-9
     gate = np.cumprod(within, axis=1).astype(bool)
 
-    frac_levels = replication.fractions if hasattr(replication, "fractions") else replication.risky_fraction
     wealth = np.full(trials, n * problem.budget)
     node_idx = paths.node_idx
     risky = paths.risky_gross()
@@ -1097,10 +1126,10 @@ def transfer_infinite_to_finite(
         path_gain += disc[t] * (counts[:, t] / n) * np.where(counts[:, t] > 0, alive_u, 0.0) * dt
         wealth = wealth - drain
         violations += int(np.sum(wealth < -tol))
-        frac = np.asarray(frac_levels[t])[node_idx[:, t]]
+        frac = np.asarray(replication.risky_fraction[t])[node_idx[:, t]]
         wealth = wealth * (frac * risky[:, t] + (1.0 - frac) * bond)
     estimate = float(path_gain.mean())
-    se = float(path_gain.std(ddof=1) / np.sqrt(trials))
+    se = float(path_gain.std(ddof=1) / np.sqrt(trials)) if np.all(np.isfinite(path_gain)) else math.inf
 
     # Exact value over the joint (count, gate) chain; market factor exact.
     chain = bound_chain(n, table, lam)

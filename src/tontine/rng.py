@@ -26,8 +26,3 @@ def substream(seed: int, *labels: str) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=_labels_key(labels))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def path_substream(seed: int, label: str, index: int) -> np.random.Generator:
-    """Per-path stream: deterministic regardless of evaluation order."""
-    return substream(seed, label, str(index))

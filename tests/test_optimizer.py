@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tontine.optimizer import (
     annuity_rate,
     annuity_value,
     convergence_study,
+    golden_max_vec,
     simulate_policy_value,
     solve_finite_dp,
     solve_infinite,
@@ -335,6 +337,81 @@ def test_transfer_exact_gain_with_finite_u0_unchanged():
     assert out.exact_gain == pytest.approx(-13.324161576804459, rel=1e-12)
     assert abs(out.gain_estimate - out.exact_gain) <= 4 * out.gain_se
     assert out.exact_gain <= out.target_gain
+
+
+def test_transfer_gain_se_is_inf_when_a_path_scores_minus_inf():
+    # The CRRA alpha = -1 transfer above, with every warning an error: the
+    # spread of -inf samples is reported as inf, not computed as nan.
+    problem = heavy_mortality_problem(PowerUtility(-1.0))
+    res = solve_infinite(problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = transfer_infinite_to_finite(res.extras["stream"], res.extras["replication"], lam=0.9,
+                                          n=8, problem=problem, trials=2000, seed=7)
+    assert np.isneginf(out.gain_estimate)
+    assert out.gain_se == math.inf
+
+
+# --- wealth-grid solver ----------------------------------------------------------------
+
+
+def test_golden_max_vec_finds_each_argmax_with_one_probe_per_iteration():
+    peaks = np.linspace(-0.9, 1.9, 150).reshape(3, 50)
+    curvature = np.linspace(0.5, 4.0, 150).reshape(3, 50)
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        return -curvature * (x - peaks) ** 2
+
+    x, fx = golden_max_vec(fn, np.full((3, 50), -1.0), np.full((3, 50), 2.0))
+    np.testing.assert_allclose(x, peaks, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(fx, 0.0, rtol=0, atol=1e-12)
+    assert calls == [(3, 50)] * (48 + 2)
+
+
+EZ_SHORT = EzParams(risk=-2.0, substitution=0.5, discount=0.03, adequacy=0.05)
+
+# Value and the t = 0 policy of the per-state solver (one line search per
+# survivor state), on a quarterly 2-year grid with heavy mortality.  Policy
+# rows are the states (n, 1), or the single infinite-pool state, at wealth
+# (0.1, 0.5, 1, 1.5) times the pool's starting wealth.
+GRID_PINS = {
+    "ez-n8": (EZ_SHORT, 8, -121.0795607474017,
+              [[0.128691, 0.129585, 0.130021, 0.130260], [0.131277, 0.132266, 0.045595, 0.002351]],
+              [[1.231412, 1.012878, 0.896664, 0.823974], [0.934133, 0.657720, 3.377926, 1.387879]]),
+    "expkm-n4": (ExpKmParams(ExponentialUtility(1.0)), 4, -3.2627418114197897,
+                 [[0.039668, 0.119029, 0.124144, 0.125809], [0.120402, 0.126397, 0.127075, 0.127208]],
+                 [[4.094230, 1.244727, 0.721680, 0.541178], [1.505513, 0.457834, 0.302755, 0.226802]]),
+    "exponential-n4": (VnmParams(ExponentialUtility(1.0), 0.02), 4, -1.1542782329639583,
+                       [[0.024773, 0.132363, 0.131109, 0.130216], [0.135228, 0.129600, 0.128404, 0.127990]],
+                       [[6.513073, 2.856457, 1.479415, 0.977911], [3.456531, 0.748218, 0.374377, 0.244968]]),
+    "ez-infinite": (EZ_SHORT, math.inf, -121.06027708861059,
+                    [[0.128635, 0.129508, 0.129927, 0.130151]],
+                    [[1.231404, 1.012839, 0.896608, 0.823905]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_PINS))
+def test_batched_grid_solver_matches_per_state_solver(case):
+    gain, n, value, kappa, fraction = GRID_PINS[case]
+    grid = TimeGrid(0.25, 2.0)
+    table = gompertz_makeham_table(grid, 0.0, 0.01, 0.1)
+    model = MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(1.0,))
+    problem = HomogeneousProblem(gain, table, model, grid, 1.0, n)
+    if math.isfinite(n):
+        res = solve_finite_dp(problem)
+        states, start_wealth = [n, 1], float(n)
+    else:
+        res = solve_infinite(problem, methods=("dp",))
+        states, start_wealth = [0], 1.0
+    assert res.value == pytest.approx(value, rel=1e-10)
+    # Only interior wealth: near the grid ends the line searches run on
+    # flat objectives and their answers carry no information.
+    policy = res.strategy
+    idx = np.searchsorted(policy.fgrid, start_wealth * np.array([0.1, 0.5, 1.0, 1.5]))
+    np.testing.assert_allclose(policy.kappa[0][states][:, idx], kappa, rtol=0, atol=1e-4)
+    np.testing.assert_allclose(policy.fraction[0][states][:, idx], fraction, rtol=0, atol=1e-4)
 
 
 # --- consistency of reported values ------------------------------------------------------
