@@ -20,6 +20,13 @@ absorbs at the time-dependent profile ``exp(-b*alpha*s/rho) *
 a**alpha``; with that convention the back-transformed solution is a
 consistent discretization of the same utility as the preference module's
 explicit scheme, and the two agree to first order in the step.
+
+The gated finite-pool version adds the survivor count and the bound flag
+to the state.  Each of its time steps solves every (gate, count, node)
+state at once: the counts are mixed by one product with the step's
+survivor kernel, the lattice x death expectation is taken once for the
+whole array, and one fixed-point solve iterates each (gate, count) state
+until its own stopping test passes.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .market import Lattice, Stream
-from .mortality import MortalityTable, bound_chain
+from .mortality import MortalityTable, binomial_transition_matrix, bound_chain
 from .preferences import EzParams
 
 
@@ -75,15 +82,6 @@ class TruncatedDriver:
         coef = p.discount * p.risk / p.substitution * math.exp(-p.discount * t)
         return coef * cpow * np.power(v, 1.0 - p.substitution / p.risk)
 
-    def terminal_value(self) -> float:
-        p = self.params
-        return math.exp(-p.discount * p.risk / p.substitution * 0.0) * 0.0 + self.absorption(1.0) * 0.0 + self._terminal()
-
-    def _terminal(self) -> float:
-        p = self.params
-        horizonless = p.adequacy**p.risk
-        return horizonless  # scaled by the time factor at the horizon by callers
-
     def absorption(self, t: float) -> float:
         """Transformed value of a dead individual at time ``t``."""
         p = self.params
@@ -104,18 +102,42 @@ class BsdeSolution:
         return self.initial / self.driver.params.risk
 
 
+def _backward_expectation(values, p_up, survival, absorbed):
+    """One step back on the (lattice x death) chain.
+
+    ``values`` holds the next step's alive values with the lattice nodes on
+    its last axis (``i + 2`` of them); returns the expected next value over
+    the ``i + 1`` nodes of the current step, given alive now, where death
+    absorbs at ``absorbed``.
+    """
+    cont = p_up * values[..., 1:] + (1.0 - p_up) * values[..., :-1]
+    return (1.0 - survival) * absorbed + survival * cont
+
+
 def _implicit_node_solve(driver, t, consumption, expected, dt, tol=1e-12, max_iter=50):
-    """Solve v = expected + F(t, c, v) * dt per node by fixed-point iteration."""
+    """Solve v = expected + F(t, c, v) * dt by fixed-point iteration.
+
+    The last axis of ``expected`` runs over lattice nodes; any leading axes
+    index separate states, and ``consumption`` broadcasts against it.  Each
+    state iterates until its own test ``max|v_new - v| <= tol *
+    max|expected|`` over its nodes passes and is then frozen, so its answer
+    does not depend on the states solved with it.  Returns the solution and
+    the largest iteration count.
+    """
     expected = np.asarray(expected, dtype=float)
-    v = expected.copy()
-    scale = max(float(np.max(np.abs(expected))), 1e-30)
+    shape = expected.shape
+    rows = expected.reshape(-1, shape[-1] if shape else 1)
+    rates = np.broadcast_to(np.asarray(consumption, dtype=float), shape).reshape(rows.shape)
+    v = rows.copy()
+    threshold = tol * np.maximum(np.max(np.abs(rows), axis=1), 1e-30)
+    live = np.arange(rows.shape[0])
     for k in range(max_iter):
-        nxt = expected + driver(t, consumption, v) * dt
-        nxt = np.maximum(nxt, 0.0)
-        delta = float(np.max(np.abs(nxt - v)))
-        v = nxt
-        if delta <= tol * scale:
-            return v, k + 1
+        nxt = np.maximum(rows[live] + driver(t, rates[live], v[live]) * dt, 0.0)
+        done = np.max(np.abs(nxt - v[live]), axis=1) <= threshold[live]
+        v[live] = nxt
+        live = live[~done]
+        if live.size == 0:
+            return v.reshape(shape), k + 1
     raise StepTooCoarseError(
         "implicit node solve did not contract; reduce the step or the truncation level"
     )
@@ -178,9 +200,7 @@ def solve_truncated(
     values = [None] * (m + 1)
     values[m] = level_vals
     for i in range(m - 1, -1, -1):
-        cont = p_up * level_vals[1 : i + 2] + (1.0 - p_up) * level_vals[: i + 1]
-        absorbed = driver.absorption(points[i] + dt)
-        expected = (1.0 - s[i]) * absorbed + s[i] * cont
+        expected = _backward_expectation(level_vals, p_up, s[i], driver.absorption(points[i] + dt))
         rate_i = rates[i] if deterministic else np.asarray(consumption[i], dtype=float)
         level_vals, iters = _implicit_node_solve(driver, points[i], rate_i, expected, dt)
         values[i] = level_vals
@@ -242,9 +262,13 @@ def solve_transfer_pair(
     The finite-pool consumption is ``lam * stream`` while the pool's
     survivor count stays within ``1/lam`` of its mean and zero afterwards,
     so the chain state is (market node, survivor count, bound flag); the
-    reference solution replaces the gate by 1.  Also returns the
-    probability that the bound fails by ``window_end`` (default: the last
-    grid point), computed from the exact count chain.
+    reference solution replaces the gate by 1.  Each time step solves every
+    (gate, count, node) state at once: one product with the step's
+    survivor kernel mixes the counts, one lattice expectation covers the
+    whole array, and one implicit solve iterates each (gate, count) state
+    to its own stopping test.  Also returns the probability that the bound
+    fails by ``window_end`` (default: the last grid point), computed from
+    the exact count chain.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
@@ -252,52 +276,37 @@ def solve_transfer_pair(
     m = grid.n_steps
     dt = grid.dt
     s = table.step_survival
-    pi = table.pi[:m]
     points = grid.points
-    p_up = lattice.p_up
 
     scaled = [lam * np.asarray(level, dtype=float) for level in stream]
     inf_sol = solve_truncated(driver, scaled, table, lattice)
 
     mean = table.expected_survivors(n)
     thresholds = np.floor(mean / lam + 1e-9).astype(int)
-    terminal = driver.absorption(grid.horizon)
+    counts = np.arange(1, n + 1)  # survivors including oneself
 
-    # values[x, j, g] for alive states; j = survivors including self (>=1).
-    nxt = np.full((m + 1, n + 1, 2), terminal)
-    from .mortality import binomial_transition_matrix
-
+    # values[g, j - 1, x]: alive with j survivors, gate g, at lattice node x.
+    values = np.full((2, n, m + 1), driver.absorption(grid.horizon))
     for i in range(m - 1, -1, -1):
-        absorbed = driver.absorption(points[i] + dt)
-        others = binomial_transition_matrix(n - 1, s[i])  # others alive: j-1 -> k
-        thresh_next = thresholds[i + 1] if i + 1 < m else n
-        j_next = np.arange(1, n + 1)
-        keep = (j_next <= thresh_next).astype(int)  # g stays 1 only within bound
-        cur = np.full((i + 1, n + 1, 2), terminal)
-        # Effective next values after applying the gate update for each g.
-        eff1 = np.where(keep[None, :] == 1, nxt[: i + 2, 1:, 1], nxt[: i + 2, 1:, 0])
-        eff0 = nxt[: i + 2, 1:, 0]
-        for j in range(1, n + 1):
-            w = others[j - 1, :j]  # k = 0..j-1 others survive -> j' = 1+k
-            mix1 = eff1[:, :j] @ w
-            mix0 = eff0[:, :j] @ w
-            cont1 = p_up * mix1[1 : i + 2] + (1.0 - p_up) * mix1[: i + 1]
-            cont0 = p_up * mix0[1 : i + 2] + (1.0 - p_up) * mix0[: i + 1]
-            expected1 = (1.0 - s[i]) * absorbed + s[i] * cont1
-            expected0 = (1.0 - s[i]) * absorbed + s[i] * cont0
-            rate1 = lam * np.asarray(stream[i], dtype=float)
-            cur[:, j, 1], _ = _implicit_node_solve(driver, points[i], rate1, expected1, dt)
-            cur[:, j, 0], _ = _implicit_node_solve(driver, points[i], 0.0, expected0, dt)
-        nxt = np.full((m + 1, n + 1, 2), terminal)
-        nxt[: i + 1] = cur
+        # From j survivors, k of the j - 1 others survive (row j - 1, column
+        # k; zero for k >= j), leaving 1 + k.  The gate stays open only
+        # while the next count is within the bound.
+        others = binomial_transition_matrix(n - 1, s[i])
+        within = counts <= (thresholds[i + 1] if i + 1 < m else n)
+        gated = np.stack([values[0], np.where(within[:, None], values[1], values[0])])
+        expected = _backward_expectation(
+            others @ gated, lattice.p_up, s[i], driver.absorption(points[i] + dt)
+        )
+        rates = np.stack([np.zeros(i + 1), scaled[i]])[:, None, :]
+        values, _ = _implicit_node_solve(driver, points[i], rates, expected, dt)
 
-    g0 = 1 if n <= thresholds[0] else 0
-    finite_v0 = float(nxt[0, n, g0])
+    finite_v0 = float(values[1 if n <= thresholds[0] else 0, n - 1, 0])
 
     chain = bound_chain(n, table, lam)
     end = points[-1] if window_end is None else window_end
     idx = int(np.searchsorted(points, end + 1e-12) - 1)
-    prob_fail = 1.0 - chain.prob_bound_holds(max(idx, 0))
+    # The chain's mass sums to one only to rounding; a probability is kept in [0, 1].
+    prob_fail = max(0.0, 1.0 - chain.prob_bound_holds(max(idx, 0)))
     return TransferSolutions(
         tilde_v_infinite=float(inf_sol.initial),
         tilde_v_finite=finite_v0,

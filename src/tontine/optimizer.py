@@ -35,7 +35,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
-from scipy.interpolate import PchipInterpolator
 
 from .fund import PathBundle, TabulatedPolicy
 from .grid import TimeGrid
@@ -542,20 +541,67 @@ def _grid_adapter(gain: GainFunction, n: float, dt: float) -> _FamilyAdapter:
     raise TypeError(f"unsupported gain family {type(gain)!r}")
 
 
-def _pchip_pieces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-interval cubics of the PCHIP interpolant of each row of ``y``.
+def _pchip_slopes(h: np.ndarray, secant: np.ndarray) -> np.ndarray:
+    """Node slopes of the PCHIP interpolant, from interval widths and secants.
 
-    Returns shape (4, rows * (len(x) - 1)): the coefficients of
-    (x - x_k)^3, ^2, ^1 and ^0 on interval k of each row, rows laid end to
-    end so that one flat gather reads any (row, interval) pair.  The node
-    slopes come from the interpolant itself.
+    ``secant`` has one row per interpolated function, one column per
+    interval of widths ``h``; the result has one more column, one per node.
+
+    The same slopes as ``scipy.interpolate.PchipInterpolator``: inside,
+    the Fritsch-Carlson weighted harmonic mean of the adjacent secants, or
+    zero where they differ in sign or either is zero; at the ends, the
+    one-sided three-point rule, set to zero if it points against its
+    secant and limited to three times that secant where the first two
+    secants differ in sign.  The mean ``(w1 + w2) / (w1/m0 + w2/m1)`` is
+    evaluated as ``m0 * (w1 + w2) * m1 / (w1*m1 + w2*m0)``, which divides
+    by no secant and so cannot overflow when one is tiny.
     """
-    slopes = PchipInterpolator(x, y, axis=1)(x, nu=1)
-    dx = np.diff(x)
-    secant = np.diff(y, axis=1) / dx
-    d0, d1 = slopes[:, :-1], slopes[:, 1:]
-    curv = (d0 + d1 - 2.0 * secant) / dx
-    return np.stack([curv / dx, (secant - d0) / dx - curv, d0, y[:, :-1]]).reshape(4, -1)
+    m0, m1 = secant[:, :-1], secant[:, 1:]
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    same_sign = (np.sign(m0) == np.sign(m1)) & (m0 != 0.0) & (m1 != 0.0)
+    ratio = np.divide((w1 + w2) * m1, w1 * m1 + w2 * m0, out=np.zeros_like(m0), where=same_sign)
+    slopes = np.empty((secant.shape[0], secant.shape[1] + 1))
+    slopes[:, 1:-1] = m0 * ratio
+
+    def end(h0, h1, s0, s1):
+        d = ((2.0 * h0 + h1) * s0 - h0 * s1) / (h0 + h1)
+        d = np.where(np.sign(d) != np.sign(s0), 0.0, d)
+        return np.where((np.sign(s0) != np.sign(s1)) & (np.abs(d) > 3.0 * np.abs(s0)), 3.0 * s0, d)
+
+    slopes[:, 0] = end(h[0], h[1], secant[:, 0], secant[:, 1])
+    slopes[:, -1] = end(h[-1], h[-2], secant[:, -1], secant[:, -2])
+    return slopes
+
+
+class PchipInterpolator:
+    """Shape-preserving cubic (PCHIP) interpolant of each row of ``y`` on ``x``.
+
+    ``x`` is a uniform grid, so a point finds its interval by arithmetic.
+    The per-interval cubics of every row are laid end to end, and a call
+    reads each point's cubic by one flat gather: row ``r`` of ``y`` is
+    evaluated at ``points[..., r, :]``, clamped to the grid's ends.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x = x
+        self.step = (x[-1] - x[0]) / (x.size - 1)
+        dx = np.diff(x)
+        secant = np.diff(y, axis=1) / dx
+        slopes = _pchip_slopes(dx, secant)
+        d0, d1 = slopes[:, :-1], slopes[:, 1:]
+        curv = (d0 + d1 - 2.0 * secant) / dx
+        # Coefficients of (x - x_k)^3, ^2, ^1 and ^0 on interval k of each row.
+        self.pieces = np.stack([curv / dx, (secant - d0) / dx - curv, d0, y[:, :-1]]).reshape(4, -1)
+        self.row_base = np.arange(y.shape[0])[:, None] * (x.size - 1)
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        x = self.x
+        points = np.minimum(np.maximum(points, x[0]), x[-1])
+        k = np.minimum(((points - x[0]) / self.step).astype(np.intp), x.size - 2)
+        c3, c2, c1, c0 = np.take(self.pieces, self.row_base + k, axis=1)
+        u = points - x[k]
+        return ((c3 * u + c2) * u + c1) * u + c0
 
 
 def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
@@ -580,8 +626,6 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     pi = problem.table.pi[:m]
     p_up = lattice.p_up
     a_lo, a_hi = allocation_bounds(lattice)
-    # The grid is geometric, so a log wealth finds its interval by arithmetic.
-    log_step = (log_fgrid[-1] - log_fgrid[0]) / (n_points - 1)
 
     # Survivor-conditioned families mix over the other members' count:
     # from j survivors including oneself, k of the j - 1 others survive.
@@ -603,19 +647,14 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
             mixed = trans[counts[live] - offset] @ values
         else:
             mixed = values
-        pieces = _pchip_pieces(log_fgrid, mixed)
-        row_base = np.arange(live.size)[:, None] * (n_points - 1)
+        interpolant = PchipInterpolator(log_fgrid, mixed)
 
         def continuation(log_x):
             # Expected mixed value at probe log wealths stacked as (down, up).
             # Clamped at both ends: the top carries headroom above any
             # wealth reachable from the start, so clamping only touches
             # line-search probes at extreme leverage.
-            log_x = np.minimum(np.maximum(log_x, log_fgrid[0]), log_fgrid[-1])
-            k = np.minimum(((log_x - log_fgrid[0]) / log_step).astype(np.intp), n_points - 2)
-            c3, c2, c1, c0 = np.take(pieces, row_base + k, axis=1)
-            u = log_x - log_fgrid[k]
-            down, up = ((c3 * u + c2) * u + c1) * u + c0
+            down, up = interpolant(log_x)
             return (1.0 - p_up) * down + p_up * up
 
         dm = drain[live, None]

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator as ScipyPchip
 
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel, build_lattice
@@ -13,6 +14,8 @@ from tontine.optimizer import (
     annuity_rate,
     annuity_value,
     convergence_study,
+    PchipInterpolator,
+    _pchip_slopes,
     golden_max_vec,
     simulate_policy_value,
     solve_finite_dp,
@@ -392,6 +395,7 @@ GRID_PINS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(GRID_PINS))
 def test_batched_grid_solver_matches_per_state_solver(case):
     gain, n, value, kappa, fraction = GRID_PINS[case]
@@ -412,6 +416,45 @@ def test_batched_grid_solver_matches_per_state_solver(case):
     idx = np.searchsorted(policy.fgrid, start_wealth * np.array([0.1, 0.5, 1.0, 1.5]))
     np.testing.assert_allclose(policy.kappa[0][states][:, idx], kappa, rtol=0, atol=1e-4)
     np.testing.assert_allclose(policy.fraction[0][states][:, idx], fraction, rtol=0, atol=1e-4)
+
+
+def pchip_rows(x):
+    rng = np.random.default_rng(0)
+    return np.array([
+        np.cumsum(rng.normal(size=x.size)),  # secants that change sign
+        np.round(np.cumsum(rng.normal(size=x.size))),  # flat stretches: zero secants
+        -np.exp(-np.linspace(0.0, 800.0, x.size)),  # secants tiny enough to overflow w / secant
+        x**3,
+    ])
+
+
+def scipy_pchip(x, y, **kwargs):
+    with np.errstate(over="ignore"):  # scipy's own overflow on the third row
+        return ScipyPchip(x, y, **kwargs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pchip_slopes_match_scipy_without_overflow():
+    x = np.log(np.geomspace(0.01, 50.0, 60))  # the solver's uniform log-wealth grid
+    y = pchip_rows(x)
+    slopes = _pchip_slopes(np.diff(x), np.diff(y, axis=1) / np.diff(x))
+    expected = scipy_pchip(x, y, axis=1)(x, nu=1)
+    assert np.all(np.isfinite(expected))
+    np.testing.assert_allclose(slopes, expected, rtol=1e-12, atol=1e-12)
+    flat_left = np.diff(y[1])[:-1] == 0.0
+    assert flat_left.any() and np.all(slopes[1, 1:-1][flat_left] == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pchip_interpolant_matches_scipy_per_row_and_clamps():
+    x = np.log(np.geomspace(0.01, 50.0, 60))
+    y = pchip_rows(x)
+    points = np.random.default_rng(1).uniform(x[0], x[-1], size=(2, 4, 30))
+    values = PchipInterpolator(x, y)(points)
+    for r in range(4):
+        np.testing.assert_allclose(values[:, r], scipy_pchip(x, y[r])(points[:, r]), rtol=1e-12, atol=1e-12)
+    outside = np.broadcast_to(np.array([x[0] - 1.0, x[-1] + 1.0])[:, None, None], (2, 4, 1))
+    np.testing.assert_allclose(PchipInterpolator(x, y)(outside)[:, :, 0], y[:, [0, -1]].T, rtol=1e-12, atol=1e-12)
 
 
 # --- consistency of reported values ------------------------------------------------------
