@@ -39,7 +39,7 @@ import numpy as np
 
 from .market import Lattice, Stream
 from .mortality import MortalityTable, binomial_transition_matrix, bound_chain
-from .preferences import EzParams
+from .preferences import EzParams, _backward_expectation
 
 
 class StepTooCoarseError(RuntimeError):
@@ -100,18 +100,6 @@ class BsdeSolution:
     def utility(self) -> float:
         """Back-transformed initial utility tilde_V0 / alpha."""
         return self.initial / self.driver.params.risk
-
-
-def _backward_expectation(values, p_up, survival, absorbed):
-    """One step back on the (lattice x death) chain.
-
-    ``values`` holds the next step's alive values with the lattice nodes on
-    its last axis (``i + 2`` of them); returns the expected next value over
-    the ``i + 1`` nodes of the current step, given alive now, where death
-    absorbs at ``absorbed``.
-    """
-    cont = p_up * values[..., 1:] + (1.0 - p_up) * values[..., :-1]
-    return (1.0 - survival) * absorbed + survival * cont
 
 
 def _implicit_node_solve(driver, t, consumption, expected, dt, tol=1e-12, max_iter=50):

@@ -62,6 +62,8 @@ class TabulatedPolicy:
     wealth withdrawn in total at ``t`` when ``j`` survivors remain; the
     per-survivor rate follows by dividing by ``j * dt``.  Used for the
     scale-invariant families, where the optimal policy is wealth-free.
+    The infinite pool has one column, and its ``alive`` is the survival
+    fraction.
     """
 
     grid: TimeGrid
@@ -72,7 +74,7 @@ class TabulatedPolicy:
         alive_arr = np.asarray(alive)
         j = np.clip(alive_arr, 0, self.consumption_fraction.shape[1] - 1).astype(int)
         kappa = self.consumption_fraction[t_idx, j]
-        denom = np.maximum(alive_arr, 1) * self.grid.dt
+        denom = np.maximum(alive_arr, 1e-300) * self.grid.dt
         return np.where(alive_arr > 0, kappa * np.asarray(wealth) / denom, 0.0)
 
     def risky_fraction(self, t_idx, alive, wealth, node=None):

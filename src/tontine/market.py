@@ -1,12 +1,10 @@
-"""Discrete-time complete market: lognormal assets, recombining lattice.
+"""Discrete-time complete market: one bond, one lognormal asset, a lattice.
 
 The market has one risk-free asset (continuously compounded at a constant
-rate) and ``k`` risky lognormal assets.  Monte Carlo scenario sets are
-simulated with the exact one-step lognormal law under the physical or the
-pricing measure.  The single-risky-asset case additionally supports a
-recombining binomial lattice on which replication is exact: this is the
-vehicle for all pricing and no-arbitrage arguments, Monte Carlo serves
-evaluation only.
+rate) and one risky lognormal asset, which makes it complete.  It is
+represented by a recombining binomial lattice on which replication is
+exact: this is the vehicle for all pricing and no-arbitrage arguments.
+Monte Carlo evaluation samples paths of the same lattice.
 
 Cashflow streams on the lattice are *rates* with respect to the grid
 measure: the cash paid at a grid point equals ``rate * dt``.  A stream is
@@ -16,7 +14,7 @@ the rate at the node reached by ``j`` up-moves in ``i`` steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,55 +35,32 @@ class NonReplicableError(ValueError):
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Constant-coefficient market with one bond and ``k`` risky assets.
+    """Constant-coefficient market with one bond and one risky asset.
+
+    The asset's parameters are one-entry tuples.
 
     Args:
         rate: risk-free short rate (per year).
-        mu: per-asset arithmetic drift, so E[S_{t+dt}/S_t] = exp(mu*dt).
-        sigma: per-asset volatility (per sqrt-year), strictly positive
-            except that a zero-volatility clone of the bond is allowed.
-        s0: initial prices, strictly positive.
-        corr: correlation matrix of the driving Brownian motions.
+        mu: arithmetic drift, so E[S_{t+dt}/S_t] = exp(mu*dt).
+        sigma: volatility (per sqrt-year), strictly positive except that a
+            zero-volatility clone of the bond is allowed.
+        s0: initial price, strictly positive.
     """
 
     rate: float
     mu: tuple[float, ...]
     sigma: tuple[float, ...]
     s0: tuple[float, ...]
-    corr: tuple[tuple[float, ...], ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        k = len(self.mu)
-        if not (len(self.sigma) == len(self.s0) == k) or k < 1:
-            raise ValueError("mu, sigma, s0 must have equal positive length")
-        if any(s <= 0 for s in self.s0):
+        if not (len(self.mu) == len(self.sigma) == len(self.s0) == 1):
+            raise ValueError("the market has exactly one risky asset: mu, sigma, s0 take one entry each")
+        if self.s0[0] <= 0:
             raise ValueError("initial prices must be strictly positive")
-        if any(s < 0 for s in self.sigma):
+        if self.sigma[0] < 0:
             raise ValueError("volatilities must be nonnegative")
-        for s, m in zip(self.sigma, self.mu):
-            if s == 0.0 and abs(m - self.rate) > 1e-12:
-                raise ValueError("a zero-volatility asset must drift at the risk-free rate")
-        corr = self.corr
-        if corr is None:
-            corr = tuple(tuple(1.0 if i == j else 0.0 for j in range(k)) for i in range(k))
-            object.__setattr__(self, "corr", corr)
-        c = np.asarray(corr, dtype=float)
-        if c.shape != (k, k):
-            raise ValueError("correlation matrix has wrong shape")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(c), 1.0, atol=1e-12):
-            raise ValueError("correlation matrix must have unit diagonal")
-        eigs = np.linalg.eigvalsh(c)
-        if eigs.min() < -1e-10:
-            raise ValueError("correlation matrix must be positive semidefinite")
-
-    @property
-    def n_risky(self) -> int:
-        return len(self.mu)
-
-    def corr_matrix(self) -> np.ndarray:
-        return np.asarray(self.corr, dtype=float)
+        if self.sigma[0] == 0.0 and abs(self.mu[0] - self.rate) > 1e-12:
+            raise ValueError("a zero-volatility asset must drift at the risk-free rate")
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +116,12 @@ class Lattice:
 
 
 def build_lattice(model: MarketModel, grid: TimeGrid) -> Lattice:
-    """Build the binomial lattice; single risky asset only.
+    """Build the binomial lattice.
 
     Raises:
         IncompatibleStepError: if the step is so coarse that a branch
             probability would leave [0, 1].
-        ValueError: for multi-asset models (use scenario sets instead).
     """
-    if model.n_risky != 1:
-        raise ValueError("lattice mode supports exactly one risky asset")
     dt = grid.dt
     sigma = model.sigma[0]
     if sigma == 0.0:
@@ -281,70 +253,6 @@ def replicate(cashflow: Stream, lattice: Lattice) -> ReplicatingStrategy:
     return ReplicatingStrategy(lattice, [np.asarray(c, float).copy() for c in cashflow], wealth[: m + 1], fractions)
 
 
-# ---------------------------------------------------------------------------
-# Monte Carlo scenario sets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioSet:
-    """Simulated asset-price paths.
-
-    ``prices`` has shape ``(n_paths, n_steps + 1, 1 + k)``; column 0 is
-    the bond.  ``weights`` sum to one.  The seed and measure are recorded
-    so any scenario set can be regenerated exactly.
-    """
-
-    model: MarketModel
-    grid: TimeGrid
-    measure: str
-    prices: np.ndarray
-    weights: np.ndarray
-    seed: int
-
-    @property
-    def n_paths(self) -> int:
-        return self.prices.shape[0]
-
-    def risky(self, asset: int = 0) -> np.ndarray:
-        return self.prices[:, :, 1 + asset]
-
-
-def simulate_paths(
-    model: MarketModel,
-    grid: TimeGrid,
-    n_paths: int,
-    measure: str = "P",
-    seed: int = 0,
-) -> ScenarioSet:
-    """Simulate exact-step lognormal paths under ``'P'`` or ``'Q'``.
-
-    Each step draws from the exact lognormal transition (no Euler bias).
-    For a fixed seed the result is bit-identical across runs; the whole
-    normal panel is drawn from one counter-based stream in a fixed order.
-    """
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    if measure not in ("P", "Q"):
-        raise ValueError(f"unknown measure {measure!r}")
-    k = model.n_risky
-    m = grid.n_steps
-    dt = grid.dt
-    gen = substream(seed, "market", measure)
-    z = gen.standard_normal(size=(n_paths, m, k))
-    chol = np.linalg.cholesky(model.corr_matrix() + 1e-15 * np.eye(k))
-    z = z @ chol.T
-    drift = np.asarray(model.mu) if measure == "P" else np.full(k, model.rate)
-    sigma = np.asarray(model.sigma)
-    log_steps = (drift - 0.5 * sigma**2) * dt + sigma * np.sqrt(dt) * z
-    log_paths = np.concatenate([np.zeros((n_paths, 1, k)), np.cumsum(log_steps, axis=1)], axis=1)
-    prices = np.empty((n_paths, m + 1, 1 + k))
-    prices[:, :, 0] = np.exp(model.rate * grid.times)[None, :]
-    prices[:, :, 1:] = np.asarray(model.s0)[None, None, :] * np.exp(log_paths)
-    weights = np.full(n_paths, 1.0 / n_paths)
-    return ScenarioSet(model, grid, measure, prices, weights, int(seed))
-
-
 @dataclass(frozen=True)
 class LatticePaths:
     """Paths sampled from the lattice's branch distribution.
@@ -360,25 +268,17 @@ class LatticePaths:
     seed: int
     measure: str
 
-    @property
-    def n_paths(self) -> int:
-        return self.ups.shape[0]
-
     def risky_gross(self) -> np.ndarray:
         return np.where(self.ups, self.lattice.up, self.lattice.down)
 
     def bond_gross(self) -> float:
         return float(np.exp(self.lattice.rate * self.lattice.grid.dt))
 
-    def risky_prices(self) -> np.ndarray:
-        s0 = self.lattice.model.s0[0]
-        levels = np.arange(self.node_idx.shape[1])[None, :]
-        return s0 * self.lattice.up ** self.node_idx * self.lattice.down ** (levels - self.node_idx)
-
 
 def sample_lattice_paths(
     lattice: Lattice, n_paths: int, measure: str = "P", seed: int = 0
 ) -> LatticePaths:
+    """Sample paths under ``'P'`` or ``'Q'``; bit-identical for a fixed seed."""
     if measure not in ("P", "Q"):
         raise ValueError(f"unknown measure {measure!r}")
     pu = lattice.p_up if measure == "P" else lattice.q_up

@@ -6,21 +6,28 @@ achieved by one member.  Since concave gains make the equal-split
 strategy weakly dominant, the state is (time, survivor count, fund
 wealth) rather than anything per-individual.
 
+A finite pool and the infinite one differ only in how the fund drains:
+by the realized survivor count, mixed over each step by the survivor
+kernel, or by the deterministic survival fraction, with nothing to mix.
+Each dynamic-programming solver takes either drain measure.
+
 Solvers
 -------
 * Power and log utility factor the wealth dependence out of the Bellman
-  equation exactly, leaving a recursion over (time, survivor count) with
-  closed-form consumption splits; only the allocation needs a line
+  equation exactly.  One scaling solver per drain measure, with log
+  utility as exponent zero, runs a recursion over (time, drain state)
+  with closed-form consumption splits; only the allocation needs a line
   search.
 * The remaining families (recursive utility with adequacy, the
   multiplicative family, exponential utility) run on a geometric wealth
   grid with shape-preserving cubic interpolation.
 * The infinite pool is additionally solved by the pricing route: choose
   the adapted consumption stream maximizing the gain subject to its
-  replication cost not exceeding the budget, then replicate.  This is in
-  closed form for power/log utility and a gradient-based numeric
-  optimization otherwise, and cross-checks the dynamic-programming
-  route.
+  replication cost not exceeding the budget, then replicate.  For power
+  and log utility (exponent zero) the stream is one closed form,
+  ``c ~ (exp((b - r) t) dQ/dP) ** (1 / (alpha - 1))``; the other
+  families run a gradient-based numeric optimization.  The route
+  cross-checks the dynamic-programming one.
 
 Consumption policies are rates per survivor; the cash drained from the
 fund at a grid point is ``count * rate * dt`` (or ``pi_t * rate * dt``
@@ -36,15 +43,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize
 
-from .fund import PathBundle, TabulatedPolicy
+from .fund import PathBundle, TabulatedPolicy, evolve_finite, evolve_infinite
 from .grid import TimeGrid
 from .market import (
     Lattice,
     MarketModel,
     Stream,
     build_lattice,
-    constant_stream,
-    q_price,
     replicate,
     sample_lattice_paths,
     scale_stream,
@@ -63,8 +68,10 @@ from .preferences import (
     LogUtility,
     PowerUtility,
     VnmParams,
+    _exp_km_levels,
+    _ez_drift,
+    _ez_levels,
     exp_km_value_of_rates,
-    exp_km_value_on_lattice,
     ez_utility_discrete,
     vnm_value_of_rates,
     vnm_value_on_lattice,
@@ -73,10 +80,6 @@ from .preferences import (
 
 class WealthGridExceeded(RuntimeError):
     """A continuation evaluation left the configured wealth grid."""
-
-
-class NonConcavityDetected(RuntimeError):
-    """An inner line search found a boundary beating its interior optimum."""
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,6 @@ class HomogeneousProblem:
 
     def with_n(self, n) -> "HomogeneousProblem":
         return HomogeneousProblem(self.gain, self.table, self.model, self.grid, self.budget, n)
-
-    def with_budget(self, budget: float) -> "HomogeneousProblem":
-        return HomogeneousProblem(self.gain, self.table, self.model, self.grid, budget, self.n)
 
 
 @dataclass
@@ -206,41 +206,28 @@ def _portfolio_gross(lattice: Lattice, a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def best_power_growth(lattice: Lattice, alpha: float) -> tuple[float, float]:
-    """Optimal fraction and E[G^alpha] for one-step power certainty equivalence."""
-    lo, hi = allocation_bounds(lattice)
-    if hi <= lo:
-        g_down, g_up = _portfolio_gross(lattice, 0.0)
-        return 0.0, float((1 - lattice.p_up) * g_down**alpha + lattice.p_up * g_up**alpha)
+    """Optimal risky fraction and one-step growth term of a scaling investor.
+
+    The growth term is E[G**alpha] for power utility and E[log G] for log
+    utility, passed as ``alpha = 0``.
+    """
     p = lattice.p_up
+
+    def moment(g_down, g_up) -> float:
+        if alpha == 0.0:
+            return (1 - p) * math.log(g_down) + p * math.log(g_up)
+        return (1 - p) * g_down**alpha + p * g_up**alpha
 
     def objective(a: float) -> float:
         g_down, g_up = _portfolio_gross(lattice, a)
         if g_down <= 0 or g_up <= 0:
             return -np.inf
-        moment = (1 - p) * g_down**alpha + p * g_up**alpha
-        return moment / alpha  # increasing transform of the certainty equivalent
+        # An increasing transform of the certainty equivalent.
+        return moment(g_down, g_up) if alpha == 0.0 else moment(g_down, g_up) / alpha
 
-    a_star, _ = golden_max(objective, lo, hi)
-    g_down, g_up = _portfolio_gross(lattice, a_star)
-    return float(a_star), float((1 - p) * g_down**alpha + p * g_up**alpha)
-
-
-def best_log_growth(lattice: Lattice) -> tuple[float, float]:
-    """Optimal fraction and E[log G] for the log investor."""
     lo, hi = allocation_bounds(lattice)
-    if hi <= lo:
-        g_down, g_up = _portfolio_gross(lattice, 0.0)
-        return 0.0, float((1 - lattice.p_up) * math.log(g_down) + lattice.p_up * math.log(g_up))
-    p = lattice.p_up
-
-    def objective(a: float) -> float:
-        g_down, g_up = _portfolio_gross(lattice, a)
-        if g_down <= 0 or g_up <= 0:
-            return -np.inf
-        return (1 - p) * math.log(g_down) + p * math.log(g_up)
-
-    a_star, val = golden_max(objective, lo, hi)
-    return float(a_star), float(val)
+    a_star = golden_max(objective, lo, hi)[0] if lo < hi else 0.0
+    return float(a_star), float(moment(*_portfolio_gross(lattice, a_star)))
 
 
 def _power_split(a_coef, b_coef, alpha: float):
@@ -257,137 +244,82 @@ def _power_split(a_coef, b_coef, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# Scale-reduction solvers (power and log utility)
+# Scaling solver (power and log utility)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProportionalPolicy:
-    """Wealth-proportional policy: fraction consumed and risky fraction per step.
+def _scaling_exponent(gain: GainFunction) -> float | None:
+    """Exponent of a power or log (zero) additive gain; None for other families."""
+    if isinstance(gain, VnmParams):
+        if isinstance(gain.utility, PowerUtility):
+            return gain.utility.exponent
+        if isinstance(gain.utility, LogUtility):
+            return 0.0
+    return None
 
-    Valid for both pool accountings: the per-survivor rate is
-    ``kappa_t * wealth / (alive * dt)`` where ``alive`` is the count or
-    the survival fraction.
+
+def _solve_scaling(problem: HomogeneousProblem, alpha: float) -> ValueResult:
+    """Backward induction for power utility, or log utility as ``alpha = 0``.
+
+    The value at fund wealth F is ``(F**alpha / alpha) * theta`` for power
+    and ``a * log(F) + c`` for log utility, with coefficients that depend
+    on time and the drain state alone.  A pool of ``n`` drains by the
+    survivor count j, weighted j/n and mixed over each step by the survivor
+    kernel; the infinite pool drains by the survival fraction, with nothing
+    to mix, and is kept on scalars.  Every state consumes a closed-form
+    fraction of wealth and holds the same risky fraction.
     """
-
-    grid: TimeGrid
-    kappa: np.ndarray  # (m,)
-    fraction: np.ndarray  # (m,)
-
-    def consumption_rate(self, t_idx, alive, wealth, node=None):
-        alive = np.asarray(alive, dtype=float)
-        safe = np.maximum(alive, 1e-300)
-        return np.where(alive > 0, self.kappa[t_idx] * np.asarray(wealth) / (safe * self.grid.dt), 0.0)
-
-    def risky_fraction(self, t_idx, alive, wealth, node=None):
-        return np.broadcast_to(self.fraction[t_idx], np.shape(wealth)).copy()
-
-
-def _solve_power_finite(problem: HomogeneousProblem) -> ValueResult:
-    alpha = problem.gain.utility.exponent
-    b = problem.gain.discount
     lattice = problem.lattice()
     grid = problem.grid
-    n = int(problem.n)
     m = grid.n_steps
     dt = grid.dt
     s = problem.table.step_survival
-    a_star, psi = best_power_growth(lattice, alpha)
-    theta = np.zeros(n + 1)  # theta at t+dt, indexed by survivor count
-    kappa_table = np.zeros((m, n + 1))
-    frac_table = np.full((m, n + 1), a_star)
-    disc = np.exp(-b * grid.points)
-    count_weight = np.arange(1, n + 1) ** (1.0 - alpha)
-    for t in range(m - 1, -1, -1):
-        trans = binomial_transition_matrix(n, s[t])
-        theta_mixed = trans @ theta
-        a_coef = disc[t] * count_weight * dt ** (1.0 - alpha) / n
-        kappa_table[t, 1:], theta[1:] = _power_split(a_coef, psi * theta_mixed[1:], alpha)
-    f0 = n * problem.budget
-    value = (f0**alpha / alpha) * theta[n]
-    policy = TabulatedPolicy(grid, kappa_table, frac_table)
-    return ValueResult(value=float(value), method="dp", strategy=policy, extras={"theta": theta[n]})
-
-
-def _solve_power_infinite(problem: HomogeneousProblem) -> ValueResult:
-    alpha = problem.gain.utility.exponent
-    b = problem.gain.discount
-    lattice = problem.lattice()
-    grid = problem.grid
-    m = grid.n_steps
-    dt = grid.dt
     pi = problem.table.pi[:m]
-    a_star, psi = best_power_growth(lattice, alpha)
-    disc = np.exp(-b * grid.points)
-    theta = 0.0
-    kappa = np.zeros(m)
-    for t in range(m - 1, -1, -1):
-        if pi[t] <= 0.0:
-            theta = 0.0
-            kappa[t] = 0.0
-            continue
-        a_coef = disc[t] * pi[t] ** (1.0 - alpha) * dt ** (1.0 - alpha)
-        kappa[t], theta = _power_split(a_coef, psi * theta, alpha)
-    value = (problem.budget**alpha / alpha) * theta
-    policy = ProportionalPolicy(grid, kappa, np.full(m, a_star))
-    return ValueResult(value=float(value), method="dp", strategy=policy, extras={"theta": theta})
-
-
-def _solve_log_finite(problem: HomogeneousProblem) -> ValueResult:
-    b = problem.gain.discount
-    lattice = problem.lattice()
-    grid = problem.grid
-    n = int(problem.n)
-    m = grid.n_steps
-    dt = grid.dt
-    s = problem.table.step_survival
-    a_star, log_growth = best_log_growth(lattice)
-    disc = np.exp(-b * grid.points)
-    a_arr = np.zeros(n + 1)
-    c_arr = np.zeros(n + 1)
-    kappa_table = np.zeros((m, n + 1))
-    frac_table = np.full((m, n + 1), a_star)
+    a_star, growth = best_power_growth(lattice, alpha)
+    disc = np.exp(-problem.gain.discount * grid.points)
+    finite = math.isfinite(problem.n)
+    # The infinite pool is one state holding one person's wealth.
+    n = int(problem.n) if finite else 1
     counts = np.arange(1, n + 1)
+    log = np.log if finite else math.log  # math.log keeps the infinite pool on scalars
+    # Value coefficients, (theta,) or (a, c): arrays over the survivor
+    # counts 0..n, or scalars in the infinite pool.
+    coefs = [np.zeros(n + 1) if finite else 0.0 for _ in range(1 if alpha else 2)]
+    kappa = np.zeros((m, n + 1 if finite else 1))
+
     for t in range(m - 1, -1, -1):
-        trans = binomial_transition_matrix(n, s[t])
-        abar = (trans @ a_arr)[1:]
-        c_mixed = (trans @ c_arr)[1:]
-        w = disc[t] * (counts / n) * dt
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kappa = np.where(abar <= 0, 1.0, w / (w + abar))
-            cont = np.where(abar > 0, abar * (np.log(1.0 - kappa) + log_growth), 0.0)
-        kappa_table[t, 1:] = kappa
-        a_arr[1:] = w + abar
-        c_arr[1:] = w * (np.log(kappa) - np.log(counts * dt)) + cont + c_mixed
+        if finite:
+            trans = binomial_transition_matrix(n, s[t])
+            drain, mixed = counts, [(trans @ v)[1:] for v in coefs]
+        elif pi[t] > 0:
+            drain, mixed = pi[t], coefs
+        else:
+            continue  # pi only falls, so these are the last steps: value and policy stay zero
+        if alpha:
+            # Weight drain/n on the utility of the per-survivor rate k F / (drain dt).
+            a_coef = disc[t] * drain ** (1.0 - alpha) * dt ** (1.0 - alpha) / n
+            k, theta = _power_split(a_coef, growth * mixed[0], alpha)
+            new = [theta]
+        else:
+            a_next, c_next = mixed
+            w = disc[t] * (drain / n) * dt
+            # k = w / (w + a) is 1 where a = 0 (no continuation); log(1)
+            # then stands in for log(1 - k) and the continuation term is 0.
+            k = w / (w + a_next)
+            cont = a_next * (log(1.0 - k + (a_next <= 0)) + growth)
+            new = [w + a_next, w * (log(k) - log(drain * dt)) + cont + c_next]
+        if finite:
+            kappa[t, 1:] = k
+            for v, x in zip(coefs, new):
+                v[1:] = x
+        else:
+            kappa[t, 0] = k
+            coefs = new
+
+    initial = [v[n] for v in coefs] if finite else coefs
     f0 = n * problem.budget
-    value = a_arr[n] * math.log(f0) + c_arr[n]
-    policy = TabulatedPolicy(grid, kappa_table, frac_table)
-    return ValueResult(value=float(value), method="dp", strategy=policy)
-
-
-def _solve_log_infinite(problem: HomogeneousProblem) -> ValueResult:
-    b = problem.gain.discount
-    lattice = problem.lattice()
-    grid = problem.grid
-    m = grid.n_steps
-    dt = grid.dt
-    pi = problem.table.pi[:m]
-    a_star, log_growth = best_log_growth(lattice)
-    disc = np.exp(-b * grid.points)
-    a_val = 0.0
-    c_val = 0.0
-    kappa = np.zeros(m)
-    for t in range(m - 1, -1, -1):
-        if pi[t] <= 0.0:
-            continue
-        w = disc[t] * pi[t] * dt
-        k = 1.0 if a_val <= 0 else w / (w + a_val)
-        kappa[t] = k
-        cont = a_val * (math.log(1.0 - k) + log_growth) if a_val > 0 else 0.0
-        c_val = w * (math.log(k) - math.log(pi[t] * dt)) + cont + c_val
-        a_val = w + a_val
-    value = a_val * math.log(problem.budget) + c_val
-    policy = ProportionalPolicy(grid, kappa, np.full(m, a_star))
+    value = (f0**alpha / alpha) * initial[0] if alpha else initial[0] * math.log(f0) + initial[1]
+    policy = TabulatedPolicy(grid, kappa, np.full(kappa.shape, a_star))
     return ValueResult(value=float(value), method="dp", strategy=policy)
 
 
@@ -411,15 +343,10 @@ class GridPolicy:
     fgrid: np.ndarray
     kappa: np.ndarray  # (m, n_states, n_grid) consumed fraction of wealth
     fraction: np.ndarray  # (m, n_states, n_grid)
-    by_count: bool  # True: state index = survivor count; False: single state
-
-    def _state_index(self, alive):
-        if self.by_count:
-            return np.clip(np.asarray(alive).astype(int), 0, self.kappa.shape[1] - 1)
-        return np.zeros(np.shape(alive), dtype=int)
 
     def _lookup(self, table, t_idx, alive, wealth):
-        states = self._state_index(alive)
+        # State index = survivor count; the infinite pool has one state.
+        states = np.clip(np.asarray(alive).astype(int), 0, table.shape[1] - 1)
         w = np.asarray(wealth, dtype=float)
         if np.any(w > 4.0 * self.fgrid[-1]):
             raise WealthGridExceeded(
@@ -511,11 +438,8 @@ class _EzAdapter(_FamilyAdapter):
         p = self.params
         rate = kappa * fgrid / (drain_measure * self.dt)
         expected = death_prob * p.adequacy_value + (1.0 - death_prob) * cont
-        av = p.risk * expected  # positive: continuation values stay negative
         with np.errstate(invalid="ignore", over="ignore"):
-            agg = (p.discount / p.substitution) * (
-                np.power(rate, p.substitution) * np.power(av, 1.0 - p.substitution / p.risk) - av
-            )
+            agg = _ez_drift(p.risk, p.substitution, p.discount, rate, expected)
         result = expected + agg * self.dt
         # The explicit aggregator step can overshoot the family's upper
         # bound (zero) at extreme probe rates; cap just below zero.  The
@@ -697,10 +621,10 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
         padded_frac = np.zeros((m, n + 1, fgrid.size))
         padded_kappa[:, 1:] = kappa_pol
         padded_frac[:, 1:] = frac_pol
-        policy = GridPolicy(grid, fgrid, padded_kappa, padded_frac, by_count=True)
+        policy = GridPolicy(grid, fgrid, padded_kappa, padded_frac)
     else:
-        policy = GridPolicy(grid, fgrid, kappa_pol, frac_pol, by_count=finite)
-    return ValueResult(value=value, method="dp", strategy=policy, extras={"fgrid": fgrid})
+        policy = GridPolicy(grid, fgrid, kappa_pol, frac_pol)
+    return ValueResult(value=value, method="dp", strategy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +635,15 @@ MAX_SCALING_POOL = 512
 MAX_GRID_POOL = 64
 
 
+def _solve_dp(problem: HomogeneousProblem, wealth_points: int) -> ValueResult:
+    """The dynamic-programming route over either drain measure (see solve_finite_dp)."""
+    alpha = _scaling_exponent(problem.gain)
+    cap = MAX_GRID_POOL if alpha is None else MAX_SCALING_POOL
+    if math.isfinite(problem.n) and problem.n > cap:
+        raise ValueError(f"pool size beyond desk scale for this family ({cap})")
+    return _solve_on_grid(problem, wealth_points) if alpha is None else _solve_scaling(problem, alpha)
+
+
 def solve_finite_dp(problem: HomogeneousProblem, wealth_points: int = 400) -> ValueResult:
     """Value of a finite pool by backward induction.
 
@@ -719,18 +652,7 @@ def solve_finite_dp(problem: HomogeneousProblem, wealth_points: int = 400) -> Va
     """
     if not math.isfinite(problem.n):
         raise ValueError("use solve_infinite for the infinite pool")
-    gain = problem.gain
-    if isinstance(gain, VnmParams) and isinstance(gain.utility, PowerUtility):
-        if problem.n > MAX_SCALING_POOL:
-            raise ValueError(f"pool size beyond desk scale ({MAX_SCALING_POOL})")
-        return _solve_power_finite(problem)
-    if isinstance(gain, VnmParams) and isinstance(gain.utility, LogUtility):
-        if problem.n > MAX_SCALING_POOL:
-            raise ValueError(f"pool size beyond desk scale ({MAX_SCALING_POOL})")
-        return _solve_log_finite(problem)
-    if problem.n > MAX_GRID_POOL:
-        raise ValueError(f"pool size beyond desk scale for gridded families ({MAX_GRID_POOL})")
-    return _solve_on_grid(problem, wealth_points)
+    return _solve_dp(problem, wealth_points)
 
 
 def solve_infinite(
@@ -751,22 +673,16 @@ def solve_infinite(
     if problem.n != math.inf:
         problem = problem.with_n(math.inf)
     gain = problem.gain
+    alpha = _scaling_exponent(gain)
     if methods is None:
-        additive_without_pricing = isinstance(gain, VnmParams) and not isinstance(
-            gain.utility, (PowerUtility, LogUtility)
-        )
+        additive_without_pricing = isinstance(gain, VnmParams) and alpha is None
         methods = ("dp",) if additive_without_pricing else ("dp", "martingale")
     dp_result = None
     mart_result = None
     if "dp" in methods:
-        if isinstance(gain, VnmParams) and isinstance(gain.utility, PowerUtility):
-            dp_result = _solve_power_infinite(problem)
-        elif isinstance(gain, VnmParams) and isinstance(gain.utility, LogUtility):
-            dp_result = _solve_log_infinite(problem)
-        else:
-            dp_result = _solve_on_grid(problem, wealth_points)
+        dp_result = _solve_dp(problem, wealth_points)
     if "martingale" in methods:
-        mart_result = _solve_martingale(problem)
+        mart_result = _martingale_numeric(problem) if alpha is None else _martingale_closed_form(problem, alpha)
     if dp_result is None and mart_result is None:
         raise ValueError("no solution method selected")
     if mart_result is not None and dp_result is not None:
@@ -807,10 +723,13 @@ def _replication_of(stream: Stream, lattice: Lattice, table: MortalityTable):
     return replicate(drain, lattice)
 
 
-def _martingale_crra(problem: HomogeneousProblem) -> ValueResult:
-    """Pointwise first-order solution for power utility; exact closed form."""
+def _martingale_closed_form(problem: HomogeneousProblem, alpha: float) -> ValueResult:
+    """Pointwise first-order solution for power utility, or log as ``alpha = 0``.
+
+    The rate at a node is ``(exp((b - r) t) dQ/dP) ** (1 / (alpha - 1))``
+    scaled to cost the budget: the exact optimum (Cox and Huang 1989).
+    """
     gain = problem.gain
-    alpha = gain.utility.exponent
     b = gain.discount
     lattice = problem.lattice()
     grid = problem.grid
@@ -829,123 +748,71 @@ def _martingale_crra(problem: HomogeneousProblem) -> ValueResult:
         kernel = np.exp((b - lattice.rate) * grid.points[i]) * ell
         raw.append(np.power(kernel, power))
     cost = sum(c @ r for c, r in zip(_stream_price_coefficients(lattice, problem.table), raw))
-    scalefac = problem.budget / cost
-    stream = scale_stream(raw, scalefac)
+    stream = scale_stream(raw, problem.budget / cost)
     value = vnm_value_on_lattice(gain, stream, problem.table, lattice)
     rep = _replication_of(stream, lattice, problem.table)
     return ValueResult(
-        value=float(value),
-        method="closed_form",
-        strategy=rep,
-        extras={"stream": stream, "replication": rep, "price": q_price([pi[i] * stream[i] for i in range(m)], lattice)},
+        value=float(value), method="closed_form", strategy=rep, extras={"stream": stream, "replication": rep}
     )
 
 
-def _martingale_log(problem: HomogeneousProblem) -> ValueResult:
-    gain = problem.gain
-    b = gain.discount
-    lattice = problem.lattice()
-    grid = problem.grid
-    m = grid.n_steps
-    pi = problem.table.pi[:m]
-    wp = lattice.node_weights("P")
-    wq = lattice.node_weights("Q")
-    disc_b = np.exp(-b * grid.points)
-    nu = float(np.sum(disc_b * pi) * grid.dt) / problem.budget
-    stream: Stream = []
-    for i in range(m):
-        if pi[i] <= 0:
-            stream.append(np.zeros(i + 1))
-            continue
-        with np.errstate(divide="ignore"):
-            ratio = np.where(wq[i] > 0, wp[i] / np.where(wq[i] > 0, wq[i], 1.0), 0.0)
-        stream.append(np.exp((lattice.rate - b) * grid.points[i]) * ratio / nu)
-    value = vnm_value_on_lattice(gain, stream, problem.table, lattice)
-    rep = _replication_of(stream, lattice, problem.table)
-    return ValueResult(
-        value=float(value),
-        method="closed_form",
-        strategy=rep,
-        extras={"stream": stream, "replication": rep},
-    )
+def _adjoint_weights(p_up: float, survival: np.ndarray, slopes: list) -> list[np.ndarray]:
+    """Sensitivity of the root value to the alive value at every node.
+
+    The adjoint of the lattice x death backward step: ``slopes[i]`` is the
+    derivative of level ``i``'s values in the expectation they were
+    computed from, and each level's weights pass back through that
+    expectation to the next level.
+    """
+    lam = np.array([1.0])
+    weights = []
+    for i, slope in enumerate(slopes):
+        weights.append(lam)
+        factor = lam * slope * survival[i]
+        lam = np.zeros(i + 2)
+        lam[1:] += factor * p_up
+        lam[:-1] += factor * (1.0 - p_up)
+    return weights
 
 
 def _ez_value_and_grad(params: EzParams, stream_flat, layout, table, lattice):
     """Recursive value of a node stream and its gradient (adjoint sweep)."""
-    grid = lattice.grid
-    m = grid.n_steps
-    dt = grid.dt
-    s = table.step_survival
-    p = lattice.p_up
+    dt = lattice.grid.dt
     alpha, rho, b = params.risk, params.substitution, params.discount
-    terminal = params.adequacy_value
     levels = [stream_flat[start:stop] for start, stop in layout]
+    values, expected = _ez_levels(alpha, rho, b, params.adequacy, levels, table, lattice)
+    f_c, f_v = [], []  # the aggregator's partial derivatives in consumption and value
+    for c, e in zip(levels, expected):
+        av = alpha * e
+        f_c.append(b * np.power(c, rho - 1.0) * np.power(av, 1.0 - rho / alpha))
+        f_v.append((b * alpha / rho) * ((1.0 - rho / alpha) * np.power(c, rho) * np.power(av, -rho / alpha) - 1.0))
+    weights = _adjoint_weights(lattice.p_up, table.step_survival, [1.0 + d * dt for d in f_v])
+    grad = np.concatenate([lam * d * dt for lam, d in zip(weights, f_c)])
+    return float(values[0][0]), grad
 
-    w_levels = [None] * (m + 1)
-    e_levels = [None] * m
-    w_levels[m] = np.full(m + 1, terminal)
-    for i in range(m - 1, -1, -1):
-        nxt = w_levels[i + 1]
-        cont = p * nxt[1 : i + 2] + (1.0 - p) * nxt[: i + 1]
-        expected = (1.0 - s[i]) * terminal + s[i] * cont
-        av = alpha * expected
-        agg = (b / rho) * (np.power(levels[i], rho) * np.power(av, 1.0 - rho / alpha) - av)
-        e_levels[i] = expected
-        w_levels[i] = expected + agg * dt
 
-    grad_levels = [np.zeros(i + 1) for i in range(m)]
-    lam = np.array([1.0])
-    for i in range(m):
-        expected = e_levels[i]
-        av = alpha * expected
-        f_gamma = b * np.power(levels[i], rho - 1.0) * np.power(av, 1.0 - rho / alpha)
-        f_v = (b * alpha / rho) * ((1.0 - rho / alpha) * np.power(levels[i], rho) * np.power(av, -rho / alpha) - 1.0)
-        grad_levels[i] = lam * f_gamma * dt
-        w_factor = lam * (1.0 + f_v * dt) * s[i]
-        nxt = np.zeros(i + 2)
-        nxt[1:] += w_factor * p
-        nxt[:-1] += w_factor * (1.0 - p)
-        lam = nxt
-    grad = np.concatenate(grad_levels) if m else np.zeros(0)
-    return float(w_levels[0][0]), grad
+def _marginal_utility(u, c: np.ndarray) -> np.ndarray:
+    """u'(c), by central difference for a custom utility."""
+    if isinstance(u, ExponentialUtility):
+        return np.exp(-u.rate * c)
+    if isinstance(u, LogUtility):
+        return 1.0 / c
+    if isinstance(u, PowerUtility):
+        return np.power(c, u.exponent - 1.0)
+    eps = 1e-7
+    return (u(c + eps) - u(c - eps)) / (2 * eps)
 
 
 def _expkm_value_and_grad(gain: ExpKmParams, stream_flat, layout, table, lattice):
     """Multiplicative-family value of a node stream and its gradient."""
-    grid = lattice.grid
-    m = grid.n_steps
-    dt = grid.dt
-    s = table.step_survival
-    p = lattice.p_up
+    dt = lattice.grid.dt
     u = gain.utility
     levels = [stream_flat[start:stop] for start, stop in layout]
-    r_levels = [None] * (m + 1)
-    r_levels[m] = np.ones(m + 1)
-    for i in range(m - 1, -1, -1):
-        nxt = r_levels[i + 1]
-        cont = p * nxt[1 : i + 2] + (1.0 - p) * nxt[: i + 1]
-        r_levels[i] = np.exp(-u(levels[i]) * dt) * ((1.0 - s[i]) + s[i] * cont)
-    # dJ/dgamma with J = -R_0: adjoint on the R recursion.
-    eps = 1e-7
-    grad_levels = [np.zeros(i + 1) for i in range(m)]
-    lam = np.array([1.0])
-    for i in range(m):
-        if isinstance(u, ExponentialUtility):
-            uprime = np.exp(-u.rate * levels[i])
-        elif isinstance(u, LogUtility):
-            uprime = 1.0 / levels[i]
-        elif isinstance(u, PowerUtility):
-            uprime = np.power(levels[i], u.exponent - 1.0)
-        else:
-            uprime = (u(levels[i] + eps) - u(levels[i] - eps)) / (2 * eps)
-        grad_levels[i] = lam * uprime * dt * r_levels[i]
-        factor = lam * np.exp(-u(levels[i]) * dt) * s[i]
-        nxt = np.zeros(i + 2)
-        nxt[1:] += factor * p
-        nxt[:-1] += factor * (1.0 - p)
-        lam = nxt
-    grad = np.concatenate(grad_levels)
-    return float(-r_levels[0][0]), grad
+    r_levels = _exp_km_levels(gain, levels, table, lattice)
+    # J = -R_0, and R at a node is exp(-u(c) dt) times its expectation.
+    weights = _adjoint_weights(lattice.p_up, table.step_survival, [np.exp(-u(c) * dt) for c in levels])
+    grad = [lam * _marginal_utility(u, c) * dt * r for lam, c, r in zip(weights, levels, r_levels)]
+    return float(-r_levels[0][0]), np.concatenate(grad)
 
 
 def _martingale_numeric(problem: HomogeneousProblem) -> ValueResult:
@@ -999,15 +866,6 @@ def _martingale_numeric(problem: HomogeneousProblem) -> ValueResult:
     )
 
 
-def _solve_martingale(problem: HomogeneousProblem) -> ValueResult:
-    gain = problem.gain
-    if isinstance(gain, VnmParams) and isinstance(gain.utility, PowerUtility):
-        return _martingale_crra(problem)
-    if isinstance(gain, VnmParams) and isinstance(gain.utility, LogUtility):
-        return _martingale_log(problem)
-    return _martingale_numeric(problem)
-
-
 # ---------------------------------------------------------------------------
 # Annuity benchmark and the abstract allocation problem
 # ---------------------------------------------------------------------------
@@ -1046,7 +904,6 @@ def annuity_value(problem: HomogeneousProblem) -> float:
 class MeasureProblemResult:
     allocation: np.ndarray
     value: float
-    multiplier: float
 
 
 def solve_measure_problem(
@@ -1054,38 +911,16 @@ def solve_measure_problem(
 ) -> MeasureProblemResult:
     """Maximize sum(u(g) * mu) over g >= 0 with sum(g * mu) = budget.
 
-    For concave ``u`` a constant allocation is optimal; the multiplier is
-    found by bisection on the pointwise problem max u(g) - nu * g, which
-    also covers flat (piecewise-linear) stretches.
+    For concave ``u`` the constant allocation budget / sum(mu) is optimal
+    by Jensen's inequality, flat (piecewise-linear) stretches included.
     """
     mu = np.asarray(mu, dtype=float)
     if np.any(mu < 0) or mu.sum() <= 0:
         raise ValueError("weights must be nonnegative with positive total")
     if budget < 0:
         raise ValueError("infeasible: budget must be nonnegative")
-    total = mu.sum()
-    target = budget / total
-    gmax = max(4.0 * target, 1.0)
-
-    def best_g(nu: float) -> float:
-        g, _ = golden_max(lambda g: float(u(np.asarray(g))) - nu * g, 0.0, gmax, tol=1e-12)
-        return g
-
-    lo_nu, hi_nu = 1e-12, 1.0
-    while best_g(hi_nu) > target and hi_nu < 1e12:
-        hi_nu *= 4.0
-    while best_g(lo_nu) < target and lo_nu > 1e-14:
-        lo_nu /= 4.0
-    for _ in range(200):
-        mid = 0.5 * (lo_nu + hi_nu)
-        if best_g(mid) > target:
-            lo_nu = mid
-        else:
-            hi_nu = mid
-    nu = 0.5 * (lo_nu + hi_nu)
-    allocation = np.full(mu.size, target)
-    value = float(np.sum(u(allocation) * mu))
-    return MeasureProblemResult(allocation=allocation, value=value, multiplier=nu)
+    allocation = np.full(mu.size, budget / mu.sum())
+    return MeasureProblemResult(allocation=allocation, value=float(np.sum(u(allocation) * mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -1244,13 +1079,9 @@ def simulate_policy_value(
     if math.isfinite(problem.n):
         n = int(problem.n)
         counts = simulate_survivor_counts(n, problem.table, trials, seed, label="resim-mortality")
-        from .fund import evolve_finite
-
         traj = evolve_finite(policy, paths, counts, np.full(n, problem.budget))
         weights = counts / n
     else:
-        from .fund import evolve_infinite
-
         traj = evolve_infinite(policy, paths, problem.table, problem.budget)
         weights = np.broadcast_to(problem.table.pi[:m], (trials, m))
     u_vals = gain.utility(np.maximum(traj.rate, 0.0))

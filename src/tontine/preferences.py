@@ -19,12 +19,18 @@ recursion on the market-lattice x own-death chain:
 where the death branch continues at the adequacy value ``a**alpha /
 alpha``.  Consuming exactly the adequacy rate therefore gives the
 adequacy value regardless of mortality, to machine precision.
+
+The recursive and multiplicative families share one backward step on
+that chain, the expectation over the next lattice level and own death,
+and one sweep that keeps every level.  The transformed solver in
+``ez_bsde`` and the pricing route's value-and-gradient in ``optimizer``
+use the same step and sweep, and the aggregator is written once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -54,10 +60,6 @@ class PowerUtility:
             out = np.where(c > 0, np.power(np.maximum(c, 1e-300), self.exponent), np.inf if self.exponent < 0 else 0.0)
         return out / self.exponent
 
-    def inverse_marginal(self, y: np.ndarray) -> np.ndarray:
-        """Solve u'(c) = y for c > 0."""
-        return np.power(np.asarray(y, dtype=float), 1.0 / (self.exponent - 1.0))
-
 
 @dataclass(frozen=True)
 class LogUtility:
@@ -67,9 +69,6 @@ class LogUtility:
         c = np.asarray(c, dtype=float)
         with np.errstate(divide="ignore"):
             return np.where(c > 0, np.log(np.maximum(c, 1e-300)), -np.inf)
-
-    def inverse_marginal(self, y: np.ndarray) -> np.ndarray:
-        return 1.0 / np.asarray(y, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,6 @@ class ExponentialUtility:
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         return -np.exp(-self.rate * np.asarray(c, dtype=float)) / self.rate
-
-    def inverse_marginal(self, y: np.ndarray) -> np.ndarray:
-        return -np.log(np.asarray(y, dtype=float)) / self.rate
 
 
 @dataclass(frozen=True)
@@ -280,15 +276,74 @@ def exp_km_value_on_lattice(
     gain: ExpKmParams, stream: Stream, table: MortalityTable, lattice: Lattice
 ) -> float:
     """Backward evaluation of the multiplicative family on the lattice."""
-    grid = lattice.grid
-    m = grid.n_steps
+    return float(-_exp_km_levels(gain, stream, table, lattice)[0][0])
+
+
+# ---------------------------------------------------------------------------
+# Backward sweeps on the market-lattice x own-death chain
+# ---------------------------------------------------------------------------
+
+
+def _backward_expectation(values, p_up, survival, absorbed):
+    """One step back on the (lattice x death) chain.
+
+    ``values`` holds the next step's alive values with the lattice nodes on
+    its last axis (``i + 2`` of them); returns the expected next value over
+    the ``i + 1`` nodes of the current step, given alive now, where death
+    absorbs at ``absorbed``.
+    """
+    cont = p_up * values[..., 1:] + (1.0 - p_up) * values[..., :-1]
+    return (1.0 - survival) * absorbed + survival * cont
+
+
+def _backward_levels(node_value, absorbed, table: MortalityTable, lattice: Lattice):
+    """Alive values at every level of the lattice x death chain.
+
+    Death absorbs at ``absorbed``, which is also the value at the horizon.
+    ``node_value(i, expected)`` maps the expected next value at the ``i +
+    1`` nodes of level ``i`` to the alive value there.  Returns the values
+    per level (``m + 1`` of them, the horizon last) and the expectations
+    they were computed from (``m``).
+    """
+    m = lattice.grid.n_steps
     s = table.step_survival
-    psi = np.ones(m + 1)  # E[exp(-remaining integral) | alive], next level
+    values = [None] * m + [np.full(m + 1, absorbed)]
+    expected = [None] * m
     for i in range(m - 1, -1, -1):
-        cont = lattice.p_up * psi[1 : i + 2] + (1.0 - lattice.p_up) * psi[: i + 1]
-        vals = gain.utility(np.asarray(stream[i], dtype=float))
-        psi = np.exp(-vals * grid.dt) * ((1.0 - s[i]) + s[i] * cont)
-    return float(-psi[0])
+        expected[i] = _backward_expectation(values[i + 1], lattice.p_up, s[i], absorbed)
+        values[i] = node_value(i, expected[i])
+    return values, expected
+
+
+def _exp_km_levels(gain: ExpKmParams, stream: Stream, table: MortalityTable, lattice: Lattice) -> list:
+    """E[exp(-remaining utility integral) | alive] at every lattice node."""
+    dt = lattice.grid.dt
+
+    def node_value(i, expected):
+        return np.exp(-gain.utility(stream[i]) * dt) * expected
+
+    return _backward_levels(node_value, 1.0, table, lattice)[0]
+
+
+def _ez_drift(alpha: float, rho: float, b: float, consumption, value):
+    """Aggregator drift f(c, v) at raw parameters, without domain checks."""
+    av = alpha * value  # positive wherever v < 0
+    return (b / rho) * (np.power(consumption, rho) * np.power(av, 1.0 - rho / alpha) - av)
+
+
+def _ez_levels(alpha: float, rho: float, b: float, adequacy: float, stream: Stream, table, lattice):
+    """Recursive values at every lattice node, with the expectations behind them.
+
+    The death branch continues at the adequacy value; parameter ranges and
+    the sign of the rates are the caller's concern.
+    """
+    terminal = adequacy**alpha / alpha
+    dt = lattice.grid.dt
+
+    def node_value(i, expected):
+        return expected + _ez_drift(alpha, rho, b, stream[i], expected) * dt
+
+    return _backward_levels(node_value, terminal, table, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +364,7 @@ def ez_aggregator(params: EzParams, consumption: np.ndarray, value: np.ndarray) 
         raise ValueError("aggregator requires strictly negative continuation values")
     if np.any(c < 0):
         raise ValueError("aggregator requires nonnegative consumption")
-    alpha, rho, b = params.risk, params.substitution, params.discount
-    av = alpha * v  # positive
-    out = (b / rho) * (np.power(c, rho) * np.power(av, 1.0 - rho / alpha) - av)
+    out = _ez_drift(params.risk, params.substitution, params.discount, c, v)
     return out if out.shape else float(out)
 
 
@@ -331,10 +384,6 @@ def _ez_backward(
     terminal = adequacy**alpha / alpha
     s = table.step_survival
 
-    def aggregator(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-        av = alpha * v
-        return (b / rho) * (np.power(c, rho) * np.power(av, 1.0 - rho / alpha) - av)
-
     if lattice is None:
         rates = np.broadcast_to(np.asarray(stream, dtype=float), (m,))
         if np.any(rates < 0):
@@ -342,20 +391,16 @@ def _ez_backward(
         value = terminal
         for i in range(m - 1, -1, -1):
             expected = (1.0 - s[i]) * terminal + s[i] * value
-            value = expected + aggregator(rates[i], expected) * dt
+            value = expected + _ez_drift(alpha, rho, b, rates[i], expected) * dt
         return float(value)
 
     if lattice.grid.n_steps != m:
         raise ValueError("lattice and mortality table use different grids")
-    values = np.full(m + 1, terminal)
-    for i in range(m - 1, -1, -1):
-        rates = np.asarray(stream[i], dtype=float)
-        if np.any(rates < 0):
-            return -np.inf
-        cont = lattice.p_up * values[1 : i + 2] + (1.0 - lattice.p_up) * values[: i + 1]
-        expected = (1.0 - s[i]) * terminal + s[i] * cont
-        values = expected + aggregator(rates, expected) * dt
-    return float(values[0])
+    rates = [np.asarray(level, dtype=float) for level in stream]
+    if any(np.any(level < 0) for level in rates):
+        return -np.inf
+    values, _ = _ez_levels(alpha, rho, b, adequacy, rates, table, lattice)
+    return float(values[0][0])
 
 
 def ez_utility_discrete(

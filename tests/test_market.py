@@ -11,7 +11,6 @@ from tontine.market import (
     q_price,
     replicate,
     sample_lattice_paths,
-    simulate_paths,
     stream_from_function,
 )
 
@@ -78,9 +77,9 @@ def test_coarse_step_rejected():
 
 
 def test_multi_asset_lattice_rejected():
-    model = MarketModel(rate=0.0, mu=(0.0, 0.0), sigma=(0.2, 0.3), s0=(1.0, 1.0))
+    # The market has one risky asset; a second is rejected at construction.
     with pytest.raises(ValueError):
-        build_lattice(model, TimeGrid(0.5, 1.0))
+        MarketModel(rate=0.0, mu=(0.0, 0.0), sigma=(0.2, 0.3), s0=(1.0, 1.0))
 
 
 def test_model_validation():
@@ -89,37 +88,23 @@ def test_model_validation():
     with pytest.raises(ValueError):
         MarketModel(rate=0.0, mu=(0.0,), sigma=(0.2,), s0=(-1.0,))
     with pytest.raises(ValueError):
-        MarketModel(rate=0.0, mu=(0.0, 0.0), sigma=(0.2, 0.2), s0=(1.0, 1.0), corr=((1.0, 2.0), (2.0, 1.0)))
+        MarketModel(rate=0.0, mu=(0.0,), sigma=(-0.2,), s0=(1.0,))
+    with pytest.raises(ValueError):
+        MarketModel(rate=0.0, mu=(), sigma=(), s0=())
+    with pytest.raises(ValueError):
+        MarketModel(rate=0.0, mu=(0.0,), sigma=(0.2, 0.2), s0=(1.0,))
 
 
 # --- simulation ---------------------------------------------------------------
 
 
-def test_zero_vol_paths_are_the_bond():
-    model = MarketModel(rate=0.03, mu=(0.03,), sigma=(0.0,), s0=(1.0,))
-    grid = TimeGrid(0.5, 3.0)
-    scen = simulate_paths(model, grid, n_paths=7, measure="P", seed=1)
-    expected = np.exp(0.03 * grid.times)
-    assert np.allclose(scen.risky(), expected[None, :], rtol=1e-12)
-
-
-def test_q_measure_discounted_mean_within_three_se():
-    model = one_asset(rate=0.02, mu=0.08, sigma=0.25)
-    grid = TimeGrid(0.25, 2.0)
-    scen = simulate_paths(model, grid, n_paths=20_000, measure="Q", seed=7)
-    discounted = scen.risky()[:, -1] * np.exp(-model.rate * grid.horizon)
-    se = discounted.std(ddof=1) / np.sqrt(scen.n_paths)
-    assert abs(discounted.mean() - model.s0[0]) < 3 * se
-
-
 def test_seed_determinism_bit_identical():
-    model = one_asset(rate=0.01, mu=0.04, sigma=0.2)
-    grid = TimeGrid(0.5, 2.0)
-    a = simulate_paths(model, grid, 100, "P", seed=42)
-    b = simulate_paths(model, grid, 100, "P", seed=42)
-    assert np.array_equal(a.prices, b.prices)
-    c = simulate_paths(model, grid, 100, "P", seed=43)
-    assert not np.array_equal(a.prices, c.prices)
+    lat = build_lattice(one_asset(rate=0.01, mu=0.04, sigma=0.2), TimeGrid(0.5, 2.0))
+    a = sample_lattice_paths(lat, 100, "P", seed=42)
+    b = sample_lattice_paths(lat, 100, "P", seed=42)
+    assert np.array_equal(a.ups, b.ups) and np.array_equal(a.node_idx, b.node_idx)
+    assert not np.array_equal(a.ups, sample_lattice_paths(lat, 100, "P", seed=43).ups)
+    assert not np.array_equal(a.ups, sample_lattice_paths(lat, 100, "Q", seed=42).ups)
 
 
 def test_lattice_path_sampling_matches_branch_probabilities():

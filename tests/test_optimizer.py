@@ -15,6 +15,8 @@ from tontine.optimizer import (
     annuity_value,
     convergence_study,
     PchipInterpolator,
+    _expkm_value_and_grad,
+    _ez_value_and_grad,
     _pchip_slopes,
     golden_max_vec,
     simulate_policy_value,
@@ -310,11 +312,16 @@ def test_transfer_gains_increase_with_pool_size():
     assert gains[0] < gains[1] < gains[2] <= target + 1e-12
 
 
-def heavy_mortality_problem(utility):
-    grid = TimeGrid(1.0, 20.0)
+def heavy_problem(gain, dt, horizon):
+    """Infinite pool with heavy Gompertz mortality in the benchmark's market."""
+    grid = TimeGrid(dt, horizon)
     table = gompertz_makeham_table(grid, 0.0, 0.01, 0.1)
     model = MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(1.0,))
-    return HomogeneousProblem(VnmParams(utility, discount=0.02), table, model, grid, 1.0, math.inf)
+    return HomogeneousProblem(gain, table, model, grid, 1.0, math.inf)
+
+
+def heavy_mortality_problem(utility):
+    return heavy_problem(VnmParams(utility, discount=0.02), 1.0, 20.0)
 
 
 def test_transfer_exact_gain_counts_gated_off_survivors_when_u0_is_minus_inf():
@@ -416,6 +423,77 @@ def test_batched_grid_solver_matches_per_state_solver(case):
     idx = np.searchsorted(policy.fgrid, start_wealth * np.array([0.1, 0.5, 1.0, 1.5]))
     np.testing.assert_allclose(policy.kappa[0][states][:, idx], kappa, rtol=0, atol=1e-4)
     np.testing.assert_allclose(policy.fraction[0][states][:, idx], fraction, rtol=0, atol=1e-4)
+
+
+# Infinite-pool scaling DP on a quarterly 40-year grid with heavy mortality:
+# value, first consumed fraction and the fractions' sum over time, pinned
+# from the separate finite- and infinite-pool solvers that one solver over
+# a drain measure replaced.
+@pytest.mark.parametrize(
+    "gain, value, first_fraction, fraction_sum",
+    [
+        (VnmParams(PowerUtility(-1.0), 0.02), -245.1207390326598, 0.015967980000535523, 10.482726509932078),
+        (VnmParams(LogUtility(), 0.02), -42.91195721394339, 0.01548964424638223, 10.40432285337306),
+    ],
+)
+def test_infinite_scaling_dp_pinned(gain, value, first_fraction, fraction_sum):
+    res = solve_infinite(heavy_problem(gain, 0.25, 40.0), methods=("dp",))
+    fractions = res.strategy.consumption_fraction
+    assert fractions.shape == (160, 1)
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert fractions[0, 0] == pytest.approx(first_fraction, rel=1e-12)
+    assert fractions.sum() == pytest.approx(fraction_sum, rel=1e-12)
+
+
+# Closed-form pricing streams over 40 years with heavy mortality: value,
+# first rate and the sum of every node's rate, pinned from the separate
+# power and log routes that log as exponent zero replaced.
+CLOSED_FORM_PINS = {
+    "power-q40": (PowerUtility(-1.0), 0.25, -245.1207390326567, 0.06387192000214252, 7958.845267911406),
+    "power-a40": (PowerUtility(-1.0), 1.0, -256.29337823905627, 0.06246421797862436, 92.40451944558362),
+    "log-q40": (LogUtility(), 0.25, -42.91195721394339, 0.06195857698552889, 669666.9220914019),
+    "log-a40": (LogUtility(), 1.0, -44.24869817261841, 0.06054634430535111, 452.727862984124),
+    "half-q40": (PowerUtility(0.5), 0.25, 9.154941436677174, 0.04772532014101215, 15324751367.9892),
+    "half-a40": (PowerUtility(0.5), 1.0, 9.279568223555744, 0.04645200383486101, 29017.235392771796),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_PINS))
+def test_closed_form_stream_pinned(case):
+    utility, dt, value, first_rate, rate_sum = CLOSED_FORM_PINS[case]
+    res = solve_infinite(heavy_problem(VnmParams(utility, 0.02), dt, 40.0), methods=("martingale",))
+    stream = res.extras["stream"]
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert stream[0][0] == pytest.approx(first_rate, rel=1e-12)
+    assert sum(level.sum() for level in stream) == pytest.approx(rate_sum, rel=1e-12)
+
+
+# Value and gradient of the pricing route's objective at the annuity
+# stream, on an annual 10-year grid with heavy mortality: value, first
+# and last entries and sum of the gradient, pinned from the hand-written
+# forward and adjoint sweeps that the shared lattice x death step replaced.
+GRADIENT_PINS = {
+    "ez": (EZ_SHORT, _ez_value_and_grad,
+           -129.25750354693866, 100.12137059587432, 0.4504996472805797, 807.9310957242099),
+    "expkm": (ExpKmParams(ExponentialUtility(1.0)), _expkm_value_and_grad,
+              -7042.787918066223, 6331.743027037855, 44.54395486361487, 63163.30342453127),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_PINS))
+def test_pricing_objective_gradient_pinned(case):
+    gain, value_and_grad, value, first, last, total = GRADIENT_PINS[case]
+    problem = heavy_problem(gain, 1.0, 10.0)
+    sizes = np.arange(1, problem.grid.n_steps + 1)
+    stops = np.cumsum(sizes)
+    layout = list(zip(stops - sizes, stops))
+    x = np.full(stops[-1], annuity_rate(problem))
+    v, grad = value_and_grad(gain, x, layout, problem.table, problem.lattice())
+    assert v == pytest.approx(value, rel=1e-12)
+    assert grad.shape == x.shape
+    assert grad[0] == pytest.approx(first, rel=1e-12)
+    assert grad[-1] == pytest.approx(last, rel=1e-12)
+    assert grad.sum() == pytest.approx(total, rel=1e-12)
 
 
 def pchip_rows(x):
