@@ -14,10 +14,11 @@ nonnegative and decrease in ``m``, and their back-transforms increase in
 
 The solver runs implicit backward Euler on the market-lattice x death
 chain, solving each node by fixed-point iteration (a contraction while
-``C_m * dt < 1``).  Because a dead individual's untransformed value is
-the constant adequacy value, the death branch of the transformed chain
-absorbs at the time-dependent profile ``exp(-b*alpha*s/rho) *
-a**alpha``; with that convention the back-transformed solution is a
+``C_m * dt < 1``), on the preference module's backward sweep.  Because a
+dead individual's untransformed value is the constant adequacy value,
+the death branch of the transformed chain absorbs at the time-dependent
+profile ``exp(-b*alpha*s/rho) * a**alpha``, the sweep's death value per
+level; with that convention the back-transformed solution is a
 consistent discretization of the same utility as the preference module's
 explicit scheme, and the two agree to first order in the step.
 
@@ -38,8 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .market import Lattice, Stream
-from .mortality import MortalityTable, binomial_transition_matrix, bound_chain
-from .preferences import EzParams, _backward_expectation
+from .mortality import MortalityTable, binomial_transition_matrix, bound_chain, survivor_bound
+from .preferences import EzParams, _backward_expectation, _backward_levels, _rate_levels
 
 
 class StepTooCoarseError(RuntimeError):
@@ -149,7 +150,6 @@ def solve_truncated(
     contraction condition ``C_m * dt < 1`` is enforced.
     """
     grid = table.grid
-    m = grid.n_steps
     dt = grid.dt
     params = driver.params
     if math.isfinite(driver.level) and driver.level > 0:
@@ -157,43 +157,23 @@ def solve_truncated(
             raise StepTooCoarseError(
                 f"C_m * dt = {lipschitz_constant(params, driver.level) * dt:.3f} >= 1"
             )
-    s = table.step_survival
+    if isinstance(consumption, list):
+        if lattice is None:
+            raise ValueError("node-adapted streams require a lattice")
+    elif np.any(np.asarray(consumption) < 0):
+        raise ValueError("consumption must be nonnegative")
+    rates = _rate_levels(consumption, grid.n_steps)
     points = grid.points
-    terminal = driver.absorption(grid.horizon)
+    absorbed = [driver.absorption(t + dt) for t in points] + [driver.absorption(grid.horizon)]
+    iterations = [0]
 
-    deterministic = not isinstance(consumption, list)
-    if deterministic:
-        rates = np.broadcast_to(np.asarray(consumption, dtype=float), (m,))
-        if np.any(rates < 0):
-            raise ValueError("consumption must be nonnegative")
-    elif lattice is None:
-        raise ValueError("node-adapted streams require a lattice")
+    def node_value(i, expected):
+        solved, iters = _implicit_node_solve(driver, points[i], rates[i], expected, dt)
+        iterations.append(iters)
+        return solved
 
-    iters_max = 0
-    if deterministic and lattice is None:
-        value = terminal
-        values = [None] * (m + 1)
-        values[m] = np.array([terminal])
-        for i in range(m - 1, -1, -1):
-            absorbed = driver.absorption(points[i] + dt)
-            expected = (1.0 - s[i]) * absorbed + s[i] * value
-            solved, iters = _implicit_node_solve(driver, points[i], rates[i], np.asarray(expected), dt)
-            value = float(solved)
-            values[i] = np.array([value])
-            iters_max = max(iters_max, iters)
-        return BsdeSolution(driver, values, float(value), iters_max)
-
-    p_up = lattice.p_up
-    level_vals = np.full(m + 1, terminal)
-    values = [None] * (m + 1)
-    values[m] = level_vals
-    for i in range(m - 1, -1, -1):
-        expected = _backward_expectation(level_vals, p_up, s[i], driver.absorption(points[i] + dt))
-        rate_i = rates[i] if deterministic else np.asarray(consumption[i], dtype=float)
-        level_vals, iters = _implicit_node_solve(driver, points[i], rate_i, expected, dt)
-        values[i] = level_vals
-        iters_max = max(iters_max, iters)
-    return BsdeSolution(driver, values, float(level_vals[0]), iters_max)
+    values, _ = _backward_levels(node_value, absorbed, table, lattice)
+    return BsdeSolution(driver, values, float(values[0][0]), max(iterations))
 
 
 @dataclass(frozen=True)
@@ -269,8 +249,7 @@ def solve_transfer_pair(
     scaled = [lam * np.asarray(level, dtype=float) for level in stream]
     inf_sol = solve_truncated(driver, scaled, table, lattice)
 
-    mean = table.expected_survivors(n)
-    thresholds = np.floor(mean / lam + 1e-9).astype(int)
+    thresholds = survivor_bound(n, table, lam)
     counts = np.arange(1, n + 1)  # survivors including oneself
 
     # values[g, j - 1, x]: alive with j survivors, gate g, at lattice node x.

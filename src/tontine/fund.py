@@ -10,7 +10,9 @@ fraction, and heterogeneous infinite pools by the type-weighted mix.
 Trajectories are never rejected: a violation of the nonnegativity
 constraints is flagged (first offending grid point recorded) so that
 optimizers can penalize rather than crash.  All evolutions accept a
-leading batch dimension of simulated paths.
+leading batch dimension of simulated paths and run through one loop,
+``_evolve``; the gated transfer of an infinite-pool stream to a finite
+pool evolves through it too, with the gated survivor count as its drain.
 """
 
 from __future__ import annotations
@@ -119,44 +121,43 @@ class FundTrajectory:
         return np.sum(self.alive * self.rate, axis=-1) * self.grid.dt
 
 
-def _scale(budget_total) -> float:
-    return max(float(np.max(np.abs(budget_total))), 1.0)
-
-
 def _evolve(
     strategy: Strategy,
     paths: PathBundle,
     drain_measure: np.ndarray,
     initial: np.ndarray,
 ) -> FundTrajectory:
-    """Shared evolution; ``drain_measure[..., t]`` multiplies rate * dt."""
+    """Shared evolution; ``drain_measure[..., t]`` multiplies rate * dt.
+
+    Steps time-major, on ``(m, batch)`` work arrays whose rows are
+    contiguous, and returns them moved to batch-first.
+    """
     grid = paths.grid
     m = grid.n_steps
     batch = np.broadcast_shapes(np.shape(initial), paths.risky_gross.shape[:-1], drain_measure.shape[:-1])
-    pre = np.empty(batch + (m + 1,))
-    post = np.empty(batch + (m,))
-    rates = np.empty(batch + (m,))
-    pre[..., 0] = initial
-    tol = ADMISSIBILITY_TOL * _scale(initial)
+    pre = np.empty((m + 1,) + batch)
+    post = np.empty((m,) + batch)
+    rates = np.empty((m,) + batch)
+    alive = np.moveaxis(drain_measure, -1, 0)
+    risky = np.moveaxis(paths.risky_gross, -1, 0)
+    nodes = None if paths.node_idx is None else np.moveaxis(paths.node_idx, -1, 0)
+    pre[0] = initial
+    tol = ADMISSIBILITY_TOL * max(float(np.max(np.abs(initial))), 1.0)
     first_violation = np.full(batch, -1, dtype=np.int64)
     for t in range(m):
-        node = None if paths.node_idx is None else paths.node_idx[..., t]
-        alive_t = drain_measure[..., t]
-        rate_t = np.broadcast_to(strategy.consumption_rate(t, alive_t, pre[..., t], node), batch)
-        rates[..., t] = rate_t
-        drain = alive_t * rate_t * grid.dt
-        post[..., t] = pre[..., t] - drain
-        bad = ((pre[..., t] < -tol) | (post[..., t] < -tol)) & (first_violation < 0)
-        first_violation = np.where(bad, t, first_violation)
-        frac = np.broadcast_to(strategy.risky_fraction(t, alive_t, post[..., t], node), batch)
-        gross = frac * paths.risky_gross[..., t] + (1.0 - frac) * paths.bond_gross[t]
-        pre[..., t + 1] = post[..., t] * gross
+        node = None if nodes is None else nodes[t]
+        rates[t] = strategy.consumption_rate(t, alive[t], pre[t], node)
+        np.subtract(pre[t], alive[t] * rates[t] * grid.dt, out=post[t])
+        bad = ((pre[t] < -tol) | (post[t] < -tol)) & (first_violation < 0)
+        first_violation[bad] = t
+        frac = strategy.risky_fraction(t, alive[t], post[t], node)
+        np.multiply(post[t], frac * risky[t] + (1.0 - frac) * paths.bond_gross[t], out=pre[t + 1])
     return FundTrajectory(
         grid=grid,
-        pre_value=pre,
-        post_value=post,
+        pre_value=np.moveaxis(pre, 0, -1),
+        post_value=np.moveaxis(post, 0, -1),
         alive=drain_measure,
-        rate=rates,
+        rate=np.moveaxis(rates, 0, -1),
         admissible=first_violation < 0,
         first_violation=first_violation,
     )

@@ -211,17 +211,26 @@ def counts_from_death_times(taus: np.ndarray, grid: TimeGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def survivor_bound(n: int, table: MortalityTable, lam: float) -> np.ndarray:
+    """Largest survivor count within ``1/lam`` of its mean, per grid point.
+
+    The bound is ``n * pi_t / lam``; a count satisfies it iff it is at most
+    this integer cap.
+    """
+    if not (0.0 < lam <= 1.0):
+        raise ValueError("lam must lie in (0, 1]")
+    return np.floor(table.expected_survivors(n) / lam + 1e-9).astype(int)
+
+
 def survivor_bound_event(
     path: SurvivorPath, table: MortalityTable, lam: float, up_to: float | None = None
 ) -> bool:
     """True iff the count never exceeds ``1/lam`` times its mean up to ``up_to``."""
-    if not (0.0 < lam <= 1.0):
-        raise ValueError("lam must lie in (0, 1]")
+    bound = survivor_bound(path.n0, table, lam)
     points = table.grid.points
     limit = points[-1] if up_to is None else up_to
     mask = points <= limit + 1e-12
-    bound = (path.n0 / lam) * table.pi[: table.grid.n_steps]
-    return bool(np.all(path.counts[mask] <= bound[mask] + 1e-9))
+    return bool(np.all(path.counts[mask] <= bound[mask]))
 
 
 def finite_time_points(table: MortalityTable, t0: float, eps: float) -> np.ndarray:
@@ -289,13 +298,10 @@ def check_time_point_bound(
     """
     anchors = finite_time_points(table, t0, eps)
     counts = simulate_survivor_counts(n, table, trials, seed, label="time-point-bound")
-    points = table.grid.points
-    mean = table.expected_survivors(n)
-    factor = 1.0 / (1.0 - eps)
-    window = points <= t0 + 1e-12
-    lhs_events = np.all(counts[:, window] <= factor**2 * mean[window] + 1e-9, axis=1)
+    window = table.grid.points <= t0 + 1e-12
+    lhs_events = np.all(counts[:, window] <= survivor_bound(n, table, (1.0 - eps) ** 2)[window], axis=1)
     anchor_idx = np.array([table.grid.index_of(t) for t in anchors])
-    rhs_events = np.all(counts[:, anchor_idx] <= factor * mean[anchor_idx] + 1e-9, axis=1)
+    rhs_events = np.all(counts[:, anchor_idx] <= survivor_bound(n, table, 1.0 - eps)[anchor_idx], axis=1)
     lhs = float(lhs_events.mean())
     rhs = float(rhs_events.mean())
     lhs_se = float(np.sqrt(max(lhs * (1 - lhs), 1e-300) / trials))
@@ -365,12 +371,9 @@ class BoundChain:
 
 def bound_chain(n: int, table: MortalityTable, lam: float) -> BoundChain:
     """Evolve the exact joint law of count and running bound flag."""
-    if not (0.0 < lam <= 1.0):
-        raise ValueError("lam must lie in (0, 1]")
+    thresholds = survivor_bound(n, table, lam)
     m = table.grid.n_steps
     s = table.step_survival
-    mean = table.expected_survivors(n)
-    thresholds = np.floor(mean / lam + 1e-9).astype(int)
     joint = np.zeros((m, n + 1))
     count = np.zeros((m, n + 1))
     count[0, n] = 1.0

@@ -59,6 +59,7 @@ from .mortality import (
     binomial_transition_matrix,
     bound_chain,
     simulate_survivor_counts,
+    survivor_bound,
 )
 from .preferences import (
     ExpKmParams,
@@ -128,30 +129,6 @@ class ValueResult:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    iters = max(1, int(math.ceil(math.log(max(tol / max(b - a, tol), 1e-300)) / math.log(_INVPHI))))
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = fn(x1)
-    x = 0.5 * (a + b)
-    fx = fn(x)
-    for cand, fcand in ((x1, f1), (x2, f2)):
-        if fcand > fx:
-            x, fx = cand, fcand
-    return x, fx
-
-
 def golden_max_vec(
     fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, iters: int = 48
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,25 +186,31 @@ def best_power_growth(lattice: Lattice, alpha: float) -> tuple[float, float]:
     """Optimal risky fraction and one-step growth term of a scaling investor.
 
     The growth term is E[G**alpha] for power utility and E[log G] for log
-    utility, passed as ``alpha = 0``.
+    utility, passed as ``alpha = 0``.  The first-order condition fixes the
+    ratio of the gross returns, G_up / G_down = R with
+    ``R = ((1 - p)(rf - d) / (p (u - rf))) ** (1 / (alpha - 1))``, so the
+    fraction is ``rf (R - 1) / ((u - rf) + R (rf - d))``, clipped to the
+    allocation bounds.  When one branch has no weight against the other
+    the objective is monotone and the fraction is a bracket edge.
     """
     p = lattice.p_up
-
-    def moment(g_down, g_up) -> float:
-        if alpha == 0.0:
-            return (1 - p) * math.log(g_down) + p * math.log(g_up)
-        return (1 - p) * g_down**alpha + p * g_up**alpha
-
-    def objective(a: float) -> float:
-        g_down, g_up = _portfolio_gross(lattice, a)
-        if g_down <= 0 or g_up <= 0:
-            return -np.inf
-        # An increasing transform of the certainty equivalent.
-        return moment(g_down, g_up) if alpha == 0.0 else moment(g_down, g_up) / alpha
-
+    rf = math.exp(lattice.rate * lattice.grid.dt)
     lo, hi = allocation_bounds(lattice)
-    a_star = golden_max(objective, lo, hi)[0] if lo < hi else 0.0
-    return float(a_star), float(moment(*_portfolio_gross(lattice, a_star)))
+    down_loss, up_gain = (1.0 - p) * (rf - lattice.down), p * (lattice.up - rf)
+    if not lo < hi:
+        a_star = 0.0
+    elif down_loss <= 0.0:
+        a_star = hi
+    elif up_gain <= 0.0:
+        a_star = lo
+    else:
+        ratio = (down_loss / up_gain) ** (1.0 / (alpha - 1.0))
+        a_star = rf * (ratio - 1.0) / ((lattice.up - rf) + ratio * (rf - lattice.down))
+        a_star = min(max(a_star, lo), hi)
+    g_down, g_up = _portfolio_gross(lattice, a_star)
+    if alpha == 0.0:
+        return float(a_star), float((1 - p) * math.log(g_down) + p * math.log(g_up))
+    return float(a_star), float((1 - p) * g_down**alpha + p * g_up**alpha)
 
 
 def _power_split(a_coef, b_coef, alpha: float):
@@ -934,7 +917,9 @@ class TransferResult:
 
     ``gain_se`` is ``math.inf`` when a sampled path scores minus infinity
     (u(0) = -inf with a closed gate): the estimate is then -inf and its
-    spread is undefined.
+    spread is undefined.  ``admissibility_violations`` counts the sampled
+    paths on which the fund's wealth went negative, by the fund
+    evolution's rule.
     """
 
     n: int
@@ -945,6 +930,37 @@ class TransferResult:
     target_gain: float
     admissibility_violations: int
     trials: int
+
+
+@dataclass(frozen=True)
+class _NodePolicy:
+    """Per-survivor rates and risky fractions read off the lattice nodes.
+
+    Survivors outside the drain measure (a closed gate) consume nothing.
+    """
+
+    rates: Stream
+    fractions: Stream
+
+    def consumption_rate(self, t_idx, alive, wealth, node=None):
+        return np.where(alive > 0, self.rates[t_idx][node], 0.0)
+
+    def risky_fraction(self, t_idx, alive, wealth, node=None):
+        return self.fractions[t_idx][node]
+
+
+def _path_score(gain: VnmParams, grid: TimeGrid, weights: np.ndarray, rates: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of ``sum_t exp(-b t) weight_t u(rate_t) dt`` over paths.
+
+    Rates where the weight is zero are not scored.  A path scoring minus
+    infinity makes the estimate -inf and its standard error ``math.inf``.
+    """
+    disc = np.exp(-gain.discount * grid.points)
+    u_masked = np.where(weights > 0, gain.utility(np.maximum(rates, 0.0)), 0.0)
+    per_path = np.sum(disc[None, :] * weights * u_masked, axis=1) * grid.dt
+    trials = per_path.shape[0]
+    se = float(per_path.std(ddof=1) / np.sqrt(trials)) if np.all(np.isfinite(per_path)) else math.inf
+    return float(per_path.mean()), se
 
 
 def transfer_infinite_to_finite(
@@ -975,51 +991,32 @@ def transfer_infinite_to_finite(
     m = grid.n_steps
     dt = grid.dt
     table = problem.table
-    pi = table.pi[:m]
 
-    paths = sample_lattice_paths(lattice, trials, "P", seed)
+    paths = PathBundle.from_lattice_paths(sample_lattice_paths(lattice, trials, "P", seed))
     counts = simulate_survivor_counts(n, table, trials, seed, label="transfer-mortality")
-    bound = (n / lam) * pi
-    within = counts <= bound[None, :] + 1e-9
-    gate = np.cumprod(within, axis=1).astype(bool)
-
-    wealth = np.full(trials, n * problem.budget)
-    node_idx = paths.node_idx
-    risky = paths.risky_gross()
-    bond = paths.bond_gross()
-    disc = np.exp(-gain.discount * grid.points)
-    path_gain = np.zeros(trials)
-    violations = 0
-    tol = 1e-9 * n * problem.budget
-    u = gain.utility
-    for t in range(m):
-        rate_nodes = np.asarray(stream[t])
-        rate = lam * rate_nodes[node_idx[:, t]] * gate[:, t]
-        drain = counts[:, t] * rate * dt
-        alive_u = np.where(gate[:, t], u(np.maximum(lam * rate_nodes[node_idx[:, t]], 0.0)), u(0.0))
-        path_gain += disc[t] * (counts[:, t] / n) * np.where(counts[:, t] > 0, alive_u, 0.0) * dt
-        wealth = wealth - drain
-        violations += int(np.sum(wealth < -tol))
-        frac = np.asarray(replication.risky_fraction[t])[node_idx[:, t]]
-        wealth = wealth * (frac * risky[:, t] + (1.0 - frac) * bond)
-    estimate = float(path_gain.mean())
-    se = float(path_gain.std(ddof=1) / np.sqrt(trials)) if np.all(np.isfinite(path_gain)) else math.inf
+    gate = np.logical_and.accumulate(counts <= survivor_bound(n, table, lam), axis=1)
+    scaled = scale_stream(stream, lam)
+    policy = _NodePolicy(scaled, replication.risky_fraction)
+    traj = evolve_finite(policy, paths, np.where(gate, counts, 0.0), np.full(n, problem.budget))
+    estimate, se = _path_score(gain, grid, counts / n, traj.rate)
 
     # Exact value over the joint (count, gate) chain; market factor exact.
     chain = bound_chain(n, table, lam)
     wp = lattice.node_weights("P")
+    disc = np.exp(-gain.discount * grid.points)
+    u = gain.utility
     exact = 0.0
     u0 = float(u(np.asarray(0.0)))
     for t in range(m):
         expected_live = float(np.arange(n + 1) @ chain.joint[t]) / n
         expected_all = float(np.arange(n + 1) @ chain.count[t]) / n
-        node_term = float(wp[t] @ u(lam * np.asarray(stream[t])))
+        node_term = float(wp[t] @ u(scaled[t]))
         exact += disc[t] * dt * expected_live * node_term
         # Survivors whose gate has closed consume nothing; skipping an
         # empty gap keeps 0 * u(0) from turning into nan when u(0) = -inf.
         if expected_all > expected_live:
             exact += disc[t] * dt * (expected_all - expected_live) * u0
-    target = vnm_value_on_lattice(gain, scale_stream(stream, lam), table, lattice)
+    target = vnm_value_on_lattice(gain, scaled, table, lattice)
     return TransferResult(
         n=n,
         lam=lam,
@@ -1027,7 +1024,7 @@ def transfer_infinite_to_finite(
         gain_se=se,
         exact_gain=float(exact),
         target_gain=float(target),
-        admissibility_violations=violations,
+        admissibility_violations=int(np.count_nonzero(~traj.admissible)),
         trials=trials,
     )
 
@@ -1066,7 +1063,7 @@ def simulate_policy_value(
     the policy through the fund dynamics, and averages
     ``sum_t exp(-b t) (alive_t / n) u(rate_t) dt``; for the infinite pool
     the weight is the survival fraction.  Returns (estimate, standard
-    error).
+    error); the error is ``math.inf`` when a path scores minus infinity.
     """
     gain = problem.gain
     if not isinstance(gain, VnmParams):
@@ -1075,7 +1072,6 @@ def simulate_policy_value(
     grid = problem.grid
     m = grid.n_steps
     paths = PathBundle.from_lattice_paths(sample_lattice_paths(lattice, trials, "P", seed))
-    disc = np.exp(-gain.discount * grid.points)
     if math.isfinite(problem.n):
         n = int(problem.n)
         counts = simulate_survivor_counts(n, problem.table, trials, seed, label="resim-mortality")
@@ -1084,7 +1080,4 @@ def simulate_policy_value(
     else:
         traj = evolve_infinite(policy, paths, problem.table, problem.budget)
         weights = np.broadcast_to(problem.table.pi[:m], (trials, m))
-    u_vals = gain.utility(np.maximum(traj.rate, 0.0))
-    u_masked = np.where(weights > 0, u_vals, 0.0)
-    per_path = np.sum(disc[None, :] * weights * u_masked, axis=1) * grid.dt
-    return float(per_path.mean()), float(per_path.std(ddof=1) / np.sqrt(trials))
+    return _path_score(gain, grid, weights, traj.rate)

@@ -22,9 +22,12 @@ adequacy value regardless of mortality, to machine precision.
 
 The recursive and multiplicative families share one backward step on
 that chain, the expectation over the next lattice level and own death,
-and one sweep that keeps every level.  The transformed solver in
-``ez_bsde`` and the pricing route's value-and-gradient in ``optimizer``
-use the same step and sweep, and the aggregator is written once.
+and one sweep that keeps every level.  The sweep runs with a lattice or
+without one (one node per level, death the only branch), so deterministic
+rates take the same path as node streams, and its death value is a
+constant or one value per level.  The transformed solver in ``ez_bsde``
+and the pricing route's value-and-gradient in ``optimizer`` use the same
+step and sweep, and the aggregator is written once.
 """
 
 from __future__ import annotations
@@ -290,34 +293,46 @@ def _backward_expectation(values, p_up, survival, absorbed):
     ``values`` holds the next step's alive values with the lattice nodes on
     its last axis (``i + 2`` of them); returns the expected next value over
     the ``i + 1`` nodes of the current step, given alive now, where death
-    absorbs at ``absorbed``.
+    absorbs at ``absorbed``.  Without a lattice (``p_up`` None) each level
+    has one node and the expectation is over death only.
     """
-    cont = p_up * values[..., 1:] + (1.0 - p_up) * values[..., :-1]
+    cont = values if p_up is None else p_up * values[..., 1:] + (1.0 - p_up) * values[..., :-1]
     return (1.0 - survival) * absorbed + survival * cont
 
 
-def _backward_levels(node_value, absorbed, table: MortalityTable, lattice: Lattice):
+def _backward_levels(node_value, absorbed, table: MortalityTable, lattice: Lattice | None = None):
     """Alive values at every level of the lattice x death chain.
 
-    Death absorbs at ``absorbed``, which is also the value at the horizon.
-    ``node_value(i, expected)`` maps the expected next value at the ``i +
-    1`` nodes of level ``i`` to the alive value there.  Returns the values
-    per level (``m + 1`` of them, the horizon last) and the expectations
-    they were computed from (``m``).
+    ``absorbed`` is the death value: a scalar, or one value per level
+    (``m + 1``, the horizon last), where death during the step from level
+    ``i`` absorbs at ``absorbed[i]``; the horizon value is the last.
+    ``node_value(i, expected)`` maps the expected next value at the nodes
+    of level ``i`` to the alive value there.  Without a lattice every
+    level has one node.  Returns the values per level (``m + 1`` of them,
+    the horizon last) and the expectations they were computed from (``m``).
     """
-    m = lattice.grid.n_steps
+    m = table.grid.n_steps
     s = table.step_survival
-    values = [None] * m + [np.full(m + 1, absorbed)]
+    death = np.broadcast_to(np.asarray(absorbed, dtype=float), (m + 1,))
+    p_up = None if lattice is None else lattice.p_up
+    values = [None] * m + [np.full(1 if lattice is None else m + 1, death[m])]
     expected = [None] * m
     for i in range(m - 1, -1, -1):
-        expected[i] = _backward_expectation(values[i + 1], lattice.p_up, s[i], absorbed)
+        expected[i] = _backward_expectation(values[i + 1], p_up, s[i], death[i])
         values[i] = node_value(i, expected[i])
     return values, expected
 
 
+def _rate_levels(consumption, m: int) -> list:
+    """Rates per level: a node stream as given, deterministic rates one per level."""
+    if isinstance(consumption, list):
+        return [np.asarray(level, dtype=float) for level in consumption]
+    return list(np.broadcast_to(np.asarray(consumption, dtype=float), (m,)))
+
+
 def _exp_km_levels(gain: ExpKmParams, stream: Stream, table: MortalityTable, lattice: Lattice) -> list:
     """E[exp(-remaining utility integral) | alive] at every lattice node."""
-    dt = lattice.grid.dt
+    dt = table.grid.dt
 
     def node_value(i, expected):
         return np.exp(-gain.utility(stream[i]) * dt) * expected
@@ -338,7 +353,7 @@ def _ez_levels(alpha: float, rho: float, b: float, adequacy: float, stream: Stre
     the sign of the rates are the caller's concern.
     """
     terminal = adequacy**alpha / alpha
-    dt = lattice.grid.dt
+    dt = table.grid.dt
 
     def node_value(i, expected):
         return expected + _ez_drift(alpha, rho, b, stream[i], expected) * dt
@@ -368,41 +383,6 @@ def ez_aggregator(params: EzParams, consumption: np.ndarray, value: np.ndarray) 
     return out if out.shape else float(out)
 
 
-def _ez_backward(
-    alpha: float,
-    rho: float,
-    b: float,
-    adequacy: float,
-    stream: Stream | np.ndarray,
-    table: MortalityTable,
-    lattice: Lattice | None,
-) -> float:
-    """Shared backward recursion; parameter ranges are the caller's concern."""
-    grid = table.grid
-    m = grid.n_steps
-    dt = grid.dt
-    terminal = adequacy**alpha / alpha
-    s = table.step_survival
-
-    if lattice is None:
-        rates = np.broadcast_to(np.asarray(stream, dtype=float), (m,))
-        if np.any(rates < 0):
-            return -np.inf
-        value = terminal
-        for i in range(m - 1, -1, -1):
-            expected = (1.0 - s[i]) * terminal + s[i] * value
-            value = expected + _ez_drift(alpha, rho, b, rates[i], expected) * dt
-        return float(value)
-
-    if lattice.grid.n_steps != m:
-        raise ValueError("lattice and mortality table use different grids")
-    rates = [np.asarray(level, dtype=float) for level in stream]
-    if any(np.any(level < 0) for level in rates):
-        return -np.inf
-    values, _ = _ez_levels(alpha, rho, b, adequacy, rates, table, lattice)
-    return float(values[0][0])
-
-
 def ez_utility_discrete(
     params: EzParams,
     consumption: Stream | np.ndarray | float,
@@ -413,17 +393,15 @@ def ez_utility_discrete(
 
     Args:
         consumption: a scalar or per-grid-point array of deterministic
-            rates (no lattice required), or a node-adapted stream on a
-            lattice sharing the table's grid.
+            rates, with or without a lattice, or a node-adapted stream on
+            a lattice sharing the table's grid.
         table: the individual's mortality law; death is certain by the
             horizon, which anchors the terminal condition.
 
     Returns V_0, which lies in (-inf, 0); consuming the adequacy rate
     returns the adequacy value exactly.
     """
-    if lattice is None and isinstance(consumption, list):
-        raise ValueError("node-adapted streams require a lattice")
-    return _ez_backward(
+    return ez_value_unrestricted(
         params.risk, params.substitution, params.discount, params.adequacy, consumption, table, lattice
     )
 
@@ -437,13 +415,21 @@ def ez_value_unrestricted(
     table: MortalityTable,
     lattice: Lattice | None = None,
 ) -> float:
-    """Recursion evaluated at raw parameters (testing hook).
+    """Recursion evaluated at raw parameters; ``ez_utility_discrete`` runs on it.
 
     Permits parameter combinations outside the calibrated region, e.g.
     ``substitution == risk`` where the family degenerates to discounted
-    expected power utility.
+    expected power utility (a testing hook).
     """
-    return _ez_backward(risk, substitution, discount, adequacy, consumption, table, lattice)
+    if lattice is None and isinstance(consumption, list):
+        raise ValueError("node-adapted streams require a lattice")
+    if lattice is not None and lattice.grid.n_steps != table.grid.n_steps:
+        raise ValueError("lattice and mortality table use different grids")
+    rates = _rate_levels(consumption, table.grid.n_steps)
+    if any(np.any(level < 0) for level in rates):
+        return -np.inf
+    values, _ = _ez_levels(risk, substitution, discount, adequacy, rates, table, lattice)
+    return float(values[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,58 @@ def test_untruncated_solution_agrees_with_explicit_scheme_to_first_order():
     assert gaps[0] == pytest.approx(-16.6, abs=0.05)
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 1.8 <= coarse / fine <= 2.2
+
+
+# Every level and the largest iteration count of the transformed solve on
+# an annual 4-year grid with heavy mortality, pinned from the solver's own
+# backward loops that the shared lattice x death sweep replaced.  A
+# deterministic rate gives every node of a level the same value, with or
+# without a lattice.
+TRUNCATED_RATE_PINS = {
+    4.0: (2, [641.2193787989019, 643.4120021569627, 645.1655909933653, 646.2656192433793, 646.4297608771573]),
+    math.inf: (16, [381.79760554439576, 435.21482572574587, 496.32055104631445, 566.2752076600806,
+                    646.4297608771573]),
+}
+TRUNCATED_NODE_PINS = {
+    4.0: (2, [[641.2798019828291],
+              [643.4673159559128, 643.4286037449447],
+              [645.2093251323681, 645.183216604261, 645.1591297086437],
+              [646.2910358769918, 646.2777952533962, 646.2656192433793, 646.2542860895852],
+              [646.4297608771573] * 5]),
+    math.inf: (17, [[397.7747938472876],
+                    [452.3639798774087, 440.2746744216172],
+                    [512.2036887193024, 502.61713652635, 494.06454056560585],
+                    [577.0689198655909, 571.3833622742694, 566.2752076599924, 561.6204757454857],
+                    [646.4297608771573] * 5]),
+}
+
+
+def annual4():
+    grid = TimeGrid(1.0, 4.0)
+    return gompertz_makeham_table(grid, *HEAVY), build_lattice(MODEL, grid)
+
+
+@pytest.mark.parametrize("on_lattice", [False, True], ids=["no-lattice", "lattice"])
+@pytest.mark.parametrize("level", sorted(TRUNCATED_RATE_PINS))
+def test_solve_truncated_deterministic_rate_pinned(level, on_lattice):
+    table, lattice = annual4()
+    iterations, levels = TRUNCATED_RATE_PINS[level]
+    sol = solve_truncated(TruncatedDriver(EZ, level), 0.07, table, lattice if on_lattice else None)
+    assert sol.iterations_max == iterations
+    assert len(sol.values) == len(levels)
+    for i, (values, pin) in enumerate(zip(sol.values, levels)):
+        np.testing.assert_allclose(values, np.full(i + 1 if on_lattice else 1, pin), rtol=1e-14, atol=0)
+    assert sol.initial == sol.values[0][0]
+
+
+@pytest.mark.parametrize("level", sorted(TRUNCATED_NODE_PINS))
+def test_solve_truncated_node_stream_pinned(level):
+    table, lattice = annual4()
+    stream = [0.05 + 0.01 * np.arange(i + 1) for i in range(4)]
+    iterations, levels = TRUNCATED_NODE_PINS[level]
+    sol = solve_truncated(TruncatedDriver(EZ, level), stream, table, lattice)
+    assert sol.iterations_max == iterations
+    assert len(sol.values) == len(levels)
+    for values, pin in zip(sol.values, levels):
+        np.testing.assert_allclose(values, pin, rtol=1e-14, atol=0)
+    assert sol.initial == sol.values[0][0]

@@ -23,6 +23,7 @@ from tontine.mortality import (
     simulate_death_times,
     simulate_survivor_counts,
     simulate_survivors,
+    survivor_bound,
     survivor_bound_event,
     uniform_table,
 )
@@ -167,6 +168,26 @@ def test_bound_event_false_when_count_exceeds_mean_at_lam_one():
     # A path where everyone survives to the second point: 10 > 10 * 0.75.
     path = SurvivorPath(10, np.array([10, 10, 5, 2]), seed=0)
     assert not survivor_bound_event(path, table, lam=1.0)
+
+
+def test_survivor_bound_is_the_cap_of_the_event_and_the_chain():
+    grid = TimeGrid(1.0, 20.0)
+    table = gompertz_makeham_table(grid, 0.0, 0.01, 0.1)
+    cap = survivor_bound(16, table, 0.9)
+    np.testing.assert_array_equal(cap, np.floor(16 * table.pi[:20] / 0.9 + 1e-9))
+    chain = bound_chain(16, table, 0.9)
+    for t in range(grid.n_steps):
+        assert np.all(chain.joint[t, cap[t] + 1 :] == 0.0)
+    at_cap = np.minimum(cap, 16)
+    assert survivor_bound_event(SurvivorPath(16, at_cap, seed=0), table, 0.9)
+    first = int(np.argmax(cap < 16))
+    above = at_cap.copy()
+    above[first] += 1
+    assert not survivor_bound_event(SurvivorPath(16, above, seed=0), table, 0.9)
+    assert survivor_bound_event(SurvivorPath(16, above, seed=0), table, 0.9, up_to=grid.points[first - 1])
+    for lam in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            survivor_bound(16, table, lam)
 
 
 def test_bound_probability_increases_with_n():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,8 @@ import pytest
 from scipy.interpolate import PchipInterpolator as ScipyPchip
 
 from tontine.grid import TimeGrid
-from tontine.market import MarketModel, build_lattice
+from tontine.fund import ConstantRateStrategy
+from tontine.market import MarketModel, build_lattice, scale_stream
 from tontine.mortality import gompertz_makeham_table, point_mass_table, uniform_table
 from tontine.optimizer import (
     annuity_value_for_budget,
@@ -18,6 +20,8 @@ from tontine.optimizer import (
     _expkm_value_and_grad,
     _ez_value_and_grad,
     _pchip_slopes,
+    allocation_bounds,
+    best_power_growth,
     golden_max_vec,
     simulate_policy_value,
     solve_finite_dp,
@@ -362,6 +366,49 @@ def test_transfer_gain_se_is_inf_when_a_path_scores_minus_inf():
     assert out.gain_se == math.inf
 
 
+# Transfer of the half investor's pricing stream at A40 into a pool of 64,
+# valued with half and exponential utility (2000 paths, seed 7): estimate,
+# standard error, exact and target gains, pinned from the transfer's own
+# wealth loop that the fund evolution replaced.
+TRANSFER_PINS = {
+    "half": (PowerUtility(0.5), 7.476733753343503, 0.07099667047481266, 7.521093108816228, 8.803371386807605),
+    "exponential": (ExponentialUtility(1.0), -15.40719173171509, 0.028649391005592998, -15.409835089593592,
+                    -15.153512777329396),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFER_PINS))
+def test_transfer_pinned(case):
+    utility, estimate, se, exact, target = TRANSFER_PINS[case]
+    source = solve_infinite(heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 40.0), methods=("martingale",))
+    out = transfer_infinite_to_finite(source.extras["stream"], source.extras["replication"], lam=0.9, n=64,
+                                      problem=heavy_problem(VnmParams(utility, 0.02), 1.0, 40.0),
+                                      trials=2000, seed=7)
+    assert out.gain_estimate == pytest.approx(estimate, rel=1e-13)
+    assert out.gain_se == pytest.approx(se, rel=1e-13)
+    assert out.exact_gain == pytest.approx(exact, rel=1e-13)
+    assert out.target_gain == pytest.approx(target, rel=1e-13)
+    assert out.admissibility_violations == 0
+
+
+def test_transfer_counts_each_inadmissible_path_once():
+    # Doubling the stream without its replication exhausts the fund: the
+    # violations are paths, at most one per trial.
+    problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
+    res = solve_infinite(problem, methods=("martingale",))
+    out = transfer_infinite_to_finite(scale_stream(res.extras["stream"], 2.0), res.extras["replication"],
+                                      lam=0.9, n=8, problem=problem, trials=2000, seed=7)
+    assert 0 < out.admissibility_violations <= out.trials
+
+
+def test_simulated_value_of_a_minus_inf_policy_has_infinite_standard_error():
+    # Consuming nothing under CRRA alpha = -1 scores -inf on every path.
+    problem = heavy_problem(VnmParams(PowerUtility(-1.0), 0.02), 1.0, 10.0).with_n(8)
+    est, se = simulate_policy_value(problem, ConstantRateStrategy(0.0), trials=200, seed=3)
+    assert np.isneginf(est)
+    assert se == math.inf
+
+
 # --- wealth-grid solver ----------------------------------------------------------------
 
 
@@ -568,3 +615,42 @@ def test_pool_size_caps():
     problem = make_problem(gain, n=1000)
     with pytest.raises(ValueError):
         solve_finite_dp(problem)
+
+
+def growth_terms(lattice, alpha, a):
+    """One-step growth objective (increasing in the certainty equivalent) and its derivative at ``a``."""
+    rf = math.exp(lattice.rate * lattice.grid.dt)
+    p = lattice.p_up
+    g_down, g_up = a * lattice.down + (1 - a) * rf, a * lattice.up + (1 - a) * rf
+    if alpha == 0.0:
+        objective = (1 - p) * math.log(g_down) + p * math.log(g_up)
+    else:
+        objective = ((1 - p) * g_down**alpha + p * g_up**alpha) / alpha
+    slope = (1 - p) * g_down ** (alpha - 1) * (lattice.down - rf) + p * g_up ** (alpha - 1) * (lattice.up - rf)
+    return objective, slope
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5])
+@pytest.mark.parametrize("dt", [0.25, 1.0], ids=["q40", "a40"])
+def test_best_power_growth_solves_its_first_order_condition(dt, alpha):
+    lattice = heavy_problem(VnmParams(LogUtility()), dt, 40.0).lattice()
+    a_star, growth = best_power_growth(lattice, alpha)
+    lo, hi = allocation_bounds(lattice)
+    assert lo < a_star < hi
+    objective, slope = growth_terms(lattice, alpha, a_star)
+    assert abs(slope) <= 1e-12
+    assert objective == pytest.approx(growth if alpha == 0.0 else growth / alpha, rel=1e-15)
+    for a in (a_star - 1e-3, a_star + 1e-3):  # a maximum, not a minimum
+        assert growth_terms(lattice, alpha, a)[0] < objective
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5])
+def test_best_power_growth_edge_cases(alpha):
+    # Without volatility nothing is risky; with one branch certain the
+    # objective is monotone and the fraction sits on the bracket edge.
+    flat = make_problem(VnmParams(LogUtility()), mu=0.01, rate=0.01, sigma=0.0).lattice()
+    assert best_power_growth(flat, alpha)[0] == 0.0
+    lattice = heavy_problem(VnmParams(LogUtility()), 1.0, 40.0).lattice()
+    lo, hi = allocation_bounds(lattice)
+    assert best_power_growth(dataclasses.replace(lattice, p_up=1.0), alpha)[0] == hi
+    assert best_power_growth(dataclasses.replace(lattice, p_up=0.0), alpha)[0] == lo

@@ -390,3 +390,31 @@ def test_monotonicity_and_non_saturation_all_families():
         # Non-saturation: a strictly positive bump strictly improves.
         base = np.full(grid.n_steps, 0.7)
         assert evaluate(base + 0.05) > evaluate(base)
+
+
+# --- deterministic rates on the shared sweep ------------------------------------------
+
+EZ_BENCH = EzParams(risk=-2.0, substitution=0.5, discount=0.03, adequacy=0.05)
+
+
+def heavy_annual10():
+    grid = TimeGrid(1.0, 10.0)
+    model = MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(1.0,))
+    return gompertz_makeham_table(grid, 0.0, 0.01, 0.1), build_lattice(model, grid)
+
+
+def test_ez_deterministic_rates_pinned():
+    # Pinned from the death-only loop that the shared sweep replaced.
+    table, _ = heavy_annual10()
+    assert ez_utility_discrete(EZ_BENCH, 0.07, table) == pytest.approx(-167.28802895650634, rel=1e-14)
+    rates = np.linspace(0.05, 0.1, 10)
+    assert ez_utility_discrete(EZ_BENCH, rates, table) == pytest.approx(-164.5459544840312, rel=1e-14)
+
+
+def test_ez_deterministic_rates_on_a_lattice_match_the_value_without_one():
+    table, lattice = heavy_annual10()
+    for rates in (0.07, np.linspace(0.05, 0.1, 10)):
+        without = ez_utility_discrete(EZ_BENCH, rates, table)
+        assert ez_utility_discrete(EZ_BENCH, rates, table, lattice) == pytest.approx(without, rel=1e-14)
+        raw = ez_value_unrestricted(-2.0, 0.5, 0.03, 0.05, rates, table, lattice)
+        assert raw == pytest.approx(without, rel=1e-14)
