@@ -267,7 +267,7 @@ def solve_transfer_pair(
         rates = np.stack([np.zeros(i + 1), scaled[i]])[:, None, :]
         values, _ = _implicit_node_solve(driver, points[i], rates, expected, dt)
 
-    finite_v0 = float(values[1 if n <= thresholds[0] else 0, n - 1, 0])
+    finite_v0 = float(values[1, n - 1, 0])  # the gate is open at the start
 
     chain = bound_chain(n, table, lam)
     end = points[-1] if window_end is None else window_end

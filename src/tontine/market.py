@@ -146,7 +146,7 @@ def build_lattice(model: MarketModel, grid: TimeGrid) -> Lattice:
 # ---------------------------------------------------------------------------
 
 
-def validate_stream(stream: Stream, lattice: Lattice, allow_negative: bool = False) -> None:
+def validate_stream(stream: Stream, lattice: Lattice) -> None:
     if len(stream) != lattice.n_steps:
         raise NonReplicableError(
             f"stream has {len(stream)} levels, lattice has {lattice.n_steps} grid points"
@@ -157,7 +157,7 @@ def validate_stream(stream: Stream, lattice: Lattice, allow_negative: bool = Fal
             raise NonReplicableError(f"level {i} has shape {arr.shape}, expected ({i + 1},)")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"level {i} contains non-finite rates")
-        if not allow_negative and np.any(arr < 0):
+        if np.any(arr < 0):
             raise ValueError(f"level {i} contains negative rates")
 
 

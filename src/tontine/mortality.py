@@ -377,7 +377,7 @@ def bound_chain(n: int, table: MortalityTable, lam: float) -> BoundChain:
     joint = np.zeros((m, n + 1))
     count = np.zeros((m, n + 1))
     count[0, n] = 1.0
-    joint[0, n] = 1.0 if n <= thresholds[0] else 0.0
+    joint[0, n] = 1.0  # the bound floor(n / lam) is at least n at the start
     for t in range(m - 1):
         trans = binomial_transition_matrix(n, s[t])
         count[t + 1] = count[t] @ trans

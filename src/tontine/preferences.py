@@ -249,6 +249,8 @@ def vnm_value_on_lattice(
     gain: VnmParams, stream: Stream, table: MortalityTable, lattice: Lattice
 ) -> float:
     """Exact value of a node-adapted rate stream (death independent of market)."""
+    if np.concatenate(stream).min() < 0:
+        return -np.inf
     grid = lattice.grid
     pi = table.pi[: grid.n_steps]
     disc = np.exp(-gain.discount * grid.points)
@@ -279,6 +281,8 @@ def exp_km_value_on_lattice(
     gain: ExpKmParams, stream: Stream, table: MortalityTable, lattice: Lattice
 ) -> float:
     """Backward evaluation of the multiplicative family on the lattice."""
+    if np.concatenate(stream).min() < 0:
+        return -np.inf
     return float(-_exp_km_levels(gain, stream, table, lattice)[0][0])
 
 
@@ -399,7 +403,8 @@ def ez_utility_discrete(
             horizon, which anchors the terminal condition.
 
     Returns V_0, which lies in (-inf, 0); consuming the adequacy rate
-    returns the adequacy value exactly.
+    returns the adequacy value exactly.  Raises ``ValueError`` where the
+    explicit step leaves the domain v < 0.
     """
     return ez_value_unrestricted(
         params.risk, params.substitution, params.discount, params.adequacy, consumption, table, lattice
@@ -419,7 +424,8 @@ def ez_value_unrestricted(
 
     Permits parameter combinations outside the calibrated region, e.g.
     ``substitution == risk`` where the family degenerates to discounted
-    expected power utility (a testing hook).
+    expected power utility (a testing hook).  Raises ``ValueError`` naming
+    the first level of the sweep whose value is not finite.
     """
     if lattice is None and isinstance(consumption, list):
         raise ValueError("node-adapted streams require a lattice")
@@ -428,7 +434,11 @@ def ez_value_unrestricted(
     rates = _rate_levels(consumption, table.grid.n_steps)
     if any(np.any(level < 0) for level in rates):
         return -np.inf
-    values, _ = _ez_levels(risk, substitution, discount, adequacy, rates, table, lattice)
+    with np.errstate(invalid="ignore", over="ignore"):
+        values, _ = _ez_levels(risk, substitution, discount, adequacy, rates, table, lattice)
+    broken = [i for i, level in enumerate(values) if not np.all(np.isfinite(level))]
+    if broken:
+        raise ValueError(f"recursive value not finite at level {broken[-1]}: the explicit step left the domain v < 0")
     return float(values[0][0])
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,6 +491,44 @@ def test_infinite_scaling_dp_pinned(gain, value, first_fraction, fraction_sum):
     assert res.value == pytest.approx(value, rel=1e-12)
     assert fractions[0, 0] == pytest.approx(first_fraction, rel=1e-12)
     assert fractions.sum() == pytest.approx(fraction_sum, rel=1e-12)
+
+
+# Finite-pool scaling DP on a quarterly 40-year grid with heavy mortality:
+# the value, and the whole consumed-fraction table from
+# ``data/scaling_dp_fractions.npz``, pinned from the pool-level recursion
+# (all n counts mixed, utility weighted j/n) that the investor's chain
+# replaced.
+FINITE_SCALING_PINS = {
+    ("power", 8): -262.6289939488236,
+    ("power", 64): -247.59943133257124,
+    ("log", 8): -43.628725602416566,
+    ("log", 64): -43.00477612007023,
+    ("half", 8): 8.985973369697545,
+    ("half", 64): 9.133886431094972,
+}
+SCALING_UTILITIES = {"power": PowerUtility(-1.0), "log": LogUtility(), "half": PowerUtility(0.5)}
+
+
+@pytest.mark.parametrize("case", sorted(FINITE_SCALING_PINS), ids=lambda case: f"{case[0]}-n{case[1]}")
+def test_finite_scaling_dp_pinned(case):
+    name, n = case
+    problem = heavy_problem(VnmParams(SCALING_UTILITIES[name], 0.02), 0.25, 40.0).with_n(n)
+    res = solve_finite_dp(problem)
+    with np.load(Path(__file__).parent / "data" / "scaling_dp_fractions.npz") as pinned:
+        fractions = pinned[f"{name}-n{n}"]
+    assert res.value == pytest.approx(FINITE_SCALING_PINS[case], rel=1e-13)
+    assert res.strategy.consumption_fraction.shape == fractions.shape
+    np.testing.assert_allclose(res.strategy.consumption_fraction, fractions, rtol=0, atol=1e-14)
+
+
+# Exponential utility on the wealth grid, annual 10-year grid with heavy
+# mortality, pinned from the pool-level recursion.
+@pytest.mark.parametrize("n, value", [(4, -7.43870824660916), (8, -7.436227566309967),
+                                      (math.inf, -7.434323303797253)])
+def test_exponential_grid_dp_pinned(n, value):
+    problem = heavy_problem(VnmParams(ExponentialUtility(1.0), 0.02), 1.0, 10.0).with_n(n)
+    res = solve_finite_dp(problem) if math.isfinite(n) else solve_infinite(problem, methods=("dp",))
+    assert res.value == pytest.approx(value, rel=1e-12)
 
 
 # Closed-form pricing streams over 40 years with heavy mortality: value,

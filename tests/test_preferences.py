@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -10,6 +12,7 @@ from tontine.mortality import (
     point_mass_table,
     uniform_table,
 )
+from tontine.optimizer import HomogeneousProblem, solve_infinite
 from tontine.preferences import (
     CustomUtility,
     ExpKmParams,
@@ -418,3 +421,37 @@ def test_ez_deterministic_rates_on_a_lattice_match_the_value_without_one():
         assert ez_utility_discrete(EZ_BENCH, rates, table, lattice) == pytest.approx(without, rel=1e-14)
         raw = ez_value_unrestricted(-2.0, 0.5, 0.03, 0.05, rates, table, lattice)
         assert raw == pytest.approx(without, rel=1e-14)
+
+
+# --- negative consumption and values that leave the recursion's domain ----------------
+
+
+def test_negative_rate_on_a_lattice_gives_minus_inf_for_every_family():
+    # A unit stream lowered by 2 at level 3 consumes -1 with positive
+    # probability; every evaluator returns -inf, on the lattice as for rates.
+    table, lattice = heavy_annual10()
+    stream = constant_stream(lattice, 1.0)
+    stream[3] = stream[3] - 2.0
+    rates = np.array([level[0] for level in stream])
+    for utility in (ExponentialUtility(1.0), PowerUtility(0.5)):
+        gain = VnmParams(utility, 0.02)
+        assert vnm_value_of_rates(gain, rates, table) == -np.inf
+        assert vnm_value_on_lattice(gain, stream, table, lattice) == -np.inf
+    expkm = ExpKmParams(ExponentialUtility(1.0))
+    assert exp_km_value_of_rates(expkm, rates, table) == -np.inf
+    assert exp_km_value_on_lattice(expkm, stream, table, lattice) == -np.inf
+    assert ez_utility_discrete(EZ_BENCH, stream, table, lattice) == -np.inf
+
+
+@pytest.mark.parametrize("law", [(0.0, 0.01, 0.1), (5e-4, 7e-5, 0.1)], ids=["heavy", "light"])
+def test_ez_value_outside_the_recursion_domain_raises(law):
+    # The half investor's 40-year pricing stream drives the explicit
+    # aggregator step above zero at a node of level 39, and every earlier
+    # level out of the value's domain: the evaluation raises, naming level 38.
+    grid = TimeGrid(1.0, 40.0)
+    table = gompertz_makeham_table(grid, *law)
+    model = MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(1.0,))
+    problem = HomogeneousProblem(VnmParams(PowerUtility(0.5), 0.02), table, model, grid, 1.0, math.inf)
+    stream = solve_infinite(problem, methods=("martingale",)).extras["stream"]
+    with pytest.raises(ValueError, match="level 38"):
+        ez_utility_discrete(EZ_BENCH, stream, table, problem.lattice())
