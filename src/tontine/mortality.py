@@ -11,6 +11,14 @@ the last grid point.
 Survivor counts of a pool of independent lives are simulated by exact
 binomial thinning with the per-step conditional death probability
 ``(pi_t - pi_{t+dt}) / pi_t``.
+
+Exact count chains step the law of the survivor count by the binomial
+kernel ``binomial_transition_matrix``.  It is built along lines of the
+rarer outcome (deaths while a step's death probability is at most 1/2,
+survivors otherwise), one bidiagonal solve per line, and each row stops
+where a ratio bound proves its remaining exact mass below 2**-60.  Kept
+entries are within about 1e-15 of the exact binomial law, and a row does
+not depend on the kernel's size.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg.blas import dtbsv as _tbsv
 
 from .grid import TimeGrid
 from .rng import substream
@@ -322,31 +331,79 @@ def check_time_point_bound(
 # Exact count chains
 # ---------------------------------------------------------------------------
 
+# A kernel row stops once its dropped mass is provably below this.
+_KERNEL_TAIL = 2.0**-60
+
 
 def binomial_transition_matrix(max_count: int, survive_prob: float) -> np.ndarray:
     """Matrix T[j, k] = P(Binomial(j, survive_prob) = k), j,k <= max_count.
 
-    Built by Pascal rows: Bin(j) = Bin(j-1) + Bernoulli(p), so row j is
-    ``q * row[j-1]`` plus ``p * row[j-1]`` shifted one place right, with
-    q = 1 - p.  Entries are sums of nonnegative products, exact at p = 0
-    and p = 1, and row j does not depend on ``max_count``.  Below p = 1/2
-    the float q can differ from 1 - p in its last bit; entry (j, k)
-    carries that bias as a factor (q/(1-p))^(j-k), which is divided out
-    at the end so that entries near one stay correct when p is tiny.
+    Built along lines of the rarer outcome: line i holds the entries with
+    i deaths (k = j - i) when q = 1 - p <= 1/2, else those with i
+    survivors (k = i).  Along a line, Pascal's step
+    T[j, k] = q * T[j-1, k] + p * T[j-1, k-1] reads
+    ``y[j] = stay * y[j-1] + move * prev[j-1]``, where ``stay`` is the
+    likelier outcome's probability, ``move`` the other's and ``prev`` the
+    line before.  Line 0 is ``stay**j``; each further line is one unit
+    lower-bidiagonal solve.
+
+    From line i to line i + 1 row j changes by the ratio
+    ``r = (j - i) / (i + 1) * move / stay``, which falls with i, so once
+    r < 1 the row's exact mass beyond line i is at most ``T * r / (1 - r)``
+    for its exact entry T.  Rows stop in order, each line starting at the
+    first row still open, so row j depends on rows below it only and not
+    on ``max_count``.  A kept entry falls short of its exact value by at
+    most the largest entry dropped below it, which lies in a stopped row's
+    tail, so T is at most the kept entry plus eps = 2**-60.  A row stops
+    at the first line where ``(entry + eps) * r / (1 - r)`` is below eps
+    and is zero beyond it.  Each row thus drops at most 2**-60 of its
+    exact mass, and its kept entries are within about 1e-15 of the exact
+    binomial law; the kernel is exact at p = 0 and p = 1.
+
+    Below p = 1/2 the float q can differ from 1 - p in its last bit; entry
+    (j, k) carries that bias as a factor (q/(1-p))^(j-k), which is divided
+    out at the end so that entries near one stay correct when p is tiny.
     """
     p = float(survive_prob)
     if not 0.0 <= p <= 1.0:
         raise ValueError("survive_prob must lie in [0, 1]")
+    if max_count < 0:
+        raise ValueError("max_count must be nonnegative")
     q = 1.0 - p
-    trans = np.zeros((max_count + 1, max_count + 1))
-    trans[0, 0] = 1.0
-    for j in range(1, max_count + 1):
-        prev = trans[j - 1, :j]
-        np.multiply(prev, q, out=trans[j, :j])
-        trans[j, 1 : j + 1] += p * prev
+    size = max_count + 1
+    trans = np.zeros((size, size))
+    # Row j's entry on line i is T[j, j - i] on death lines and T[j, i] on
+    # survivor lines: flat index j * (size + 1) - i or j * size + i.
+    flat = trans.reshape(-1)
+    if q <= 0.5:
+        stay, move, step, sign = p, q, size + 1, -1
+    else:
+        stay, move, step, sign = q, p, size, 1
+    band = np.full((2, size), -stay, order="F")
+    line = np.full(size, stay)
+    line[0] = 1.0
+    np.multiply.accumulate(line, out=line)
+    flat[::step] = line
+    nxt = np.empty(size)
+    start = i = 0
+    while True:
+        # (T + 2 eps) * r < eps holds iff r < 1 and (T + eps) * r / (1 - r) < eps.
+        limit = _KERNEL_TAIL * stay * (i + 1)
+        while start < size and (line.item(start) + 2.0 * _KERNEL_TAIL) * ((start - i) * move) < limit:
+            start += 1
+        if start == size:
+            break
+        i += 1  # every row below start has stopped, so start >= i
+        np.multiply(line[start - 1 : -1], move, out=nxt[start:])
+        nxt[start - 1] = 0.0  # row start - 1 has stopped; the next line reads it
+        # Unit lower-bidiagonal solve nxt[j] - stay * nxt[j-1] = rhs[j] from
+        # row start: dtbsv(k, a, x, incx, offx, lower, trans, diag, overwrite_x).
+        _tbsv(1, band[:, : size - start], nxt, 1, start, 1, 0, 1, 1)
+        flat[start * step + sign * i :: step] = nxt[start:]
+        line, nxt = nxt, line
     q_error = (1.0 - q) - p  # exact: (1 - p) - q
     if q_error:
-        log_bias = np.log1p(q_error / q) * np.arange(max_count + 1)
+        log_bias = np.log1p(q_error / q) * np.arange(size)
         trans *= np.exp(log_bias)[:, None]
         trans *= np.exp(-log_bias)[None, :]
     return trans

@@ -353,6 +353,38 @@ def test_transition_matrix_rows_do_not_depend_on_max_count(survive_prob):
     assert np.array_equal(large[:9, :9], small)
 
 
+# p = 0.5 and 0.5 + 1e-12 run on death lines, 0.5 - 1e-12 on survivor lines;
+# at max_count = 1100, 0.5**j underflows in the last rows.
+@pytest.mark.parametrize("survive_prob", [0.5, 0.5 - 1e-12, 0.5 + 1e-12, 0.61])
+def test_transition_matrix_matches_scipy_binomial_near_one_half_and_past_underflow(survive_prob):
+    trans = binomial_transition_matrix(1100, survive_prob)
+    j = np.arange(1101)[:, None]
+    reference = stats.binom.pmf(np.arange(1101)[None, :], j, survive_prob)
+    assert np.max(np.abs(trans - reference)) <= 1e-14
+    assert np.max(np.abs(trans.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.all(np.triu(trans, 1) == 0.0)
+
+
+@pytest.mark.parametrize("survive_prob", [1e-9, 0.3, 0.5, 0.61, 0.987])
+def test_transition_matrix_rows_match_exact_law_and_drop_at_most_their_tail(survive_prob):
+    mpmath = pytest.importorskip("mpmath")
+    trans = binomial_transition_matrix(512, survive_prob)
+    with mpmath.workdps(40):
+        p = mpmath.mpf(survive_prob)
+        for j in (0, 1, 256, 512):
+            exact = [mpmath.binomial(j, k) * p**k * (1 - p) ** (j - k) for k in range(j + 1)]
+            row = trans[j, : j + 1]
+            kept = row != 0.0
+            assert max(abs(float(e) - r) for e, r in zip(exact, row)) <= 2e-15
+            assert float(mpmath.fsum(e for e, keep in zip(exact, kept) if not keep)) <= 2.0**-60
+    assert np.count_nonzero(trans[512]) < 513  # the last row stops at its tail
+
+
+def test_transition_matrix_rejects_a_negative_size():
+    with pytest.raises(ValueError):
+        binomial_transition_matrix(-1, 0.5)
+
+
 # Value and consumed fractions of the scaling recursion at n = 64 on an
 # annual 40-year grid with heavy Gompertz mortality, pinned from the
 # scipy.stats kernel and the per-count Python loop that the Pascal kernel
