@@ -10,12 +10,20 @@ Cashflow streams on the lattice are *rates* with respect to the grid
 measure: the cash paid at a grid point equals ``rate * dt``.  A stream is
 represented as one array per grid point, entry ``j`` of level ``i`` being
 the rate at the node reached by ``j`` up-moves in ``i`` steps.
+
+Internally every per-node quantity is one lower-triangular array of
+``m + 1`` columns (``m`` the number of steps): row ``i`` holds level ``i``
+in its first ``i + 1`` entries and zeros after them.  Node weights,
+prices and replication run as whole-array steps on these triangles; a
+public ``Stream`` is the list of their row views (``stream_rows``), and
+``stack_stream`` turns a list back into a triangle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -78,6 +86,10 @@ class Lattice:
     under the physical measure and ``exp(rate*dt)`` under the pricing
     measure; the latter makes discounted prices a martingale node by node,
     exactly.
+
+    Node quantities are lower-triangular arrays with ``n_steps + 1``
+    columns, one row per level (see the module docstring); node weights
+    are built once per lattice and measure and then shared read-only.
     """
 
     model: MarketModel
@@ -102,17 +114,30 @@ class Lattice:
     def step_discount(self) -> float:
         return float(np.exp(-self.rate * self.grid.dt))
 
-    def node_weights(self, measure: str) -> list[np.ndarray]:
-        """Node probabilities per level under ``'P'`` or ``'Q'``."""
-        pu = {"P": self.p_up, "Q": self.q_up}[measure]
-        weights = [np.array([1.0])]
-        for _ in range(self.n_steps):
-            prev = weights[-1]
-            nxt = np.zeros(prev.size + 1)
-            nxt[:-1] += prev * (1.0 - pu)
-            nxt[1:] += prev * pu
-            weights.append(nxt)
-        return weights
+    @cached_property
+    def _weights(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def node_weights(self, measure: str) -> np.ndarray:
+        """Node probabilities under ``'P'`` or ``'Q'``: the read-only
+        ``(n_steps + 1, n_steps + 1)`` triangle, row ``i`` for level ``i``.
+
+        Pascal's recursion, level by level, is the one loop: each level
+        needs the one before it.  It runs on first use; later calls on the
+        same lattice return the same array.
+        """
+        if measure not in self._weights:
+            pu = {"P": self.p_up, "Q": self.q_up}[measure]
+            m = self.n_steps
+            weights = np.zeros((m + 1, m + 1))
+            weights[0, 0] = 1.0
+            for i in range(m):
+                prev = weights[i, : i + 1]
+                weights[i + 1, : i + 1] = prev * (1.0 - pu)
+                weights[i + 1, 1 : i + 2] += prev * pu
+            weights.flags.writeable = False
+            self._weights[measure] = weights
+        return self._weights[measure]
 
 
 def build_lattice(model: MarketModel, grid: TimeGrid) -> Lattice:
@@ -146,38 +171,51 @@ def build_lattice(model: MarketModel, grid: TimeGrid) -> Lattice:
 # ---------------------------------------------------------------------------
 
 
-def validate_stream(stream: Stream, lattice: Lattice) -> None:
-    if len(stream) != lattice.n_steps:
-        raise NonReplicableError(
-            f"stream has {len(stream)} levels, lattice has {lattice.n_steps} grid points"
-        )
-    for i, level in enumerate(stream):
-        arr = np.asarray(level, dtype=float)
-        if arr.shape != (i + 1,):
-            raise NonReplicableError(f"level {i} has shape {arr.shape}, expected ({i + 1},)")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"level {i} contains non-finite rates")
-        if np.any(arr < 0):
-            raise ValueError(f"level {i} contains negative rates")
+def stack_stream(stream: Stream) -> np.ndarray:
+    """The levels of a stream as the rows of one ``(m, m + 1)`` triangle."""
+    m = len(stream)
+    tri = np.zeros((m, m + 1))
+    if m:
+        tri[np.tri(m, m + 1, dtype=bool)] = np.concatenate(stream)
+    return tri
+
+
+def stream_rows(tri: np.ndarray) -> Stream:
+    """The per-level row views of a lower-triangular array."""
+    return [tri[i, : i + 1] for i in range(tri.shape[0])]
+
+
+def validate_stream(stream: Stream, lattice: Lattice) -> np.ndarray:
+    """Check an adapted nonnegative rate stream and return it stacked.
+
+    Shapes are checked level by level, finiteness and sign once on the
+    stacked values; the first faulty level raises, a wrong shape before
+    non-finite rates before negative ones within a level.
+    """
+    m = lattice.n_steps
+    if len(stream) != m:
+        raise NonReplicableError(f"stream has {len(stream)} levels, lattice has {m} grid points")
+    levels = [np.asarray(level, dtype=float) for level in stream]
+    shaped = next((i for i, arr in enumerate(levels) if arr.shape != (i + 1,)), m)
+    tri = stack_stream(levels[:shaped])
+    nonfinite = np.flatnonzero(~np.all(np.isfinite(tri), axis=1))
+    negative = np.flatnonzero(np.any(tri < 0, axis=1))
+    first_nonfinite = nonfinite[0] if nonfinite.size else m
+    first_negative = negative[0] if negative.size else m
+    first = min(shaped, first_nonfinite, first_negative)
+    if first == m:
+        return tri
+    if first == shaped:
+        raise NonReplicableError(f"level {first} has shape {levels[first].shape}, expected ({first + 1},)")
+    if first == first_nonfinite:
+        raise ValueError(f"level {first} contains non-finite rates")
+    raise ValueError(f"level {first} contains negative rates")
 
 
 def constant_stream(lattice: Lattice, rate: float | Sequence[float]) -> Stream:
     """Stream with a deterministic (possibly time-varying) rate."""
     rates = np.broadcast_to(np.asarray(rate, dtype=float), (lattice.n_steps,))
     return [np.full(i + 1, rates[i]) for i in range(lattice.n_steps)]
-
-
-def stream_from_function(lattice: Lattice, fn: Callable[[float, np.ndarray], np.ndarray]) -> Stream:
-    """Stream with rate ``fn(t, prices_at_level)`` at each grid point."""
-    points = lattice.grid.points
-    return [
-        np.broadcast_to(np.asarray(fn(points[i], lattice.level_prices(i)), dtype=float), (i + 1,)).copy()
-        for i in range(lattice.n_steps)
-    ]
-
-
-def add_streams(a: Stream, b: Stream) -> Stream:
-    return [x + y for x, y in zip(a, b)]
 
 
 def scale_stream(a: Stream, factor: float) -> Stream:
@@ -192,14 +230,10 @@ def q_price(cashflow: Stream, lattice: Lattice) -> float:
     ``sum_t dt * exp(-r t) * E_Q[rate_t]``.  Prices are additive over
     streams; negative rates are rejected.
     """
-    validate_stream(cashflow, lattice)
-    dt = lattice.grid.dt
-    points = lattice.grid.points
-    weights = lattice.node_weights("Q")
-    total = 0.0
-    for i in range(lattice.n_steps):
-        total += dt * np.exp(-lattice.rate * points[i]) * float(weights[i] @ np.asarray(cashflow[i], dtype=float))
-    return float(total)
+    tri = validate_stream(cashflow, lattice)
+    grid = lattice.grid
+    weights = lattice.node_weights("Q")[: grid.n_steps]
+    return float(np.sum((grid.dt * np.exp(-lattice.rate * grid.points))[:, None] * weights * tri))
 
 
 @dataclass(frozen=True)
@@ -230,27 +264,25 @@ def replicate(cashflow: Stream, lattice: Lattice) -> ReplicatingStrategy:
     branches.  Deterministic streams therefore come out all-bond, and the
     initial wealth equals ``q_price(cashflow)`` to machine precision.
     """
-    validate_stream(cashflow, lattice)
+    tri = validate_stream(cashflow, lattice)
     m = lattice.n_steps
-    dt = lattice.grid.dt
+    amounts = tri * lattice.grid.dt
     disc = lattice.step_discount()
     q = lattice.q_up
-    wealth: Stream = [np.zeros(0)] * (m + 1)
-    wealth[m] = np.zeros(m + 1)
-    fractions: Stream = [np.zeros(0)] * m
+    # One spare zero column, so both branches of every node are in range.
+    wealth = np.zeros((m + 1, m + 2))
     for i in range(m - 1, -1, -1):
-        nxt = wealth[i + 1]
-        cont = disc * (q * nxt[1:] + (1.0 - q) * nxt[:-1])
-        amounts = np.asarray(cashflow[i], dtype=float) * dt
-        wealth[i] = amounts + cont
-        post = cont
-        prices = lattice.level_prices(i)
-        spread = prices * (lattice.up - lattice.down)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shares = np.where(spread > 0, (nxt[1:] - nxt[:-1]) / np.where(spread > 0, spread, 1.0), 0.0)
-            frac = np.where(post > 0, shares * prices / np.where(post > 0, post, 1.0), 0.0)
-        fractions[i] = frac
-    return ReplicatingStrategy(lattice, [np.asarray(c, float).copy() for c in cashflow], wealth[: m + 1], fractions)
+        nxt = wealth[i + 1, : i + 2]
+        wealth[i, : i + 1] = amounts[i, : i + 1] + disc * (q * nxt[1:] + (1.0 - q) * nxt[:-1])
+    up_next, down_next = wealth[1:, 1:], wealth[1:, :-1]
+    post = np.where(np.tri(m, m + 1, dtype=bool), disc * (q * up_next + (1.0 - q) * down_next), 0.0)
+    levels, ups = np.arange(m)[:, None], np.arange(m + 1)
+    prices = lattice.model.s0[0] * lattice.up**ups * lattice.down ** np.maximum(levels - ups, 0)
+    spread = prices * (lattice.up - lattice.down)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = np.where(spread > 0, (up_next - down_next) / np.where(spread > 0, spread, 1.0), 0.0)
+        frac = np.where(post > 0, shares * prices / np.where(post > 0, post, 1.0), 0.0)
+    return ReplicatingStrategy(lattice, stream_rows(tri), stream_rows(wealth), stream_rows(frac))
 
 
 @dataclass(frozen=True)

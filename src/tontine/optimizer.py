@@ -56,6 +56,8 @@ from .market import (
     replicate,
     sample_lattice_paths,
     scale_stream,
+    stack_stream,
+    stream_rows,
 )
 from .mortality import (
     MortalityTable,
@@ -664,20 +666,18 @@ def solve_infinite(
 # ---------------------------------------------------------------------------
 
 
-def _stream_price_coefficients(lattice: Lattice, table: MortalityTable) -> Stream:
-    """Per-node cost of one unit of per-survivor rate: dt e^{-rt} pi_t w_Q."""
+def _stream_price_coefficients(lattice: Lattice, table: MortalityTable) -> np.ndarray:
+    """Per-node cost of one unit of per-survivor rate, dt e^{-rt} pi_t w_Q, as the stream triangle."""
     grid = lattice.grid
     pi = table.pi[: grid.n_steps]
-    wq = lattice.node_weights("Q")
-    disc = np.exp(-lattice.rate * grid.points)
-    return [grid.dt * disc[i] * pi[i] * wq[i] for i in range(grid.n_steps)]
+    wq = lattice.node_weights("Q")[: grid.n_steps]
+    return (grid.dt * np.exp(-lattice.rate * grid.points) * pi)[:, None] * wq
 
 
 def _replication_of(stream: Stream, lattice: Lattice, table: MortalityTable):
     """Replicate the per-person drain of a per-survivor rate stream."""
     pi = table.pi[: lattice.grid.n_steps]
-    drain = [pi[i] * np.asarray(stream[i], dtype=float) for i in range(lattice.grid.n_steps)]
-    return replicate(drain, lattice)
+    return replicate(stream_rows(pi[:, None] * stack_stream(stream)), lattice)
 
 
 def _martingale_closed_form(problem: HomogeneousProblem, alpha: float) -> ValueResult:
@@ -687,25 +687,19 @@ def _martingale_closed_form(problem: HomogeneousProblem, alpha: float) -> ValueR
     scaled to cost the budget: the exact optimum (Cox and Huang 1989).
     """
     gain = problem.gain
-    b = gain.discount
     lattice = problem.lattice()
     grid = problem.grid
     m = grid.n_steps
     pi = problem.table.pi[:m]
-    wp = lattice.node_weights("P")
-    wq = lattice.node_weights("Q")
-    power = 1.0 / (alpha - 1.0)
-    raw: Stream = []
-    for i in range(m):
-        if pi[i] <= 0:
-            raw.append(np.zeros(i + 1))
-            continue
-        with np.errstate(divide="ignore"):
-            ell = np.where(wp[i] > 0, wq[i] / np.where(wp[i] > 0, wp[i], 1.0), np.inf)
-        kernel = np.exp((b - lattice.rate) * grid.points[i]) * ell
-        raw.append(np.power(kernel, power))
-    cost = sum(c @ r for c, r in zip(_stream_price_coefficients(lattice, problem.table), raw))
-    stream = scale_stream(raw, problem.budget / cost)
+    wp = lattice.node_weights("P")[:m]
+    wq = lattice.node_weights("Q")[:m]
+    with np.errstate(divide="ignore"):
+        ell = np.where(wp > 0, wq / np.where(wp > 0, wp, 1.0), np.inf)
+    kernel = np.exp((gain.discount - lattice.rate) * grid.points)[:, None] * ell
+    live = np.tri(m, m + 1, dtype=bool) & (pi > 0)[:, None]
+    raw = np.where(live, np.power(kernel, 1.0 / (alpha - 1.0)), 0.0)
+    cost = np.sum(_stream_price_coefficients(lattice, problem.table) * raw)
+    stream = stream_rows(raw * (problem.budget / cost))
     value = vnm_value_on_lattice(gain, stream, problem.table, lattice)
     rep = _replication_of(stream, lattice, problem.table)
     return ValueResult(
@@ -784,7 +778,7 @@ def _martingale_numeric(problem: HomogeneousProblem) -> ValueResult:
         layout.append((start, start + i + 1))
         start += i + 1
     n_vars = start
-    coeffs = np.concatenate(_stream_price_coefficients(lattice, table))
+    coeffs = _stream_price_coefficients(lattice, table)[np.tri(m, m + 1, dtype=bool)]
     annuity = annuity_rate(problem)
     x0 = np.full(n_vars, annuity)
     gain = problem.gain
@@ -978,8 +972,10 @@ def transfer_infinite_to_finite(
     share = np.arange(n + 1) / n
     expected_live = chain.joint @ share
     gated_off = chain.count @ share - expected_live
-    wp = lattice.node_weights("P")
-    node_terms = np.array([wp[t] @ gain.utility(scaled[t]) for t in range(m)])
+    wp = lattice.node_weights("P")[:m]
+    # The padding above the diagonal has weight zero; 1.0 keeps its utility finite.
+    rates = np.where(np.tri(m, m + 1, dtype=bool), stack_stream(scaled), 1.0)
+    node_terms = np.sum(wp * gain.utility(rates), axis=1)
     # Survivors whose gate has closed consume nothing; leaving out the
     # steps with none keeps 0 * u(0) from turning into nan when u(0) = -inf.
     u0 = float(gain.utility(np.asarray(0.0)))

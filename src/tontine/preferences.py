@@ -37,7 +37,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .market import Lattice, Stream
+from .market import Lattice, Stream, stack_stream
 from .mortality import MortalityTable
 from .rng import substream
 
@@ -249,21 +249,20 @@ def vnm_value_on_lattice(
     gain: VnmParams, stream: Stream, table: MortalityTable, lattice: Lattice
 ) -> float:
     """Exact value of a node-adapted rate stream (death independent of market)."""
-    if np.concatenate(stream).min() < 0:
+    rates = stack_stream(stream)
+    if rates.min() < 0:
         return -np.inf
     grid = lattice.grid
-    pi = table.pi[: grid.n_steps]
+    m = grid.n_steps
+    pi = table.pi[:m]
+    weights = lattice.node_weights("P")[:m]
+    # Nodes that count: reachable (the padding has weight zero) at a time with survivors.
+    live = (weights > 0) & (pi > 0)[:, None]
+    vals = gain.utility(np.where(live, rates, 1.0))
+    if np.any(np.isneginf(vals) & live):
+        return -np.inf
     disc = np.exp(-gain.discount * grid.points)
-    weights = lattice.node_weights("P")
-    total = 0.0
-    for i in range(grid.n_steps):
-        if pi[i] == 0.0:
-            continue
-        vals = gain.utility(np.asarray(stream[i], dtype=float))
-        if np.any(np.isneginf(vals) & (weights[i] > 0)):
-            return -np.inf
-        total += disc[i] * pi[i] * float(weights[i] @ vals)
-    return float(total * grid.dt)
+    return float(np.sum(disc * pi * np.sum(weights * np.where(live, vals, 0.0), axis=1)) * grid.dt)
 
 
 def exp_km_value_of_rates(gain: ExpKmParams, rates: np.ndarray, table: MortalityTable) -> float:

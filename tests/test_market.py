@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from stream_helpers import stream_from_function
 
 from tontine.grid import TimeGrid
 from tontine.market import (
     IncompatibleStepError,
     MarketModel,
-    add_streams,
+    NonReplicableError,
     build_lattice,
     constant_stream,
     q_price,
     replicate,
     sample_lattice_paths,
-    stream_from_function,
 )
+from tontine.mortality import gompertz_makeham_table
+from tontine.optimizer import HomogeneousProblem
+from tontine.preferences import LogUtility, VnmParams
 
 
 def one_asset(rate=0.0, mu=0.0, sigma=0.2, s0=1.0):
@@ -147,7 +150,7 @@ def test_price_additivity_machine_precision():
     lat = build_lattice(one_asset(rate=0.02, mu=0.05, sigma=0.3), TimeGrid(0.5, 4.0))
     a = stream_from_function(lat, lambda t, s: 0.5 + 0.1 * s)
     b = stream_from_function(lat, lambda t, s: np.maximum(s - 1.0, 0.0))
-    lhs = q_price(add_streams(a, b), lat)
+    lhs = q_price([x + y for x, y in zip(a, b)], lat)
     rhs = q_price(a, lat) + q_price(b, lat)
     assert lhs == pytest.approx(rhs, rel=1e-14)
 
@@ -226,3 +229,85 @@ def test_non_adapted_stream_rejected():
     bad = [np.zeros(1), np.zeros(3), np.zeros(3), np.zeros(4)]
     with pytest.raises(ValueError):
         replicate(bad, lat)
+
+
+# --- validation order -------------------------------------------------------------
+
+
+def _faulty(lat, faults):
+    stream = constant_stream(lat, 1.0)
+    for level, fault in faults:
+        if fault == "shape":
+            stream[level] = np.ones(level + 2)
+        else:
+            stream[level] = stream[level].copy()
+            stream[level][-1] = {"nan": np.nan, "negative": -0.1}[fault]
+    return stream
+
+
+@pytest.mark.parametrize(
+    "faults, error, message",
+    [
+        ([(1, "nan"), (3, "shape")], ValueError, "level 1 contains non-finite rates"),
+        ([(1, "shape"), (2, "nan")], NonReplicableError, r"level 1 has shape \(3,\), expected \(2,\)"),
+        ([(1, "negative"), (3, "nan")], ValueError, "level 1 contains negative rates"),
+        ([(2, "nan"), (0, "negative")], ValueError, "level 0 contains negative rates"),
+        ([(2, "negative"), (2, "nan")], ValueError, "level 2 contains non-finite rates"),
+        ([(3, "shape"), (2, "negative")], ValueError, "level 2 contains negative rates"),
+    ],
+)
+def test_first_faulty_level_wins(faults, error, message):
+    # Two faults, given in any order: the earlier level raises, and within a
+    # level a non-finite rate is reported before a negative one.
+    lat = build_lattice(one_asset(sigma=0.2), TimeGrid(0.5, 2.0))
+    with pytest.raises(ValueError, match=message) as excinfo:
+        replicate(_faulty(lat, faults), lat)
+    assert excinfo.type is error
+
+
+# --- the node-weight triangle -------------------------------------------------------
+
+
+def q40_lattice():
+    return build_lattice(one_asset(rate=0.02, mu=0.05, sigma=0.2), TimeGrid(0.25, 40.0))
+
+
+@pytest.mark.parametrize("measure", ["P", "Q"])
+def test_node_weights_bitwise_pascal_recursion(measure):
+    lat = q40_lattice()
+    pu = {"P": lat.p_up, "Q": lat.q_up}[measure]
+    levels = [np.array([1.0])]
+    for _ in range(lat.n_steps):
+        prev = levels[-1]
+        nxt = np.zeros(prev.size + 1)
+        nxt[:-1] += prev * (1.0 - pu)
+        nxt[1:] += prev * pu
+        levels.append(nxt)
+    weights = lat.node_weights(measure)
+    assert weights.shape == (lat.n_steps + 1, lat.n_steps + 1)
+    for i, level in enumerate(levels):
+        assert np.array_equal(weights[i, : i + 1], level)
+
+
+@pytest.mark.parametrize("measure", ["P", "Q"])
+def test_node_weights_triangle_is_a_read_only_distribution(measure):
+    lat = q40_lattice()
+    weights = lat.node_weights(measure)
+    assert np.all(np.triu(weights, 1) == 0.0)
+    assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    assert lat.node_weights(measure) is weights
+    with pytest.raises(ValueError):
+        weights[1, 0] = 0.5
+
+
+def test_each_problem_lattice_has_its_own_weights():
+    grid = TimeGrid(0.25, 40.0)
+    problem = HomogeneousProblem(
+        VnmParams(LogUtility(), 0.02), gompertz_makeham_table(grid, 0.0, 0.01, 0.1), q40_lattice().model,
+        grid, 1.0, np.inf,
+    )
+    first, second = problem.lattice(), problem.lattice()
+    assert first is not second
+    weights = first.node_weights("P")
+    assert second.node_weights("P") is not weights
+    assert np.array_equal(second.node_weights("P"), weights)

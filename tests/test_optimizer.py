@@ -567,6 +567,34 @@ def test_closed_form_stream_pinned(case):
     assert sum(level.sum() for level in stream) == pytest.approx(rate_sum, rel=1e-12)
 
 
+# The closed-form route and its replication at the benchmark's settings
+# (quarterly 40-year grid, heavy mortality): value, sum of every node's
+# rate, initial wealth, first risky fraction and the sum of every node's
+# absolute risky fraction, pinned from the per-level code at commit 849c23b.
+REPLICATION_PINS = {
+    "power": (PowerUtility(-1.0), -245.1207390326567, 7958.845267911406, 1.000000000000001, 0.3794711981917759,
+              4826.873640999377),
+    "log": (LogUtility(), -42.91195721394338, 669666.9220914022, 1.000000000000001, 0.7578559547753363,
+            9639.92774474226),
+    "half": (PowerUtility(0.5), 9.154941436677174, 15324751367.9892, 1.0000000000000002, 1.5071039011921536,
+             19170.36162316419),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLICATION_PINS))
+def test_closed_form_replication_pinned(case):
+    utility, value, rate_sum, wealth, first_fraction, fraction_sum = REPLICATION_PINS[case]
+    res = solve_infinite(heavy_problem(VnmParams(utility, 0.02), 0.25, 40.0), methods=("martingale",))
+    rep = res.extras["replication"]
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert sum(level.sum() for level in res.extras["stream"]) == pytest.approx(rate_sum, rel=1e-12)
+    assert rep.wealth[0][0] == pytest.approx(wealth, rel=1e-12)
+    assert rep.risky_fraction[0][0] == pytest.approx(first_fraction, rel=1e-12)
+    assert sum(np.abs(level).sum() for level in rep.risky_fraction) == pytest.approx(fraction_sum, rel=1e-12)
+    assert [level.shape for level in rep.wealth] == [(i + 1,) for i in range(161)]
+    assert [level.shape for level in rep.risky_fraction] == [(i + 1,) for i in range(160)]
+
+
 # Value and gradient of the pricing route's objective at the annuity
 # stream, on an annual 10-year grid with heavy mortality: value, first
 # and last entries and sum of the gradient, pinned from the hand-written

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import sympy
+from stream_helpers import stream_from_function
 
 from tontine.grid import TimeGrid
-from tontine.market import MarketModel, build_lattice, constant_stream, stream_from_function
+from tontine.market import MarketModel, build_lattice, constant_stream
 from tontine.mortality import (
     explicit_table,
     gompertz_makeham_table,
@@ -141,7 +142,7 @@ def test_vnm_on_lattice_matches_scenario_enumeration():
             np.exp(-0.1 * grid.points[i])
             * pi[i]
             * grid.dt
-            * float(weights[i] @ gain.utility(stream[i]))
+            * float(weights[i, : i + 1] @ gain.utility(stream[i]))
         )
     assert value == pytest.approx(total, rel=1e-13)
 
