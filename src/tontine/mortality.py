@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg.blas import dtbsv as _tbsv
 
 from .grid import TimeGrid
@@ -148,12 +147,6 @@ def explicit_table(grid: TimeGrid, p: np.ndarray) -> MortalityTable:
     # p / total to sum to one.
     p = p / peak
     return MortalityTable(grid, p / (p.sum() * grid.dt))
-
-
-def numeric_survival_from_hazard(hazard, t: float) -> float:
-    """Quadrature oracle: survival exp(-integral of the hazard)."""
-    integral, _ = integrate.quad(hazard, 0.0, t, limit=200)
-    return float(np.exp(-integral))
 
 
 # ---------------------------------------------------------------------------

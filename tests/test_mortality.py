@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from survival_oracle import numeric_survival_from_hazard
 
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel
@@ -18,7 +19,6 @@ from tontine.mortality import (
     finite_time_points,
     gompertz_makeham_survival,
     gompertz_makeham_table,
-    numeric_survival_from_hazard,
     point_mass_table,
     simulate_death_times,
     simulate_survivor_counts,

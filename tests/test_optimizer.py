@@ -9,8 +9,8 @@ from scipy.interpolate import PchipInterpolator as ScipyPchip
 
 from tontine.grid import TimeGrid
 from tontine.fund import ConstantRateStrategy
-from tontine.market import MarketModel, build_lattice, scale_stream
-from tontine.mortality import gompertz_makeham_table, point_mass_table, uniform_table
+from tontine.market import MarketModel, build_lattice, q_price, scale_stream
+from tontine.mortality import explicit_table, gompertz_makeham_table, point_mass_table, uniform_table
 from tontine.optimizer import (
     annuity_value_for_budget,
     HomogeneousProblem,
@@ -21,6 +21,7 @@ from tontine.optimizer import (
     _expkm_value_and_grad,
     _ez_value_and_grad,
     _pchip_slopes,
+    _stream_price_coefficients,
     _solve_scaling,
     allocation_bounds,
     best_power_growth,
@@ -621,6 +622,108 @@ def test_pricing_objective_gradient_pinned(case):
     assert grad[0] == pytest.approx(first, rel=1e-12)
     assert grad[-1] == pytest.approx(last, rel=1e-12)
     assert grad.sum() == pytest.approx(total, rel=1e-12)
+
+
+# The numeric pricing route, solved from its first-order conditions, on
+# annual grids in the benchmark's market.  The EZ A10 value and the ExpKm
+# A10 floor are pinned from SLSQP solves of the same problems (SLSQP
+# stopped short of convergence on ExpKm).
+PRICING_ROUTE_CASES = {
+    "ez-a10-heavy": (EZ_SHORT, 10.0, "heavy"),
+    "expkm-a10-heavy": (ExpKmParams(ExponentialUtility(1.0)), 10.0, "heavy"),
+    "expkm-a20-light": (ExpKmParams(ExponentialUtility(1.0)), 20.0, "light"),
+    "ez-a20-heavy": (EZ_SHORT, 20.0, "heavy"),
+    "ez-a20-light": (EZ_SHORT, 20.0, "light"),
+    "ez-a40-heavy": (EZ_SHORT, 40.0, "heavy"),
+}
+
+
+def pricing_problem(gain, horizon, mortality):
+    problem = heavy_problem(gain, 1.0, horizon)
+    if mortality == "light":
+        problem = dataclasses.replace(problem, table=gompertz_makeham_table(problem.grid, 5e-4, 7e-5, 0.1))
+    return problem
+
+
+def pricing_value_and_grad(problem, stream):
+    sizes = np.array([level.size for level in stream])
+    stops = np.cumsum(sizes)
+    layout = list(zip(stops - sizes, stops))
+    value_and_grad = _ez_value_and_grad if isinstance(problem.gain, EzParams) else _expkm_value_and_grad
+    return value_and_grad(problem.gain, np.concatenate(stream), layout, problem.table, problem.lattice())
+
+
+def kkt_residual(problem, stream):
+    """Largest violation of dJ/dc = nu price: |ratio - 1| on free nodes, ratio - 1 on floored ones.
+
+    Nodes of zero price (nobody alive) are left out.
+    """
+    m = problem.grid.n_steps
+    x = np.concatenate(stream)
+    _, grad = pricing_value_and_grad(problem, stream)
+    price = _stream_price_coefficients(problem.lattice(), problem.table)[np.tri(m, m + 1, dtype=bool)]
+    live = price > 0
+    x, grad, price = x[live], grad[live], price[live]
+    gap = grad / ((x @ grad) / problem.budget * price) - 1.0
+    floored = x <= 1e-10 * annuity_rate(problem)
+    return max(np.max(np.abs(gap[~floored]), initial=0.0), np.max(gap[floored], initial=0.0))
+
+
+def assert_priced_to_budget(problem, res):
+    pi = problem.table.pi[: problem.grid.n_steps]
+    stream = res.extras["stream"]
+    price = q_price([pi[i] * level for i, level in enumerate(stream)], problem.lattice())
+    assert price == pytest.approx(problem.budget, rel=1e-12)
+    assert res.extras["replication"].initial_budget == pytest.approx(problem.budget, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(PRICING_ROUTE_CASES))
+def test_numeric_pricing_route_meets_first_order_conditions(case):
+    gain, horizon, mortality = PRICING_ROUTE_CASES[case]
+    problem = pricing_problem(gain, horizon, mortality)
+    res = solve_infinite(problem, methods=("martingale",))
+    assert res.extras["converged"] is True
+    assert kkt_residual(problem, res.extras["stream"]) <= 1e-10
+    assert_priced_to_budget(problem, res)
+    assert pricing_value_and_grad(problem, res.extras["stream"])[0] == res.value
+    if isinstance(gain, EzParams):
+        direct = ez_utility_discrete(gain, res.extras["stream"], problem.table, problem.lattice())
+        assert direct == pytest.approx(res.value, rel=1e-10)
+    if case == "ez-a10-heavy":
+        assert res.value == pytest.approx(-117.96728449041498, rel=1e-10)
+    if case == "expkm-a10-heavy":
+        assert res.value >= -5742.918977490961 * (1.0 + 1e-12)
+
+
+def test_numeric_pricing_route_rejects_steps_outside_the_ez_domain():
+    # Under light mortality at A40 the ascent runs into the explicit EZ
+    # step's domain edge (a node value reaching zero).  The trial steps
+    # that cross it are rejected without a RuntimeWarning, and the stream
+    # returned is still priced to the budget and re-evaluates to its value.
+    problem = pricing_problem(EZ_SHORT, 40.0, "light")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_infinite(problem, methods=("martingale",))
+    assert math.isfinite(res.value)
+    assert res.value >= annuity_value(problem)
+    assert_priced_to_budget(problem, res)
+    direct = ez_utility_discrete(EZ_SHORT, res.extras["stream"], problem.table, problem.lattice())
+    assert direct == pytest.approx(res.value, rel=1e-10)
+
+
+@pytest.mark.parametrize("gain", [EZ_SHORT, ExpKmParams(ExponentialUtility(1.0))], ids=["ez", "expkm"])
+def test_numeric_pricing_route_keeps_rates_where_nobody_is_alive(gain):
+    # Death is certain by mid-horizon, so the later nodes cost nothing and
+    # carry no gain; they keep the starting annuity rate.
+    grid = TimeGrid(0.25, 2.0)
+    table = explicit_table(grid, np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+    problem = dataclasses.replace(heavy_problem(gain, 0.25, 2.0), table=table)
+    res = solve_infinite(problem, methods=("martingale",))
+    assert res.extras["converged"] is True
+    assert kkt_residual(problem, res.extras["stream"]) <= 1e-10
+    for level in res.extras["stream"][4:]:
+        assert np.all(level == annuity_rate(problem))
+    assert_priced_to_budget(problem, res)
 
 
 def pchip_rows(x):
