@@ -103,24 +103,30 @@ class BsdeSolution:
         return self.initial / self.driver.params.risk
 
 
-def _implicit_node_solve(driver, t, consumption, expected, dt, tol=1e-12, max_iter=50):
+# Relative stopping tolerance and iteration cap of the implicit node solve.
+_NODE_TOL = 1e-12
+_NODE_MAX_ITER = 50
+
+
+def _implicit_node_solve(driver, t, consumption, expected, dt):
     """Solve v = expected + F(t, c, v) * dt by fixed-point iteration.
 
     The last axis of ``expected`` runs over lattice nodes; any leading axes
     index separate states, and ``consumption`` broadcasts against it.  Each
-    state iterates until its own test ``max|v_new - v| <= tol *
+    state iterates until its own test ``max|v_new - v| <= _NODE_TOL *
     max|expected|`` over its nodes passes and is then frozen, so its answer
     does not depend on the states solved with it.  Returns the solution and
-    the largest iteration count.
+    the largest iteration count; raises ``StepTooCoarseError`` if some state
+    has not passed after ``_NODE_MAX_ITER`` iterations.
     """
     expected = np.asarray(expected, dtype=float)
     shape = expected.shape
     rows = expected.reshape(-1, shape[-1] if shape else 1)
     rates = np.broadcast_to(np.asarray(consumption, dtype=float), shape).reshape(rows.shape)
     v = rows.copy()
-    threshold = tol * np.maximum(np.max(np.abs(rows), axis=1), 1e-30)
+    threshold = _NODE_TOL * np.maximum(np.max(np.abs(rows), axis=1), 1e-30)
     live = np.arange(rows.shape[0])
-    for k in range(max_iter):
+    for k in range(_NODE_MAX_ITER):
         nxt = np.maximum(rows[live] + driver(t, rates[live], v[live]) * dt, 0.0)
         done = np.max(np.abs(nxt - v[live]), axis=1) <= threshold[live]
         v[live] = nxt
@@ -223,7 +229,7 @@ def solve_transfer_pair(
     n: int,
     table: MortalityTable,
     lattice: Lattice,
-    window_end: float | None = None,
+    window_end: float,
 ) -> TransferSolutions:
     """Solve the equation for ``lam*stream`` and its gated finite-``n`` version.
 
@@ -235,8 +241,7 @@ def solve_transfer_pair(
     survivor kernel mixes the counts, one lattice expectation covers the
     whole array, and one implicit solve iterates each (gate, count) state
     to its own stopping test.  Also returns the probability that the bound
-    fails by ``window_end`` (default: the last grid point), computed from
-    the exact count chain.
+    fails by ``window_end``, computed from the exact count chain.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
@@ -270,8 +275,7 @@ def solve_transfer_pair(
     finite_v0 = float(values[1, n - 1, 0])  # the gate is open at the start
 
     chain = bound_chain(n, table, lam)
-    end = points[-1] if window_end is None else window_end
-    idx = int(np.searchsorted(points, end + 1e-12) - 1)
+    idx = int(np.searchsorted(points, window_end + 1e-12) - 1)
     # The chain's mass sums to one only to rounding; a probability is kept in [0, 1].
     prob_fail = max(0.0, 1.0 - chain.prob_bound_holds(max(idx, 0)))
     return TransferSolutions(

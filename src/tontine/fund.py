@@ -5,7 +5,7 @@ withdraw cash at the policy's per-survivor rate (times the grid step);
 the remainder compounds over the step at the portfolio gross return
 implied by the risky allocation fraction.  Finite pools drain by the
 realized survivor count, infinite pools by the deterministic survival
-fraction, and heterogeneous infinite pools by the type-weighted mix.
+fraction.
 
 Trajectories are never rejected: a violation of the nonnegativity
 constraints is flagged (first offending grid point recorded) so that
@@ -18,7 +18,7 @@ pool evolves through it too, with the gated survivor count as its drain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -40,20 +40,6 @@ class Strategy(Protocol):
     def consumption_rate(self, t_idx: int, alive, wealth, node=None): ...
 
     def risky_fraction(self, t_idx: int, alive, wealth, node=None): ...
-
-
-@dataclass(frozen=True)
-class ConstantRateStrategy:
-    """Constant per-survivor consumption rate with a fixed risky fraction."""
-
-    rate: float
-    fraction: float = 0.0
-
-    def consumption_rate(self, t_idx, alive, wealth, node=None):
-        return np.broadcast_to(self.rate, np.shape(wealth)).copy() if np.ndim(wealth) else self.rate
-
-    def risky_fraction(self, t_idx, alive, wealth, node=None):
-        return np.broadcast_to(self.fraction, np.shape(wealth)).copy() if np.ndim(wealth) else self.fraction
 
 
 @dataclass(frozen=True)
@@ -116,9 +102,6 @@ class FundTrajectory:
     rate: np.ndarray  # (..., m)
     admissible: np.ndarray  # (...,) bool
     first_violation: np.ndarray  # (...,) int, -1 if none
-
-    def total_consumption(self) -> np.ndarray:
-        return np.sum(self.alive * self.rate, axis=-1) * self.grid.dt
 
 
 def _evolve(
@@ -192,77 +175,3 @@ def evolve_infinite(
     m = paths.grid.n_steps
     pi = np.broadcast_to(table.pi[:m], paths.risky_gross.shape[:-1] + (m,))
     return _evolve(strategy, paths, pi, np.asarray(budget_per_person, dtype=float))
-
-
-def evolve_heterogeneous(
-    consumptions: Sequence[np.ndarray],
-    weights: Sequence[float],
-    budgets: Sequence[float],
-    tables: Sequence[MortalityTable],
-    paths: PathBundle,
-    allocation: np.ndarray | float | Callable = 0.0,
-) -> FundTrajectory:
-    """Per-person evolution of an infinite heterogeneous pool.
-
-    Each type consumes its own deterministic (or node-adapted) rate
-    stream; the per-person drain at ``t`` is the weight- and
-    survival-weighted sum over the types.  A single fund-level allocation
-    applies.
-
-    Args:
-        consumptions: one rate stream per type, each an array of shape
-            (m,) or a list of per-node arrays.
-        weights: population weights, summing to one.
-        budgets: per-type per-person budgets.
-    """
-    m = paths.grid.n_steps
-    w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-9 or np.any(w <= 0):
-        raise ValueError("weights must be positive and sum to one")
-    if not (len(consumptions) == len(budgets) == len(tables) == w.size):
-        raise ValueError("types, weights, budgets, tables must align")
-
-    batch = paths.risky_gross.shape[:-1]
-
-    def type_rate(stream, t):
-        if isinstance(stream, list):
-            if paths.node_idx is None:
-                raise ValueError("node-adapted streams need lattice paths")
-            return np.asarray(stream[t])[paths.node_idx[..., t]]
-        return np.broadcast_to(np.asarray(stream, dtype=float)[t], batch)
-
-    drain_rate = np.zeros(batch + (m,))
-    for stream, weight, table in zip(consumptions, w, tables):
-        pi = table.pi[:m]
-        for t in range(m):
-            drain_rate[..., t] += weight * pi[t] * type_rate(stream, t)
-
-    class _Mixed:
-        def consumption_rate(self, t_idx, alive, wealth, node=None):
-            return drain_rate[..., t_idx]
-
-        def risky_fraction(self, t_idx, alive, wealth, node=None):
-            if callable(allocation):
-                return allocation(t_idx, wealth)
-            arr = np.asarray(allocation, dtype=float)
-            return arr[t_idx] if arr.ndim else arr
-
-    initial = float(np.dot(w, np.asarray(budgets, dtype=float)))
-    ones = np.ones(batch + (m,))
-    return _evolve(_Mixed(), paths, ones, np.asarray(initial))
-
-
-def equal_split(consumptions: np.ndarray, death_times: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Assign the survivor mean to every survivor; the dead receive zero.
-
-    Total consumption at each grid point is preserved whenever someone is
-    alive to receive it.
-    """
-    consumptions = np.asarray(consumptions, dtype=float)
-    death_times = np.asarray(death_times, dtype=float)
-    alive = grid.points[None, :] <= death_times[:, None] + 1e-12
-    totals = consumptions.sum(axis=0)
-    counts = alive.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
-    return np.where(alive, mean[None, :], 0.0)

@@ -50,10 +50,3 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """Grid points plus the terminal time."""
         return np.arange(self.n_steps + 1) * self.dt
-
-    def index_of(self, t: float) -> int:
-        """Index of grid point ``t``; rejects off-grid times."""
-        idx = round(t / self.dt)
-        if idx < 0 or idx >= self.n_steps or abs(idx * self.dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"{t} is not a grid point of {self}")
-        return int(idx)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -106,10 +105,6 @@ class Lattice:
     @property
     def rate(self) -> float:
         return self.model.rate
-
-    def level_prices(self, i: int) -> np.ndarray:
-        j = np.arange(i + 1)
-        return self.model.s0[0] * self.up**j * self.down ** (i - j)
 
     def step_discount(self) -> float:
         return float(np.exp(-self.rate * self.grid.dt))
@@ -210,12 +205,6 @@ def validate_stream(stream: Stream, lattice: Lattice) -> np.ndarray:
     if first == first_nonfinite:
         raise ValueError(f"level {first} contains non-finite rates")
     raise ValueError(f"level {first} contains negative rates")
-
-
-def constant_stream(lattice: Lattice, rate: float | Sequence[float]) -> Stream:
-    """Stream with a deterministic (possibly time-varying) rate."""
-    rates = np.broadcast_to(np.asarray(rate, dtype=float), (lattice.n_steps,))
-    return [np.full(i + 1, rates[i]) for i in range(lattice.n_steps)]
 
 
 def scale_stream(a: Stream, factor: float) -> Stream:

@@ -56,11 +56,6 @@ class MortalityTable:
         object.__setattr__(self, "p", p)
 
     @property
-    def cdf(self) -> np.ndarray:
-        """F(t) = P(death time < t) at each grid point."""
-        return np.concatenate([[0.0], np.cumsum(self.p[:-1]) * self.grid.dt])
-
-    @property
     def pi(self) -> np.ndarray:
         """Survival fraction P(death time >= t) at grid points and horizon."""
         mass = np.cumsum(self.p) * self.grid.dt
@@ -77,13 +72,6 @@ class MortalityTable:
             s = np.where(pi[:-1] > 0, pi[1:] / np.where(pi[:-1] > 0, pi[:-1], 1.0), 0.0)
         return np.clip(s, 0.0, 1.0)
 
-    @property
-    def almost_sure_death_time(self) -> float:
-        """Earliest time by which death is certain."""
-        pi = self.pi
-        idx = np.nonzero(pi <= 0.0)[0]
-        return float(self.grid.times[idx[0]])
-
     def expected_survivors(self, n: int) -> np.ndarray:
         return n * self.pi[: self.grid.n_steps]
 
@@ -91,23 +79,6 @@ class MortalityTable:
 # ---------------------------------------------------------------------------
 # Table constructors
 # ---------------------------------------------------------------------------
-
-
-def uniform_table(grid: TimeGrid) -> MortalityTable:
-    """Death time uniform over the grid points."""
-    return MortalityTable(grid, np.full(grid.n_steps, 1.0 / grid.horizon))
-
-
-def point_mass_table(grid: TimeGrid, at: float | None = None) -> MortalityTable:
-    """All deaths at a single grid point (default: the last one).
-
-    With the mass at the last grid point nobody dies early, which is the
-    no-early-mortality benchmark.
-    """
-    idx = grid.n_steps - 1 if at is None else grid.index_of(at)
-    p = np.zeros(grid.n_steps)
-    p[idx] = 1.0 / grid.dt
-    return MortalityTable(grid, p)
 
 
 def gompertz_makeham_survival(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
@@ -135,40 +106,9 @@ def gompertz_makeham_table(grid: TimeGrid, a: float, b: float, c: float) -> Mort
     return MortalityTable(grid, p)
 
 
-def explicit_table(grid: TimeGrid, p: np.ndarray) -> MortalityTable:
-    """Table from explicit masses, renormalized so death is certain by T."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("death masses must be nonnegative")
-    peak = p.max(initial=0.0)
-    if peak <= 0:
-        raise ValueError("death masses must have positive total")
-    # Scale to a unit peak first: subnormal masses carry too few bits for
-    # p / total to sum to one.
-    p = p / peak
-    return MortalityTable(grid, p / (p.sum() * grid.dt))
-
-
 # ---------------------------------------------------------------------------
 # Survivor simulation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurvivorPath:
-    """One realized survivor-count path; counts are nonincreasing."""
-
-    n0: int
-    counts: np.ndarray
-    seed: int
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts[0] != self.n0:
-            raise ValueError("path must start at the initial count")
-        if np.any(np.diff(counts) > 0) or np.any(counts < 0):
-            raise ValueError("survivor counts must be nonincreasing and nonnegative")
-        object.__setattr__(self, "counts", counts)
 
 
 def simulate_survivor_counts(
@@ -187,29 +127,8 @@ def simulate_survivor_counts(
     return counts
 
 
-def simulate_survivors(n: int, table: MortalityTable, seed: int) -> SurvivorPath:
-    """Simulate one survivor-count path by exact binomial thinning."""
-    counts = simulate_survivor_counts(n, table, 1, seed)[0]
-    return SurvivorPath(n, counts, int(seed))
-
-
-def simulate_death_times(n: int, table: MortalityTable, seed: int, label: str = "deaths") -> np.ndarray:
-    """Death times of ``n`` individual lives (each on a grid point)."""
-    gen = substream(seed, label)
-    u = gen.random(n)
-    cdf_incl = np.cumsum(table.p) * table.grid.dt  # P(tau <= t), inclusive
-    idx = np.searchsorted(cdf_incl, u, side="left")
-    idx = np.minimum(idx, table.grid.n_steps - 1)
-    return table.grid.points[idx]
-
-
-def counts_from_death_times(taus: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Survivor counts n_t = #{i : tau_i >= t} on the grid points."""
-    return np.array([(taus >= t - 1e-12).sum() for t in grid.points], dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
-# Survivor-bound event and its finite anchor set
+# Survivor bound
 # ---------------------------------------------------------------------------
 
 
@@ -222,102 +141,6 @@ def survivor_bound(n: int, table: MortalityTable, lam: float) -> np.ndarray:
     if not (0.0 < lam <= 1.0):
         raise ValueError("lam must lie in (0, 1]")
     return np.floor(table.expected_survivors(n) / lam + 1e-9).astype(int)
-
-
-def survivor_bound_event(
-    path: SurvivorPath, table: MortalityTable, lam: float, up_to: float | None = None
-) -> bool:
-    """True iff the count never exceeds ``1/lam`` times its mean up to ``up_to``."""
-    bound = survivor_bound(path.n0, table, lam)
-    points = table.grid.points
-    limit = points[-1] if up_to is None else up_to
-    mask = points <= limit + 1e-12
-    return bool(np.all(path.counts[mask] <= bound[mask]))
-
-
-def finite_time_points(table: MortalityTable, t0: float, eps: float) -> np.ndarray:
-    """Anchor times whose pointwise survivor bounds control the whole interval.
-
-    Starting from ``t0`` and walking toward zero, each anchor is the
-    earliest grid point whose expected survivor count is within a factor
-    ``1/(1-eps)`` of the previous anchor's.  If no grid point strictly
-    below satisfies that (more than an ``eps`` fraction dies in one step),
-    the immediately preceding grid point is used so the sequence still
-    descends; when that happens on the first step, ``t0`` itself is kept
-    in the set so the interval stays covered.  The result is a finite
-    decreasing sequence ending at 0.
-    """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    if t0 < 0 or t0 >= table.almost_sure_death_time - 1e-12:
-        raise ValueError("t0 must lie in [0, T*) where T* is the almost-sure death time")
-    pi = table.pi[: table.grid.n_steps]
-    start = int(np.searchsorted(table.grid.points, t0 + 1e-12) - 1)
-    start = max(start, 0)
-    anchors: list[int] = []
-    prev = start
-    first_step_fallback = False
-    while prev > 0:
-        target = pi[prev] / (1.0 - eps)
-        below = np.nonzero(pi[:prev] <= target * (1.0 + 1e-12))[0]
-        if below.size:
-            nxt = int(below[0])
-        else:
-            nxt = prev - 1
-            if prev == start:
-                first_step_fallback = True
-        anchors.append(nxt)
-        prev = nxt
-    if not anchors:
-        anchors = [0]
-    idx = ([start] if first_step_fallback else []) + anchors
-    return table.grid.points[np.asarray(idx, dtype=int)]
-
-
-@dataclass(frozen=True)
-class TimePointBoundReport:
-    """Monte Carlo estimates of the two sides of the anchor-set bound."""
-
-    lhs_prob: float
-    rhs_prob: float
-    lhs_se: float
-    rhs_se: float
-    anchors: np.ndarray
-    trials: int
-    violation: bool
-
-
-def check_time_point_bound(
-    n: int, table: MortalityTable, t0: float, eps: float, trials: int, seed: int
-) -> TimePointBoundReport:
-    """Compare P(uniform squared-factor bound on [0, t0]) with P(anchor bounds).
-
-    The left-hand event requires ``n_t <= (1/(1-eps))^2 E(n_t)`` at every
-    grid point up to ``t0``; the right-hand event requires
-    ``n_t <= (1/(1-eps)) E(n_t)`` at the anchor points only.  A violation
-    is reported if the left probability falls more than three combined
-    standard errors below the right one.
-    """
-    anchors = finite_time_points(table, t0, eps)
-    counts = simulate_survivor_counts(n, table, trials, seed, label="time-point-bound")
-    window = table.grid.points <= t0 + 1e-12
-    lhs_events = np.all(counts[:, window] <= survivor_bound(n, table, (1.0 - eps) ** 2)[window], axis=1)
-    anchor_idx = np.array([table.grid.index_of(t) for t in anchors])
-    rhs_events = np.all(counts[:, anchor_idx] <= survivor_bound(n, table, 1.0 - eps)[anchor_idx], axis=1)
-    lhs = float(lhs_events.mean())
-    rhs = float(rhs_events.mean())
-    lhs_se = float(np.sqrt(max(lhs * (1 - lhs), 1e-300) / trials))
-    rhs_se = float(np.sqrt(max(rhs * (1 - rhs), 1e-300) / trials))
-    combined = float(np.hypot(lhs_se, rhs_se))
-    return TimePointBoundReport(
-        lhs_prob=lhs,
-        rhs_prob=rhs,
-        lhs_se=lhs_se,
-        rhs_se=rhs_se,
-        anchors=anchors,
-        trials=trials,
-        violation=bool(lhs < rhs - 3.0 * combined),
-    )
 
 
 # ---------------------------------------------------------------------------

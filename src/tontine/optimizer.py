@@ -133,16 +133,17 @@ class ValueResult:
 # ---------------------------------------------------------------------------
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 48  # golden-section iterations per line search
 
 
 def golden_max_vec(
-    fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, iters: int = 48
+    fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized golden-section maximization with per-point brackets.
 
     Each iteration keeps the surviving interior point and its value, so
-    ``fn`` is called ``iters + 2`` times: two opening probes, one per
-    later iteration and one at the returned midpoint.
+    ``fn`` is called ``_GOLDEN_ITERS + 2`` times: two opening probes, one
+    per later iteration and one at the returned midpoint.
     """
     a = np.array(lo, dtype=float, copy=True)
     b = np.array(hi, dtype=float, copy=True)
@@ -150,11 +151,11 @@ def golden_max_vec(
     x2 = a + _INVPHI * (b - a)
     f1 = fn(x1)
     f2 = fn(x2)
-    for i in range(iters):
+    for i in range(_GOLDEN_ITERS):
         move_up = f1 < f2
         a = np.where(move_up, x1, a)
         b = np.where(move_up, b, x2)
-        if i == iters - 1:
+        if i == _GOLDEN_ITERS - 1:
             break
         # Moving up, the old x2 becomes x1 and a new x2 is probed; moving
         # down, the old x1 becomes x2 and a new x1 is probed.
@@ -752,15 +753,12 @@ def _ez_value_and_grad(params: EzParams, stream_flat, layout, table, lattice):
 
 
 def _marginal_utility(u, c: np.ndarray) -> np.ndarray:
-    """u'(c), by central difference for a custom utility."""
+    """u'(c) of a power, log or exponential utility."""
     if isinstance(u, ExponentialUtility):
         return np.exp(-u.rate * c)
     if isinstance(u, LogUtility):
         return 1.0 / c
-    if isinstance(u, PowerUtility):
-        return np.power(c, u.exponent - 1.0)
-    eps = 1e-7
-    return (u(c + eps) - u(c - eps)) / (2 * eps)
+    return np.power(c, u.exponent - 1.0)
 
 
 def _expkm_value_and_grad(gain: ExpKmParams, stream_flat, layout, table, lattice):
@@ -782,8 +780,7 @@ def _marginal_coordinate(gain) -> tuple[Callable, Callable]:
     node's rate, up to terms that do not depend on that rate: ``(1 - rho)
     log c`` for the recursive family, ``rate * c`` for the multiplicative
     family with exponential utility, and ``(1 - exponent) log c`` for it
-    with power utility (``log c`` for log utility, and as a neutral guess
-    for a custom one).
+    with power utility (``log c`` for log utility).
     """
     if isinstance(gain, ExpKmParams) and isinstance(gain.utility, ExponentialUtility):
         rate = gain.utility.rate
@@ -932,7 +929,7 @@ def _martingale_numeric(problem: HomogeneousProblem) -> ValueResult:
 
 
 # ---------------------------------------------------------------------------
-# Annuity benchmark and the abstract allocation problem
+# Annuity benchmark
 # ---------------------------------------------------------------------------
 
 
@@ -942,12 +939,11 @@ def annuity_rate(problem: HomogeneousProblem) -> float:
     return problem.budget / float(np.sum(pi) * problem.grid.dt)
 
 
-def annuity_value_for_budget(
-    gain: GainFunction, table: MortalityTable, grid: TimeGrid, budget: float
-) -> float:
-    """Gain of the constant rate exhausting ``budget``; budget may be zero."""
+def annuity_value_for_budget(gain: GainFunction, table: MortalityTable, budget: float) -> float:
+    """Gain of the constant rate exhausting ``budget`` on the table's grid; budget may be zero."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    grid = table.grid
     pi = table.pi[: grid.n_steps]
     rate = budget / float(np.sum(pi) * grid.dt)
     rates = np.full(grid.n_steps, rate)
@@ -962,30 +958,7 @@ def annuity_value_for_budget(
 
 def annuity_value(problem: HomogeneousProblem) -> float:
     """Gain of the best constant consumption (the defined-benefit benchmark)."""
-    return annuity_value_for_budget(problem.gain, problem.table, problem.grid, problem.budget)
-
-
-@dataclass(frozen=True)
-class MeasureProblemResult:
-    allocation: np.ndarray
-    value: float
-
-
-def solve_measure_problem(
-    mu: np.ndarray, u: Callable[[np.ndarray], np.ndarray], budget: float
-) -> MeasureProblemResult:
-    """Maximize sum(u(g) * mu) over g >= 0 with sum(g * mu) = budget.
-
-    For concave ``u`` the constant allocation budget / sum(mu) is optimal
-    by Jensen's inequality, flat (piecewise-linear) stretches included.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu < 0) or mu.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive total")
-    if budget < 0:
-        raise ValueError("infeasible: budget must be nonnegative")
-    allocation = np.full(mu.size, budget / mu.sum())
-    return MeasureProblemResult(allocation=allocation, value=float(np.sum(u(allocation) * mu)))
+    return annuity_value_for_budget(problem.gain, problem.table, problem.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -1111,25 +1084,8 @@ def transfer_infinite_to_finite(
 
 
 # ---------------------------------------------------------------------------
-# Convergence study and policy re-simulation
+# Policy re-simulation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    value: float
-    gap_to_infinite: float
-
-
-def convergence_study(problem: HomogeneousProblem, sizes: Sequence[int]) -> tuple[list[ConvergenceRow], float]:
-    """Finite-pool values across sizes plus the infinite-pool value."""
-    inf_value = solve_infinite(problem).value
-    rows = []
-    for n in sizes:
-        res = solve_finite_dp(problem.with_n(int(n)))
-        rows.append(ConvergenceRow(n=int(n), value=res.value, gap_to_infinite=inf_value - res.value))
-    return rows, float(inf_value)
 
 
 def simulate_policy_value(

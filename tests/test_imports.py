@@ -1,6 +1,8 @@
-"""The package loads no optimizer or quadrature module from scipy."""
+"""The package loads no optimizer or quadrature module from scipy, and holds no uncalled code."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +45,44 @@ def test_package_and_pricing_route_load_no_scipy_optimize_or_integrate():
         check=True,
     )
     assert out.stdout.split() == []
+
+
+def _public_definitions(path: Path):
+    """Public module-level names and public methods of ``path``, each with its defining node."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if not name.startswith("_"):
+                yield name, name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name, member
+
+
+def _without_lines(text: str, node) -> str:
+    lines = text.splitlines()
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    return "\n".join(lines[: first - 1] + lines[node.end_lineno :])
+
+
+def test_every_public_name_has_a_caller_in_the_library_or_the_benchmark():
+    # A word-boundary reference outside the name's own definition, in src/
+    # or benchmarks/, counts as a caller; the tests do not count.
+    files = sorted(SRC.rglob("*.py")) + sorted((SRC.parent / "benchmarks").rglob("*.py"))
+    sources = {path: path.read_text() for path in files}
+    uncalled = []
+    for path in sorted((SRC / "tontine").glob("*.py")):
+        for qualified, name, node in _public_definitions(path):
+            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            texts = (_without_lines(text, node) if other == path else text for other, text in sources.items())
+            if not any(pattern.search(text) for text in texts):
+                uncalled.append(f"{path.stem}.{qualified}")
+    assert not uncalled, "public names with no caller in src/ or benchmarks/: " + ", ".join(uncalled)

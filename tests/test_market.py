@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from stream_helpers import stream_from_function
+from stream_helpers import constant_stream, level_prices, stream_from_function
 
 from tontine.grid import TimeGrid
 from tontine.market import (
@@ -8,7 +8,6 @@ from tontine.market import (
     MarketModel,
     NonReplicableError,
     build_lattice,
-    constant_stream,
     q_price,
     replicate,
     sample_lattice_paths,
@@ -46,7 +45,7 @@ def backward_induction_deltas(lattice, payoff_amounts_last_level):
     values = values[::-1]
     deltas = []
     for i in range(len(values) - 1):
-        s = lattice.level_prices(i)
+        s = level_prices(lattice, i)
         deltas.append((values[i + 1][1:] - values[i + 1][:-1]) / (s * (lattice.up - lattice.down)))
     return values, deltas
 
@@ -69,7 +68,7 @@ def test_node_martingale_identity_everywhere():
     lat = build_lattice(one_asset(rate=0.02, mu=0.05, sigma=0.2), TimeGrid(1.0, 5.0))
     disc = np.exp(-lat.rate * lat.grid.dt)
     for i in range(lat.n_steps):
-        s = lat.level_prices(i)
+        s = level_prices(lat, i)
         expected = disc * (lat.q_up * s * lat.up + (1 - lat.q_up) * s * lat.down)
         assert np.allclose(expected, s, rtol=0, atol=1e-14)
 
@@ -139,7 +138,7 @@ def test_call_payoff_price_matches_backward_induction_oracle():
     strike = 1.05
     m = lat.n_steps
     # Payoff paid at the last grid point, as a rate: amount / dt.
-    payoff_amount = np.maximum(lat.level_prices(m - 1) - strike, 0.0)
+    payoff_amount = np.maximum(level_prices(lat, m - 1) - strike, 0.0)
     stream = [np.zeros(i + 1) for i in range(m)]
     stream[m - 1] = payoff_amount / lat.grid.dt
     oracle = backward_induction_value(lat, payoff_amount)
@@ -187,7 +186,7 @@ def test_call_replication_matches_delta_oracle():
     lat = build_lattice(one_asset(rate=0.03, mu=0.06, sigma=0.25, s0=1.0), TimeGrid(0.25, 2.0))
     strike = 1.0
     m = lat.n_steps
-    payoff_amount = np.maximum(lat.level_prices(m - 1) - strike, 0.0)
+    payoff_amount = np.maximum(level_prices(lat, m - 1) - strike, 0.0)
     stream = [np.zeros(i + 1) for i in range(m)]
     stream[m - 1] = payoff_amount / lat.grid.dt
     strat = replicate(stream, lat)
@@ -195,7 +194,7 @@ def test_call_replication_matches_delta_oracle():
     values, deltas = backward_induction_deltas(lat, payoff_amount)
     for i in range(m - 1):
         post = strat.wealth[i] - np.asarray(stream[i]) * lat.grid.dt
-        shares = np.where(post > 0, strat.risky_fraction[i] * post / lat.level_prices(i), 0.0)
+        shares = np.where(post > 0, strat.risky_fraction[i] * post / level_prices(lat, i), 0.0)
         assert np.allclose(shares, deltas[i], atol=1e-12)
 
 
@@ -210,7 +209,7 @@ def test_replication_self_financing_and_conservation():
     for i in range(lat.n_steps):
         post = strat.wealth[i] - np.asarray(stream[i]) * dt
         assert np.all(post > -1e-12)
-        prices = lat.level_prices(i)
+        prices = level_prices(lat, i)
         risky_value = strat.risky_fraction[i] * post
         bond_value = post - risky_value
         up_val = bond_value * bond_growth + risky_value * lat.up

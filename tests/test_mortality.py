@@ -1,34 +1,38 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from survival_oracle import numeric_survival_from_hazard
+from survival_oracle import (
+    counts_from_death_times,
+    explicit_table,
+    grid_index,
+    numeric_survival_from_hazard,
+    point_mass_table,
+    simulate_death_times,
+    uniform_table,
+)
 
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel
 from tontine.mortality import (
-    BoundChain,
     MortalityTable,
-    SurvivorPath,
     binomial_transition_matrix,
     bound_chain,
-    check_time_point_bound,
-    counts_from_death_times,
-    explicit_table,
-    finite_time_points,
     gompertz_makeham_survival,
     gompertz_makeham_table,
-    point_mass_table,
-    simulate_death_times,
     simulate_survivor_counts,
-    simulate_survivors,
     survivor_bound,
-    survivor_bound_event,
-    uniform_table,
 )
 from tontine.optimizer import HomogeneousProblem, solve_finite_dp
 from tontine.preferences import LogUtility, PowerUtility, VnmParams
+
+
+def bound_gate(counts, cap):
+    """True at t while every count up to t is within the survivor bound."""
+    return np.logical_and.accumulate(np.asarray(counts) <= cap, axis=-1)
 
 
 # --- table construction --------------------------------------------------------
@@ -59,7 +63,7 @@ def test_gompertz_makeham_against_quadrature_oracle():
     # Oracle: quadrature of the hazard, independent of the closed form.
     for t in [0.5, 5.0, 12.5, 29.5]:
         oracle = numeric_survival_from_hazard(lambda s: a + b * np.exp(c * s), t)
-        assert pi[grid.index_of(t)] == pytest.approx(oracle, rel=1e-8)
+        assert pi[grid_index(grid, t)] == pytest.approx(oracle, rel=1e-8)
 
 
 def test_anchor_count_growth_law():
@@ -107,7 +111,10 @@ def test_table_invariants_on_random_masses(masses):
     assert table.p.sum() * grid.dt == pytest.approx(1.0, abs=1e-12)
     assert table.pi[0] == 1.0
     assert np.all(np.diff(table.pi) <= 1e-12)
-    assert np.all(np.diff(table.cdf) >= -1e-12)
+    # F(t) = P(death time < t) accumulates the masses before t and is 1 - pi.
+    cdf = np.concatenate([[0.0], np.cumsum(table.p[:-1]) * grid.dt])
+    assert np.all(np.diff(cdf) >= -1e-12)
+    np.testing.assert_allclose(cdf, 1.0 - table.pi[: grid.n_steps], rtol=0, atol=1e-12)
 
 
 # --- survivor simulation --------------------------------------------------------
@@ -115,30 +122,25 @@ def test_table_invariants_on_random_masses(masses):
 
 def test_no_deaths_before_point_mass():
     grid = TimeGrid(0.25, 2.0)
-    path = simulate_survivors(50, point_mass_table(grid), seed=5)
-    assert np.all(path.counts == 50)
+    counts = simulate_survivor_counts(50, point_mass_table(grid), 1, seed=5)
+    assert np.all(counts == 50)
 
 
 def test_mean_survivors_within_three_binomial_se():
     grid = TimeGrid(0.25, 1.0)
     table = uniform_table(grid)
     n = 10_000
-    path = simulate_survivors(n, table, seed=11)
+    counts = simulate_survivor_counts(n, table, 1, seed=11)[0]
     pi = table.pi[: grid.n_steps]
     se = np.sqrt(n * pi * (1 - pi))
-    assert np.all(np.abs(path.counts - n * pi) <= 3 * np.maximum(se, 1.0))
+    assert np.all(np.abs(counts - n * pi) <= 3 * np.maximum(se, 1.0))
 
 
 def test_survivor_simulation_deterministic():
     table = uniform_table(TimeGrid(0.25, 1.0))
-    a = simulate_survivors(100, table, seed=9)
-    b = simulate_survivors(100, table, seed=9)
-    assert np.array_equal(a.counts, b.counts)
-
-
-def test_survivor_path_monotone_validation():
-    with pytest.raises(ValueError):
-        SurvivorPath(5, np.array([5, 6, 3, 1]), seed=0)
+    a = simulate_survivor_counts(100, table, 1, seed=9)
+    b = simulate_survivor_counts(100, table, 1, seed=9)
+    assert np.array_equal(a, b)
 
 
 def test_death_times_consistent_with_counts():
@@ -157,17 +159,17 @@ def test_death_times_consistent_with_counts():
 def test_bound_event_trivially_true_without_mortality():
     grid = TimeGrid(0.25, 2.0)
     table = point_mass_table(grid)
-    path = simulate_survivors(30, table, seed=1)
-    assert survivor_bound_event(path, table, lam=1.0)
-    assert survivor_bound_event(path, table, lam=0.5)
+    counts = simulate_survivor_counts(30, table, 1, seed=1)
+    assert np.all(bound_gate(counts, survivor_bound(30, table, 1.0)))
+    assert np.all(bound_gate(counts, survivor_bound(30, table, 0.5)))
 
 
 def test_bound_event_false_when_count_exceeds_mean_at_lam_one():
     grid = TimeGrid(0.25, 1.0)
     table = uniform_table(grid)
     # A path where everyone survives to the second point: 10 > 10 * 0.75.
-    path = SurvivorPath(10, np.array([10, 10, 5, 2]), seed=0)
-    assert not survivor_bound_event(path, table, lam=1.0)
+    gate = bound_gate([10, 10, 5, 2], survivor_bound(10, table, 1.0))
+    assert not gate[-1]
 
 
 def test_survivor_bound_is_the_cap_of_the_event_and_the_chain():
@@ -179,12 +181,13 @@ def test_survivor_bound_is_the_cap_of_the_event_and_the_chain():
     for t in range(grid.n_steps):
         assert np.all(chain.joint[t, cap[t] + 1 :] == 0.0)
     at_cap = np.minimum(cap, 16)
-    assert survivor_bound_event(SurvivorPath(16, at_cap, seed=0), table, 0.9)
+    assert np.all(bound_gate(at_cap, cap))
     first = int(np.argmax(cap < 16))
     above = at_cap.copy()
     above[first] += 1
-    assert not survivor_bound_event(SurvivorPath(16, above, seed=0), table, 0.9)
-    assert survivor_bound_event(SurvivorPath(16, above, seed=0), table, 0.9, up_to=grid.points[first - 1])
+    gate = bound_gate(above, cap)
+    assert not gate[-1]
+    assert gate[first - 1] and not gate[first]
     for lam in (0.0, 1.5):
         with pytest.raises(ValueError):
             survivor_bound(16, table, lam)
@@ -210,6 +213,49 @@ def test_bound_probability_increases_with_n():
 # --- finite time points ----------------------------------------------------------
 
 
+def almost_sure_death_time(table):
+    """Earliest time by which death is certain."""
+    return float(table.grid.times[np.nonzero(table.pi <= 0.0)[0][0]])
+
+
+def finite_time_points(table, t0: float, eps: float) -> np.ndarray:
+    """Anchor times whose pointwise survivor bounds control the whole interval.
+
+    Starting from ``t0`` and walking toward zero, each anchor is the
+    earliest grid point whose expected survivor count is within a factor
+    ``1/(1-eps)`` of the previous anchor's.  If no grid point strictly
+    below satisfies that (more than an ``eps`` fraction dies in one step),
+    the immediately preceding grid point is used so the sequence still
+    descends; when that happens on the first step, ``t0`` itself is kept
+    in the set so the interval stays covered.  The result is a finite
+    decreasing sequence ending at 0.
+    """
+    if not (0.0 < eps < 1.0):
+        raise ValueError("eps must lie in (0, 1)")
+    if t0 < 0 or t0 >= almost_sure_death_time(table) - 1e-12:
+        raise ValueError("t0 must lie in [0, T*) where T* is the almost-sure death time")
+    pi = table.pi[: table.grid.n_steps]
+    start = max(int(np.searchsorted(table.grid.points, t0 + 1e-12) - 1), 0)
+    anchors: list[int] = []
+    prev = start
+    first_step_fallback = False
+    while prev > 0:
+        target = pi[prev] / (1.0 - eps)
+        below = np.nonzero(pi[:prev] <= target * (1.0 + 1e-12))[0]
+        if below.size:
+            nxt = int(below[0])
+        else:
+            nxt = prev - 1
+            if prev == start:
+                first_step_fallback = True
+        anchors.append(nxt)
+        prev = nxt
+    if not anchors:
+        anchors = [0]
+    idx = ([start] if first_step_fallback else []) + anchors
+    return table.grid.points[np.asarray(idx, dtype=int)]
+
+
 def test_linear_survival_anchor_points():
     # pi(t) = 1 - t on a T=1 grid: anchors {0.5, 0} for t0=0.75, eps=0.5.
     grid = TimeGrid(0.25, 1.0)
@@ -233,7 +279,7 @@ def test_anchor_recursion_recheck_forward():
     pi = table.pi[: grid.n_steps]
     seq = [0.5] + list(anchors)
     for prev_t, next_t in zip(seq, seq[1:]):
-        prev, nxt = grid.index_of(prev_t), grid.index_of(next_t)
+        prev, nxt = grid_index(grid, prev_t), grid_index(grid, next_t)
         assert nxt < prev
         target = pi[prev] / (1.0 - eps)
         # The chosen point satisfies the bound and is the earliest one to do so.
@@ -251,6 +297,40 @@ def test_t0_beyond_death_time_rejected():
 
 
 # --- the two-sided bound check ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TimePointBoundReport:
+    """Monte Carlo estimates of the two sides of the anchor-set bound."""
+
+    lhs_prob: float
+    rhs_prob: float
+    lhs_se: float
+    rhs_se: float
+    violation: bool
+
+
+def check_time_point_bound(n, table, t0: float, eps: float, trials: int, seed: int) -> TimePointBoundReport:
+    """Compare P(uniform squared-factor bound on [0, t0]) with P(anchor bounds).
+
+    The left-hand event requires ``n_t <= (1/(1-eps))^2 E(n_t)`` at every
+    grid point up to ``t0``; the right-hand event requires
+    ``n_t <= (1/(1-eps)) E(n_t)`` at the anchor points only.  A violation
+    is reported if the left probability falls more than three combined
+    standard errors below the right one.
+    """
+    anchors = finite_time_points(table, t0, eps)
+    counts = simulate_survivor_counts(n, table, trials, seed, label="time-point-bound")
+    window = table.grid.points <= t0 + 1e-12
+    lhs_events = np.all(counts[:, window] <= survivor_bound(n, table, (1.0 - eps) ** 2)[window], axis=1)
+    anchor_idx = np.array([grid_index(table.grid, t) for t in anchors])
+    rhs_events = np.all(counts[:, anchor_idx] <= survivor_bound(n, table, 1.0 - eps)[anchor_idx], axis=1)
+    lhs = float(lhs_events.mean())
+    rhs = float(rhs_events.mean())
+    lhs_se = float(np.sqrt(max(lhs * (1 - lhs), 1e-300) / trials))
+    rhs_se = float(np.sqrt(max(rhs * (1 - rhs), 1e-300) / trials))
+    violation = bool(lhs < rhs - 3.0 * float(np.hypot(lhs_se, rhs_se)))
+    return TimePointBoundReport(lhs, rhs, lhs_se, rhs_se, violation)
 
 
 def test_bound_check_trivial_without_mortality():
@@ -289,7 +369,7 @@ def test_bound_check_single_life_matches_enumeration():
         counts = np.array([count_at(tau, t) for t in grid.points])
         if np.all(counts[window] <= factor**2 * pi[window] + 1e-9):
             lhs += mass
-        aidx = [grid.index_of(t) for t in anchors]
+        aidx = [grid_index(grid, t) for t in anchors]
         if np.all(counts[aidx] <= factor * pi[aidx] + 1e-9):
             rhs += mass
     assert lhs >= rhs - 1e-12

@@ -6,17 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator as ScipyPchip
+from stream_helpers import ConstantRateStrategy
+from survival_oracle import explicit_table, point_mass_table, uniform_table
 
 from tontine.grid import TimeGrid
-from tontine.fund import ConstantRateStrategy
 from tontine.market import MarketModel, build_lattice, q_price, scale_stream
-from tontine.mortality import explicit_table, gompertz_makeham_table, point_mass_table, uniform_table
+from tontine.mortality import gompertz_makeham_table
 from tontine.optimizer import (
     annuity_value_for_budget,
     HomogeneousProblem,
     annuity_rate,
     annuity_value,
-    convergence_study,
     PchipInterpolator,
     _expkm_value_and_grad,
     _ez_value_and_grad,
@@ -29,7 +29,6 @@ from tontine.optimizer import (
     simulate_policy_value,
     solve_finite_dp,
     solve_infinite,
-    solve_measure_problem,
     transfer_infinite_to_finite,
 )
 from tontine.preferences import (
@@ -48,46 +47,6 @@ def make_problem(gain, n=math.inf, mu=0.0, rate=0.0, sigma=0.2, dt=0.25, horizon
     model = MarketModel(rate=rate, mu=(mu,), sigma=(sigma,), s0=(1.0,))
     table = table or uniform_table(grid)
     return HomogeneousProblem(gain, table, model, grid, budget, n)
-
-
-# --- measure problem ------------------------------------------------------------
-
-
-def test_measure_problem_constant_for_strictly_concave():
-    mu = np.array([0.5, 1.5, 2.0])
-    res = solve_measure_problem(mu, LogUtility(), budget=8.0)
-    assert np.allclose(res.allocation, 2.0)
-    assert res.value == pytest.approx(np.sum(np.log(2.0) * mu))
-
-
-def test_measure_problem_uniform_four_points_log():
-    res = solve_measure_problem(np.ones(4), LogUtility(), budget=4.0)
-    assert np.allclose(res.allocation, 1.0)
-    assert res.value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_measure_problem_piecewise_linear_matches_brute_force():
-    # Oracle: brute-force search over a coarse discretized simplex.
-    def u(g):
-        g = np.asarray(g, dtype=float)
-        return np.minimum(g, 0.5 + 0.5 * g)  # concave, kink at 1
-
-    mu = np.array([1.0, 2.0])
-    budget = 3.0
-    res = solve_measure_problem(mu, u, budget)
-    best = -np.inf
-    for g1 in np.linspace(0, 3, 1201):
-        g2 = (budget - g1 * mu[0]) / mu[1]
-        if g2 < 0:
-            continue
-        best = max(best, float(u(g1) * mu[0] + u(g2) * mu[1]))
-    assert res.value >= best - 1e-6
-    assert abs(np.sum(res.allocation * mu) - budget) < 1e-9
-
-
-def test_measure_problem_rejects_negative_budget():
-    with pytest.raises(ValueError):
-        solve_measure_problem(np.ones(3), LogUtility(), budget=-1.0)
 
 
 # --- single investor, no mortality, log utility -----------------------------------
@@ -223,10 +182,10 @@ def test_drift_breaks_annuity_optimality():
 def test_zero_budget_annuity_value_is_minus_inf_for_log():
     grid = TimeGrid(0.25, 1.0)
     assert np.isneginf(
-        annuity_value_for_budget(VnmParams(LogUtility()), uniform_table(grid), grid, 0.0)
+        annuity_value_for_budget(VnmParams(LogUtility()), uniform_table(grid), 0.0)
     )
     assert np.isneginf(
-        annuity_value_for_budget(VnmParams(PowerUtility(-1.0)), uniform_table(grid), grid, 0.0)
+        annuity_value_for_budget(VnmParams(PowerUtility(-1.0)), uniform_table(grid), 0.0)
     )
 
 
@@ -495,18 +454,6 @@ def test_infinite_scaling_dp_pinned(gain, value, first_fraction, fraction_sum):
     assert fractions.sum() == pytest.approx(fraction_sum, rel=1e-12)
 
 
-# The finite-pool gap closes at rate 1/n: for power utility (alpha = -1) on a
-# quarterly 40-year grid with heavy mortality, n * (V_inf - V_n) reads 158.64,
-# 163.95 and 165.79 at n = 64, 256 and 1024.  n = 1024 is past the desk cap
-# of solve_finite_dp, so the scaling solver is called directly.
-def test_finite_pool_gap_closes_at_rate_one_over_n():
-    problem = heavy_problem(VnmParams(PowerUtility(-1.0), 0.02), 0.25, 40.0)
-    v_inf = solve_infinite(problem, methods=("dp",)).value
-    scaled_gaps = [n * (v_inf - _solve_scaling(problem.with_n(n), -1.0).value) for n in (64, 256, 1024)]
-    assert np.all(np.diff(scaled_gaps) >= 0.0)
-    assert 155.0 <= scaled_gaps[0] and scaled_gaps[-1] <= 170.0
-
-
 # Finite-pool scaling DP on a quarterly 40-year grid with heavy mortality:
 # the value, and the whole consumed-fraction table from
 # ``data/scaling_dp_fractions.npz``, pinned from the pool-level recursion
@@ -533,6 +480,35 @@ def test_finite_scaling_dp_pinned(case):
     assert res.value == pytest.approx(FINITE_SCALING_PINS[case], rel=1e-13)
     assert res.strategy.consumption_fraction.shape == fractions.shape
     np.testing.assert_allclose(res.strategy.consumption_fraction, fractions, rtol=0, atol=1e-14)
+
+
+# Pool-size ordering on a quarterly 40-year grid with heavy mortality, at
+# the benchmark's pool sizes up to the scaling cap: a larger pool shares
+# mortality risk better, and no finite pool beats the infinite one.
+@pytest.mark.parametrize("family", sorted(SCALING_UTILITIES))
+def test_pool_value_nondecreasing_in_n_and_below_infinite(family):
+    problem = heavy_problem(VnmParams(SCALING_UTILITIES[family], 0.02), 0.25, 40.0)
+    v_inf = solve_infinite(problem, methods=("dp",)).value
+    values = [solve_finite_dp(problem.with_n(n)).value for n in (1, 8, 64, 512)]
+    assert np.all(np.diff(values) >= 0.0)
+    assert values[-1] <= v_inf
+
+
+# The finite-pool gap closes at rate 1/n on the same grid: n * (V_inf - V_n)
+# reads 158.64, 163.95 and 165.79 at n = 64, 256 and 1024 for power utility
+# (alpha = -1), rising, and 5.940, 5.837 and 5.753 for log utility, falling.
+# n = 1024 is past the desk cap of solve_finite_dp, so the scaling solver
+# is called directly.
+@pytest.mark.parametrize("family, alpha", [("power", -1.0), ("log", 0.0)], ids=["power", "log"])
+def test_finite_pool_gap_closes_at_rate_one_over_n(family, alpha):
+    problem = heavy_problem(VnmParams(SCALING_UTILITIES[family], 0.02), 0.25, 40.0)
+    v_inf = solve_infinite(problem, methods=("dp",)).value
+    scaled_gaps = [n * (v_inf - _solve_scaling(problem.with_n(n), alpha).value) for n in (64, 256, 1024)]
+    if family == "power":
+        assert np.all(np.diff(scaled_gaps) >= 0.0)
+        assert 155.0 <= scaled_gaps[0] and scaled_gaps[-1] <= 170.0
+    else:
+        assert all(5.5 <= gap <= 6.1 for gap in scaled_gaps)
 
 
 # Exponential utility on the wealth grid, annual 10-year grid with heavy
@@ -782,15 +758,6 @@ def test_resimulated_policy_reproduces_reported_value_infinite():
     res = solve_infinite(problem)
     est, se = simulate_policy_value(problem, res.extras["dp_strategy"], trials=40_000, seed=5)
     assert abs(est - res.value) <= 3 * se
-
-
-def test_convergence_study_monotone_rows():
-    gain = VnmParams(PowerUtility(-1.0), discount=0.0)
-    problem = make_problem(gain, mu=0.04, rate=0.01, dt=0.25, horizon=1.0)
-    rows, v_inf = convergence_study(problem, sizes=[1, 2, 4, 8])
-    gaps = [r.gap_to_infinite for r in rows]
-    assert np.all(np.diff([r.value for r in rows]) >= -1e-8)
-    assert np.all(np.asarray(gaps) >= -1e-8)
 
 
 def test_pool_size_caps():

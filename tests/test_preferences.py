@@ -3,37 +3,30 @@ import math
 import numpy as np
 import pytest
 import sympy
-from stream_helpers import stream_from_function
+from scenario_reference import exp_km_utility, vnm_utility
+from stream_helpers import constant_stream, stream_from_function
+from survival_oracle import explicit_table, point_mass_table, uniform_table
 
 from tontine.grid import TimeGrid
-from tontine.market import MarketModel, build_lattice, constant_stream
-from tontine.mortality import (
-    explicit_table,
-    gompertz_makeham_table,
-    point_mass_table,
-    uniform_table,
-)
+from tontine.market import MarketModel, build_lattice
+from tontine.mortality import gompertz_makeham_table
 from tontine.optimizer import HomogeneousProblem, solve_infinite
 from tontine.preferences import (
-    CustomUtility,
     ExpKmParams,
     ExponentialUtility,
     EzParams,
     LogUtility,
     PowerUtility,
     VnmParams,
-    check_concavity,
-    check_monotonicity,
-    exp_km_utility,
+    _ez_drift,
     exp_km_value_of_rates,
     exp_km_value_on_lattice,
-    ez_aggregator,
     ez_utility_discrete,
     ez_value_unrestricted,
-    vnm_utility,
     vnm_value_of_rates,
     vnm_value_on_lattice,
 )
+from tontine.rng import substream
 
 
 def quarter_grid():
@@ -151,11 +144,12 @@ def test_vnm_on_lattice_matches_scenario_enumeration():
 
 
 def test_exp_km_zero_utility_stub_is_minus_one():
+    # Log utility at the unit rate is zero, so every lifetime integral is zero.
     grid = quarter_grid()
-    gain = ExpKmParams(CustomUtility(lambda c: np.zeros_like(c)))
+    gain = ExpKmParams(LogUtility())
     value = exp_km_utility(
         gain,
-        np.random.default_rng(0).uniform(0.1, 3.0, (3, grid.n_steps)),
+        np.ones((3, grid.n_steps)),
         death=np.array([0.25, 0.5, 1.0]),
         weights=np.array([0.2, 0.3, 0.5]),
         grid_points=grid.points,
@@ -208,14 +202,15 @@ def test_exp_km_lattice_recursion_matches_rate_enumeration():
 
 def test_aggregator_fixed_point_is_zero():
     params = EzParams(risk=-1.5, substitution=0.4, discount=0.08, adequacy=0.7)
-    val = ez_aggregator(params, params.adequacy, params.adequacy_value)
+    val = _ez_drift(params.risk, params.substitution, params.discount, params.adequacy, params.adequacy_value)
     assert abs(val) < 1e-14
 
 
 def test_aggregator_at_zero_consumption():
     params = EzParams(risk=-1.0, substitution=0.5, discount=0.1, adequacy=2.0)
     expected = -params.discount * params.adequacy**params.risk / params.substitution
-    assert ez_aggregator(params, 0.0, params.adequacy_value) == pytest.approx(expected, rel=1e-14)
+    value = _ez_drift(params.risk, params.substitution, params.discount, 0.0, params.adequacy_value)
+    assert value == pytest.approx(expected, rel=1e-14)
 
 
 def test_aggregator_matches_symbolic_oracle():
@@ -224,16 +219,7 @@ def test_aggregator_matches_symbolic_oracle():
     a_sym, r_sym, b_sym, g_sym, v_sym = sympy.symbols("alpha rho b gamma v")
     expr = b_sym * (a_sym * v_sym / r_sym) * ((g_sym / (a_sym * v_sym) ** (1 / a_sym)) ** r_sym - 1)
     oracle = float(expr.subs({a_sym: alpha, r_sym: rho, b_sym: b, g_sym: gamma_v, v_sym: v_v}))
-    params = EzParams(risk=alpha, substitution=rho, discount=b, adequacy=1.0)
-    assert ez_aggregator(params, gamma_v, v_v) == pytest.approx(oracle, rel=1e-12)
-
-
-def test_aggregator_domain_error_for_nonnegative_value():
-    params = EzParams(risk=-1.0, substitution=0.5, discount=0.1, adequacy=1.0)
-    with pytest.raises(ValueError):
-        ez_aggregator(params, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        ez_aggregator(params, 1.0, 0.5)
+    assert _ez_drift(alpha, rho, b, gamma_v, v_v) == pytest.approx(oracle, rel=1e-12)
 
 
 # --- recursive utility -----------------------------------------------------------
@@ -321,6 +307,45 @@ def test_negative_consumption_gives_minus_inf():
 # --- functional properties --------------------------------------------------------
 
 
+def concavity_violations(evaluate, sample_stream, trials: int, seed: int, tol: float = 1e-10) -> list:
+    """Sample stream pairs and mixing weights; return the concavity violations.
+
+    ``evaluate`` maps a consumption array to a gain value; pairs where
+    either endpoint is -inf are skipped (the inequality is vacuous there).
+    """
+    gen = substream(seed, "concavity")
+    violations = []
+    for k in range(trials):
+        a = sample_stream(gen)
+        b = sample_stream(gen)
+        lam = gen.uniform(0.05, 0.95)
+        ja, jb = evaluate(a), evaluate(b)
+        if not (np.isfinite(ja) and np.isfinite(jb)):
+            continue
+        jmix = evaluate(lam * a + (1.0 - lam) * b)
+        bound = lam * ja + (1.0 - lam) * jb
+        scale = max(1.0, abs(ja), abs(jb))
+        if jmix < bound - tol * scale:
+            violations.append({"trial": k, "gap": bound - jmix, "lam": lam})
+    return violations
+
+
+def monotonicity_violations(evaluate, sample_stream, trials: int, seed: int, tol: float = 1e-10) -> list:
+    """Sample streams and nonnegative bumps; return the monotonicity violations."""
+    gen = substream(seed, "monotonicity")
+    violations = []
+    for k in range(trials):
+        a = sample_stream(gen)
+        bump = gen.uniform(0.0, 1.0, size=np.shape(a)) * gen.uniform(0.0, 0.5)
+        ja, jb = evaluate(a), evaluate(a + bump)
+        if np.isneginf(ja):
+            continue
+        scale = max(1.0, abs(ja))
+        if jb < ja - tol * scale:
+            violations.append({"trial": k, "gap": ja - jb})
+    return violations
+
+
 def test_concavity_equality_for_identical_pair():
     grid = quarter_grid()
     table = uniform_table(grid)
@@ -330,8 +355,8 @@ def test_concavity_equality_for_identical_pair():
     def evaluate(rates):
         return vnm_value_of_rates(gain, rates, table)
 
-    report = check_concavity(evaluate, lambda gen: fixed.copy(), trials=5, seed=0)
-    assert not report.violations
+    violations = concavity_violations(evaluate, lambda gen: fixed.copy(), trials=5, seed=0)
+    assert not violations
 
 
 def test_vnm_log_concavity_property():
@@ -342,10 +367,10 @@ def test_vnm_log_concavity_property():
     def evaluate(rates):
         return vnm_value_of_rates(gain, rates, table)
 
-    report = check_concavity(
+    violations = concavity_violations(
         evaluate, lambda gen: gen.uniform(0.05, 3.0, grid.n_steps), trials=1000, seed=1
     )
-    assert not report.violations
+    assert not violations
 
 
 def test_ez_concavity_property():
@@ -356,10 +381,10 @@ def test_ez_concavity_property():
     def evaluate(rates):
         return ez_utility_discrete(params, rates, table)
 
-    report = check_concavity(
+    violations = concavity_violations(
         evaluate, lambda gen: gen.uniform(0.05, 3.0, grid.n_steps), trials=1000, seed=2
     )
-    assert not report.violations
+    assert not violations
 
 
 def test_exp_km_concavity_property():
@@ -370,10 +395,10 @@ def test_exp_km_concavity_property():
     def evaluate(rates):
         return exp_km_value_of_rates(gain, rates, table)
 
-    report = check_concavity(
+    violations = concavity_violations(
         evaluate, lambda gen: gen.uniform(0.0, 3.0, grid.n_steps), trials=1000, seed=3
     )
-    assert not report.violations
+    assert not violations
 
 
 def test_monotonicity_and_non_saturation_all_families():
@@ -387,10 +412,10 @@ def test_monotonicity_and_non_saturation_all_families():
         ),
     ]
     for idx, evaluate in enumerate(evaluators):
-        report = check_monotonicity(
+        violations = monotonicity_violations(
             evaluate, lambda gen: gen.uniform(0.05, 2.0, grid.n_steps), trials=300, seed=10 + idx
         )
-        assert not report.violations
+        assert not violations
         # Non-saturation: a strictly positive bump strictly improves.
         base = np.full(grid.n_steps, 0.7)
         assert evaluate(base + 0.05) > evaluate(base)
