@@ -13,20 +13,24 @@ binomial thinning with the per-step conditional death probability
 ``(pi_t - pi_{t+dt}) / pi_t``.
 
 Exact count chains step the law of the survivor count by the binomial
-kernel ``binomial_transition_matrix``.  It is built along lines of the
-rarer outcome (deaths while a step's death probability is at most 1/2,
-survivors otherwise), one bidiagonal solve per line, and each row stops
-where a ratio bound proves its remaining exact mass below 2**-60.  Kept
-entries are within about 1e-15 of the exact binomial law, and a row does
-not depend on the kernel's size.
+kernel ``binomial_transition_matrix``.  It is built with numpy alone along
+lines of the rarer outcome (deaths while a step's death probability is at
+most 1/2, survivors otherwise).  Each line is held in units of its row
+scale ``stay**j`` and a unit of its own, so Pascal's step along a line is
+one ``np.add.accumulate`` of the line before; each row stops where a ratio
+bound proves its remaining exact mass below 2**-60.  Kept entries are
+within about 1e-15 of the exact binomial law, and a row does not depend on
+the kernel's size.  ``bound_chain`` records the mass that the survivor
+bound cuts at each step, so the probability that the bound fails keeps its
+relative accuracy when it is small.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtbsv as _tbsv
 
 from .grid import TimeGrid
 from .rng import substream
@@ -149,6 +153,16 @@ def survivor_bound(n: int, table: MortalityTable, lam: float) -> np.ndarray:
 
 # A kernel row stops once its dropped mass is provably below this.
 _KERNEL_TAIL = 2.0**-60
+# Lines are held in units that keep every stored value below 2**1024: a row
+# block's scale stay**-(j - b) stays below 2**600, a line's unit above
+# 2**-360, and one step of Pascal's rule multiplies the largest value by at
+# most the number of rows.  Kernels of up to 600 rows need no blocks.
+_SCALE_LOG = 600.0 * math.log(2.0)
+_UNIT_FLOOR = 2.0**-360
+# Lines are written into the matrix this many at a time, so the scratch
+# holds no more: at n = 2047, p = 1/2 the kernel took 75 ms when all of
+# its lines were held and copied at once, 40 ms in copies of 64.
+_CHUNK = 64
 
 
 def binomial_transition_matrix(max_count: int, survive_prob: float) -> np.ndarray:
@@ -160,8 +174,17 @@ def binomial_transition_matrix(max_count: int, survive_prob: float) -> np.ndarra
     T[j, k] = q * T[j-1, k] + p * T[j-1, k-1] reads
     ``y[j] = stay * y[j-1] + move * prev[j-1]``, where ``stay`` is the
     likelier outcome's probability, ``move`` the other's and ``prev`` the
-    line before.  Line 0 is ``stay**j``; each further line is one unit
-    lower-bidiagonal solve.
+    line before.  Each line is held in units of the row scale ``stay**j``
+    and of a unit ``u`` of its own, ``v[j] = y[j] / (stay**j * u)``.  Line
+    0 is 1 with unit 1, and line i's unit is ``ratio = move / stay`` times
+    the unit of line i - 1, so the step reads ``v[j] = v[j-1] + vprev[j-1]``
+    and each line is one ``np.add.accumulate`` of the line before.  A unit
+    that falls below 2**-360 is multiplied into its line and reset to 1.
+    Where ``stay**-j`` would pass 2**600 (p near 1/2 beyond 600 rows) the
+    rows are cut into blocks, each scaled by ``stay**(j - b)`` from its
+    first row b, and the running sum enters the next block times
+    ``stay**width``.  Lines are multiplied by their row scales and units
+    and written into the matrix 64 at a time, one copy per batch.
 
     From line i to line i + 1 row j changes by the ratio
     ``r = (j - i) / (i + 1) * move / stay``, which falls with i, so once
@@ -187,36 +210,84 @@ def binomial_transition_matrix(max_count: int, survive_prob: float) -> np.ndarra
         raise ValueError("max_count must be nonnegative")
     q = 1.0 - p
     size = max_count + 1
-    trans = np.zeros((size, size))
-    # Row j's entry on line i is T[j, j - i] on death lines and T[j, i] on
-    # survivor lines: flat index j * (size + 1) - i or j * size + i.
-    flat = trans.reshape(-1)
     if q <= 0.5:
-        stay, move, step, sign = p, q, size + 1, -1
+        stay, move, sign = p, q, -1  # death lines: row j's entry on line i is T[j, j - i]
     else:
-        stay, move, step, sign = q, p, size, 1
-    band = np.full((2, size), -stay, order="F")
-    line = np.full(size, stay)
-    line[0] = 1.0
-    np.multiply.accumulate(line, out=line)
-    flat[::step] = line
-    nxt = np.empty(size)
-    start = i = 0
+        stay, move, sign = q, p, 1  # survivor lines: T[j, i]
+    ratio = move / stay  # stay >= 1/2
+    span = -math.log(stay)
+    width = int(_SCALE_LOG / span) if span > 0.0 else size  # rows per block
+    scale = np.full(min(width, size), stay)
+    scale[0] = 1.0
+    np.multiply.accumulate(scale, out=scale)
+    trans = np.zeros((size, size))
+    trans[0, 0] = 1.0
+    step = size + 1 if sign < 0 else size  # row j >= 1 on line i sits at flat index j * step + sign * i
+
+    def write(rows: np.ndarray, first: int, units: list[float]) -> None:
+        # Lines first, first + 1, ... held in rows, into the matrix.  Rows
+        # below a line's first open row hold 0; those below the line's own
+        # index land on the matrix's upper triangle, which stays 0.  For
+        # lines below size the view stays inside trans and no two of its
+        # entries share an address.
+        rows *= scale
+        rows *= np.array(units)[:, None]
+        where = np.ndarray((len(rows), size - 1), float, trans, (step + sign * first) * 8, (sign * 8, step * 8))
+        where[...] = rows[:, 1:]
+
+    # chunk[r, j]: row j's entry on line base + r in units of its row scale
+    # and of unit[r]; rows that have stopped hold 0.
+    chunk = np.zeros((min(_CHUNK, size) + 1, size))  # a kernel has at most size lines
+    if width >= size:
+        chunk[0] = 1.0
+        block_starts: range | tuple = ()
+    else:
+        carry = stay**width
+        scale = np.resize(scale, size)
+        chunk[0] = carry ** (np.arange(size) // width)
+        block_starts = range(width, size, width)
+    row_scale = scale.tolist()
+    unit = [1.0]
+    eps2 = 2.0 * _KERNEL_TAIL
+    start = i = base = 0
     while True:
         # (T + 2 eps) * r < eps holds iff r < 1 and (T + eps) * r / (1 - r) < eps.
         limit = _KERNEL_TAIL * stay * (i + 1)
-        while start < size and (line.item(start) + 2.0 * _KERNEL_TAIL) * ((start - i) * move) < limit:
+        entry, u = chunk[i - base].item, unit[i - base]
+        while start < size and (entry(start) * row_scale[start] * u + eps2) * ((start - i) * move) < limit:
             start += 1
         if start == size:
             break
         i += 1  # every row below start has stopped, so start >= i
-        np.multiply(line[start - 1 : -1], move, out=nxt[start:])
-        nxt[start - 1] = 0.0  # row start - 1 has stopped; the next line reads it
-        # Unit lower-bidiagonal solve nxt[j] - stay * nxt[j-1] = rhs[j] from
-        # row start: dtbsv(k, a, x, incx, offx, lower, trans, diag, overwrite_x).
-        _tbsv(1, band[:, : size - start], nxt, 1, start, 1, 0, 1, 1)
-        flat[start * step + sign * i :: step] = nxt[start:]
-        line, nxt = nxt, line
+        if i - base > _CHUNK:
+            # Write out all lines but the last, which the next line reads.
+            last = chunk[_CHUNK].copy()
+            write(chunk[:_CHUNK], base, unit[:_CHUNK])
+            chunk[0] = last
+            chunk[1:] = 0.0
+            unit = unit[_CHUNK:]
+            base += _CHUNK
+        prev, cur = chunk[i - base - 1, start - 1 : -1], chunk[i - base, start:]
+        if not block_starts:
+            np.add.accumulate(prev, out=cur)
+        else:
+            cur[...] = prev
+            lo = 0  # cur[k] is row start + k
+            for b in block_starts:
+                if b >= start:
+                    k = b - start
+                    np.add.accumulate(cur[lo:k], out=cur[lo:k])
+                    # Row start - 1 has stopped, so its entry on this line is 0.
+                    cur[k] = carry * ((cur.item(k - 1) if k else 0.0) + cur.item(k))
+                    lo = k
+            np.add.accumulate(cur[lo:], out=cur[lo:])
+        u *= ratio
+        if u < _UNIT_FLOOR:
+            cur *= u
+            u = 1.0
+        unit.append(u)
+    if size > 1:
+        write(chunk[: i - base + 1], base, unit)
     q_error = (1.0 - q) - p  # exact: (1 - p) - q
     if q_error:
         log_bias = np.log1p(q_error / q) * np.arange(size)
@@ -230,31 +301,43 @@ class BoundChain:
     """Exact law of (survivor count, bound-still-holds flag) over time.
 
     ``joint[t, j]`` is P(n_t = j and the 1/lam bound held at all s <= t);
-    ``count[t, j]`` is the unconditioned P(n_t = j).
+    ``count[t, j]`` is the unconditioned P(n_t = j); ``cut[t]`` is the mass
+    that the bound removes from the joint law at step t (``cut[0] = 0``).
     """
 
     n: int
     lam: float
     joint: np.ndarray
     count: np.ndarray
+    cut: np.ndarray
 
-    def prob_bound_holds(self, up_to_idx: int) -> float:
-        return float(self.joint[up_to_idx].sum())
+    def prob_bound_fails(self, up_to_idx: int) -> float:
+        """P(the bound fails at some grid point up to ``up_to_idx``), summed from the cut masses.
+
+        Summing the small cut masses keeps their relative accuracy, which
+        ``1 - joint[t].sum()`` loses to cancellation when the bound rarely fails.
+        """
+        return float(self.cut[: up_to_idx + 1].sum())
 
 
-def bound_chain(n: int, table: MortalityTable, lam: float) -> BoundChain:
-    """Evolve the exact joint law of count and running bound flag."""
+def bound_chain(n: int, table: MortalityTable, lam: float, kernels: list[np.ndarray] | None = None) -> BoundChain:
+    """Evolve the exact joint law of count and running bound flag.
+
+    ``kernels[t]``, if given, is ``binomial_transition_matrix(n, s[t])`` for
+    each step t before the last, built by a caller that keeps them.  The
+    joint and unconditioned laws are stepped by one product per step.
+    """
     thresholds = survivor_bound(n, table, lam)
     m = table.grid.n_steps
     s = table.step_survival
-    joint = np.zeros((m, n + 1))
-    count = np.zeros((m, n + 1))
-    count[0, n] = 1.0
-    joint[0, n] = 1.0  # the bound floor(n / lam) is at least n at the start
+    laws = np.zeros((m, 2, n + 1))  # laws[t, 0] is the joint law, laws[t, 1] the count's
+    laws[0, :, n] = 1.0  # the bound floor(n / lam) is at least n at the start
+    cut = np.zeros(m)
     for t in range(m - 1):
-        trans = binomial_transition_matrix(n, s[t])
-        count[t + 1] = count[t] @ trans
-        nxt = joint[t] @ trans
-        nxt[thresholds[t + 1] + 1 :] = 0.0
-        joint[t + 1] = nxt
-    return BoundChain(n=n, lam=lam, joint=joint, count=count)
+        trans = binomial_transition_matrix(n, s[t]) if kernels is None else kernels[t]
+        nxt = laws[t] @ trans
+        above = nxt[0, thresholds[t + 1] + 1 :]
+        cut[t + 1] = above.sum()
+        above[:] = 0.0
+        laws[t + 1] = nxt
+    return BoundChain(n=n, lam=lam, joint=laws[:, 0], count=laws[:, 1], cut=cut)

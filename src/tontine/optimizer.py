@@ -109,6 +109,10 @@ class HomogeneousProblem:
             raise ValueError("per-person budget must be positive")
         if not (self.n == math.inf or (float(self.n).is_integer() and self.n >= 1)):
             raise ValueError("pool size must be a positive integer or infinity")
+        if self.table.grid != self.grid:
+            # Solvers take dt and discounting from grid and survival from
+            # table; on different grids they would mix the two silently.
+            raise ValueError(f"mortality table grid {self.table.grid} differs from the problem grid {self.grid}")
 
     def lattice(self) -> Lattice:
         return build_lattice(self.model, self.grid)
@@ -277,18 +281,24 @@ def _solve_scaling(problem: HomogeneousProblem, alpha: float) -> ValueResult:
     # arrays over the survivor counts 1..n, or scalars in the infinite pool.
     coefs = [np.zeros(n) if finite else 0.0 for _ in range(1 if alpha else 2)]
     fractions = [0.0] * m
+    # The drain's term in the utility of the per-survivor rate k F / (drain dt):
+    # drain ** (-alpha) for power, log(drain * dt) for log.  The finite pool
+    # drains at its survivor counts, the same at every step.
+    dt_term = dt ** (1.0 - alpha)
+    if finite:
+        count_term = counts ** (-alpha) if alpha else log(counts * dt)
 
     for t in range(m - 1, -1, -1):
         if finite:
             others = binomial_transition_matrix(n - 1, survival[t])
-            drain, mixed = counts, [survival[t] * (others @ v) for v in coefs]
+            drain_term, mixed = count_term, [survival[t] * (others @ v) for v in coefs]
         elif pi[t] > 0:
-            drain, mixed = pi[t], [survival[t] * v for v in coefs]
+            drain_term = pi[t] ** (-alpha) if alpha else log(pi[t] * dt)
+            mixed = [survival[t] * v for v in coefs]
         else:
             continue  # pi only falls, so these are the last steps: value and policy stay zero
         if alpha:
-            # The utility of the per-survivor rate k F / (drain dt).
-            a_coef = disc[t] * drain ** (-alpha) * dt ** (1.0 - alpha)
+            a_coef = disc[t] * drain_term * dt_term
             k, theta = _power_split(a_coef, growth * mixed[0], alpha)
             new = [theta]
         else:
@@ -298,7 +308,7 @@ def _solve_scaling(problem: HomogeneousProblem, alpha: float) -> ValueResult:
             # then stands in for log(1 - k) and the continuation term is 0.
             k = w / (w + a_next)
             cont = a_next * (log(1.0 - k + (a_next <= 0)) + growth)
-            new = [w + a_next, w * (log(k) - log(drain * dt)) + cont + c_next]
+            new = [w + a_next, w * (log(k) - drain_term) + cont + c_next]
         fractions[t], coefs = k, new
 
     # Policy columns are counts, so count 0 keeps a zero column.

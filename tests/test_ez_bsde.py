@@ -69,6 +69,15 @@ def test_transfer_pair_matches_per_count_solver(case, request):
     assert pair.prob_bound_fails == pytest.approx(p_fail, rel=1e-12, abs=0)
 
 
+def test_prob_bound_fails_matches_the_exact_value_to_rounding(quarterly10):
+    # The sum of the masses that the bound cuts from the chain keeps its
+    # relative accuracy: within 2e-15 of the 40-digit value pinned for
+    # q10-n128, where 1 - P(bound holds) from the same chain is 2.5e-13 off.
+    table, lattice, stream = quarterly10
+    pair = solve_transfer_pair(TruncatedDriver(EZ, 4.0), stream, LAM, 128, table, lattice, table.grid.points[-1])
+    assert pair.prob_bound_fails == pytest.approx(PAIR_PINS["q10-n128"][5], rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_error_bound_holds_where_the_gate_binds(annual20, n):
     table, lattice, stream = annual20

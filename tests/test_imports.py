@@ -1,4 +1,4 @@
-"""The package loads no optimizer or quadrature module from scipy, and holds no uncalled code."""
+"""The package loads no scipy module, depends on numpy alone, and holds no uncalled code."""
 
 import ast
 import os
@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -17,25 +19,22 @@ for module in pkgutil.iter_modules(tontine.__path__):
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel
 from tontine.mortality import gompertz_makeham_table
-from tontine.optimizer import HomogeneousProblem, solve_infinite
-from tontine.preferences import EzParams
+from tontine.optimizer import HomogeneousProblem, solve_finite_dp, solve_infinite
+from tontine.preferences import EzParams, PowerUtility, VnmParams
 grid = TimeGrid(0.25, 1.0)
-problem = HomogeneousProblem(
-    EzParams(risk=-2.0, substitution=0.5, discount=0.03, adequacy=0.05),
-    gompertz_makeham_table(grid, 0.0, 0.01, 0.1),
-    MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(1.0,)),
-    grid,
-    1.0,
-    math.inf,
-)
-solve_infinite(problem, methods=("martingale",))
-print(" ".join(sorted(name for name in sys.modules if name.startswith(("scipy.optimize", "scipy.integrate")))))
+table = gompertz_makeham_table(grid, 0.0, 0.01, 0.1)
+model = MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(1.0,))
+ez = EzParams(risk=-2.0, substitution=0.5, discount=0.03, adequacy=0.05)
+solve_infinite(HomogeneousProblem(ez, table, model, grid, 1.0, math.inf), methods=("martingale",))
+solve_finite_dp(HomogeneousProblem(VnmParams(PowerUtility(0.5), 0.02), table, model, grid, 1.0, 8))
+print(" ".join(sorted(name for name in sys.modules if name.startswith("scipy"))))
 """
 
 
-def test_package_and_pricing_route_load_no_scipy_optimize_or_integrate():
-    # Every module imported, and the numeric pricing route run once, in a
-    # fresh interpreter: scipy.optimize alone takes a large share of the
+def test_package_pricing_route_and_finite_pool_load_no_scipy():
+    # Every module imported, the numeric pricing route run once and a
+    # finite pool solved (which builds survivor kernels), in a fresh
+    # interpreter: importing any part of scipy adds a large share of the
     # package's start-up time.
     out = subprocess.run(
         [sys.executable, "-c", PROBE],
@@ -45,6 +44,12 @@ def test_package_and_pricing_route_load_no_scipy_optimize_or_integrate():
         check=True,
     )
     assert out.stdout.split() == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]] == ["numpy"]
 
 
 def _public_definitions(path: Path):

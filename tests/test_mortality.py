@@ -200,7 +200,7 @@ def test_bound_probability_increases_with_n():
     probs = {}
     for n in (20, 400):
         chain = bound_chain(n, table, lam)
-        probs[n] = chain.prob_bound_holds(grid.n_steps - 1)
+        probs[n] = chain.joint[grid.n_steps - 1].sum()
     assert probs[400] > probs[20]
     # Monte Carlo agrees with the exact chain within 3 standard errors.
     counts = simulate_survivor_counts(20, table, trials=40_000, seed=21, label="bound-mc")
@@ -396,7 +396,7 @@ def test_bound_chain_joint_below_marginal():
     grid = TimeGrid(0.25, 1.0)
     chain = bound_chain(12, uniform_table(grid), lam=0.7)
     assert np.all(chain.joint <= chain.count + 1e-15)
-    probs = [chain.prob_bound_holds(t) for t in range(grid.n_steps)]
+    probs = chain.joint.sum(axis=1)
     assert np.all(np.diff(probs) <= 1e-15)
 
 
@@ -458,6 +458,24 @@ def test_transition_matrix_rows_match_exact_law_and_drop_at_most_their_tail(surv
             assert max(abs(float(e) - r) for e, r in zip(exact, row)) <= 2e-15
             assert float(mpmath.fsum(e for e, keep in zip(exact, kept) if not keep)) <= 2.0**-60
     assert np.count_nonzero(trans[512]) < 513  # the last row stops at its tail
+
+
+# At 2048 rows p = 0.5 runs in row blocks (stay**-j passes 2**600 past row
+# 600), and p = 0.9 and 0.99 fold their line units back into their lines
+# (p = 0.9 overflows without it).
+@pytest.mark.parametrize("survive_prob", [0.5, 0.9, 0.99])
+def test_transition_matrix_rows_match_exact_law_past_the_scaled_range(survive_prob):
+    mpmath = pytest.importorskip("mpmath")
+    trans = binomial_transition_matrix(2048, survive_prob)
+    with mpmath.workdps(40):
+        p = mpmath.mpf(survive_prob)
+        for j in (1024, 2048):
+            exact = [mpmath.binomial(j, k) * p**k * (1 - p) ** (j - k) for k in range(j + 1)]
+            row = trans[j, : j + 1]
+            kept = row != 0.0
+            assert max(abs(float(e) - r) for e, r in zip(exact, row)) <= 2e-15
+            assert float(mpmath.fsum(e for e, keep in zip(exact, kept) if not keep)) <= 2.0**-60
+    assert np.all(np.triu(trans, 1) == 0.0)
 
 
 def test_transition_matrix_rejects_a_negative_size():

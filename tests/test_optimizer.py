@@ -49,6 +49,21 @@ def make_problem(gain, n=math.inf, mu=0.0, rate=0.0, sigma=0.2, dt=0.25, horizon
     return HomogeneousProblem(gain, table, model, grid, budget, n)
 
 
+def test_problem_rejects_a_mortality_table_on_another_grid():
+    # An annual 40-year heavy table and a quarterly 10-year grid both have 40
+    # steps.  Solved together, log utility read -7.54: dt and discounting
+    # came from the grid, survival from the table.  On the table's own grid
+    # the value is -44.25.
+    annual, quarterly = TimeGrid(1.0, 40.0), TimeGrid(0.25, 10.0)
+    table = gompertz_makeham_table(annual, 0.0, 0.01, 0.1)
+    model = MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(1.0,))
+    gain = VnmParams(LogUtility(), 0.02)
+    with pytest.raises(ValueError, match="grid"):
+        HomogeneousProblem(gain, table, model, quarterly, 1.0, math.inf)
+    own = HomogeneousProblem(gain, table, model, annual, 1.0, math.inf)
+    assert solve_infinite(own, methods=("dp",)).value == pytest.approx(-44.2487, abs=1e-4)
+
+
 # --- single investor, no mortality, log utility -----------------------------------
 
 
