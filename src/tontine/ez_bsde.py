@@ -23,11 +23,14 @@ consistent discretization of the same utility as the preference module's
 explicit scheme, and the two agree to first order in the step.
 
 The gated finite-pool version adds the survivor count and the bound flag
-to the state.  Each of its time steps solves every (gate, count, node)
-state at once: the counts are mixed by one product with the step's
-survivor kernel, the lattice x death expectation is taken once for the
-whole array, and one fixed-point solve iterates each (gate, count) state
-until its own stopping test passes.
+to the state.  While the gate is open the state is (survivor count,
+node), and each time step solves all of them at once: the counts are
+mixed by one product with the step's survivor kernel, the lattice x death
+expectation is taken once for the whole array, and one fixed-point solve
+iterates each count until its own stopping test passes.  A closed gate
+stops the stream, so it has one value per level.  The probability that
+the bound fails is stepped backward in the same sweep, through the same
+kernel, which each step builds and drops.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .market import Lattice, Stream
-from .mortality import MortalityTable, binomial_transition_matrix, bound_chain, survivor_bound
+from .mortality import MortalityTable, binomial_transition_matrix, survivor_bound
 from .preferences import EzParams, _backward_expectation, _backward_levels, _rate_levels
 
 
@@ -163,12 +166,11 @@ def solve_truncated(
             raise StepTooCoarseError(
                 f"C_m * dt = {lipschitz_constant(params, driver.level) * dt:.3f} >= 1"
             )
-    if isinstance(consumption, list):
-        if lattice is None:
-            raise ValueError("node-adapted streams require a lattice")
-    elif np.any(np.asarray(consumption) < 0):
-        raise ValueError("consumption must be nonnegative")
+    if isinstance(consumption, list) and lattice is None:
+        raise ValueError("node-adapted streams require a lattice")
     rates = _rate_levels(consumption, grid.n_steps)
+    if any(np.any(level < 0) for level in rates):
+        raise ValueError("consumption must be nonnegative")
     points = grid.points
     absorbed = [driver.absorption(t + dt) for t in points] + [driver.absorption(grid.horizon)]
     iterations = [0]
@@ -234,19 +236,23 @@ def solve_transfer_pair(
     """Solve the equation for ``lam*stream`` and its gated finite-``n`` version.
 
     The finite-pool consumption is ``lam * stream`` while the pool's
-    survivor count stays within ``1/lam`` of its mean and zero afterwards,
-    so the chain state is (market node, survivor count, bound flag); the
-    reference solution replaces the gate by 1.  Each time step solves every
-    (gate, count, node) state at once: one product with the step's
-    survivor kernel mixes the counts, one lattice expectation covers the
-    whole array, and one implicit solve iterates each (gate, count) state
-    to its own stopping test.  Also returns the probability that the bound
-    fails by ``window_end``: the sum of the masses that the bound cuts from
-    the exact count chain, which keeps its relative accuracy when the
-    probability is small.  The chain and the sweep share one kernel per step.
+    survivor count stays within ``1/lam`` of its mean and zero afterwards;
+    the reference solution replaces the gate by 1.  While the gate is open
+    the state is (survivor count, market node), and each time step solves
+    all of them at once: one product with the step's survivor kernel mixes
+    the counts, one lattice expectation covers the whole array, and one
+    implicit solve iterates each count to its own stopping test.  Once the
+    gate closes the stream pays nothing, so the driver vanishes and the
+    value depends on neither count nor node: a closed gate has one value
+    per level.  The same backward sweep steps the probability that the
+    bound fails by ``window_end`` through the same kernel, as a sum of
+    nonnegative terms that keeps its relative accuracy when it is small.
+    Each step builds its kernel, uses it and drops it.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
+    if n < 1:
+        raise ValueError("need n >= 1")
     grid = table.grid
     m = grid.n_steps
     dt = grid.dt
@@ -258,35 +264,33 @@ def solve_transfer_pair(
 
     thresholds = survivor_bound(n, table, lam)
     counts = np.arange(1, n + 1)  # survivors including oneself
-    # One kernel per step serves the chain over counts 0..n and, through its
-    # top-left n x n block, the sweep over the others' counts 0..n-1: a
-    # kernel's rows do not depend on its size.  The m kernels are kept,
-    # m (n + 1)**2 floats: 5.3 MB at n = 128 on a quarterly 10-year grid.
-    kernels = [binomial_transition_matrix(n, s[i]) for i in range(m)]
-
-    # values[g, j - 1, x]: alive with j survivors, gate g, at lattice node x.
-    values = np.full((2, n, m + 1), driver.absorption(grid.horizon))
+    pool = np.arange(n + 1)
+    window = int(np.searchsorted(points, window_end + 1e-12) - 1)
+    # values[j - 1, x]: alive with j survivors and the gate open, at lattice
+    # node x; closed: alive with the gate closed, at any count and node.
+    # fails[j]: P(the bound fails after this level and by the window | j in
+    # the pool).
+    closed = driver.absorption(grid.horizon)
+    values = np.full((n, m + 1), closed)
+    fails = np.zeros(n + 1)
     for i in range(m - 1, -1, -1):
-        # From j survivors, k of the j - 1 others survive (row j - 1, column
-        # k; zero for k >= j), leaving 1 + k.  The gate stays open only
-        # while the next count is within the bound.
-        others = kernels[i][:n, :n]
+        # Row j - 1 of the kernel's top-left n x n block: k of the j - 1
+        # others survive (zero for k >= j), leaving 1 + k.  The gate stays
+        # open only while the next count is within the bound.
+        kernel = binomial_transition_matrix(n, s[i])
+        absorbed = driver.absorption(points[i] + dt)
         within = counts <= (thresholds[i + 1] if i + 1 < m else n)
-        gated = np.stack([values[0], np.where(within[:, None], values[1], values[0])])
-        expected = _backward_expectation(
-            others @ gated, lattice.p_up, s[i], driver.absorption(points[i] + dt)
-        )
-        rates = np.stack([np.zeros(i + 1), scaled[i]])[:, None, :]
-        values, _ = _implicit_node_solve(driver, points[i], rates, expected, dt)
+        gated = np.where(within[:, None], values, closed)
+        expected = _backward_expectation(kernel[:n, :n] @ gated, lattice.p_up, s[i], absorbed)
+        values, _ = _implicit_node_solve(driver, points[i], scaled[i], expected, dt)
+        closed = _backward_expectation(closed, None, s[i], absorbed)
+        if i < window:
+            fails = kernel @ np.where(pool > thresholds[i + 1], 1.0, fails)
 
-    finite_v0 = float(values[1, n - 1, 0])  # the gate is open at the start
-
-    chain = bound_chain(n, table, lam, kernels)
-    idx = int(np.searchsorted(points, window_end + 1e-12) - 1)
     return TransferSolutions(
         tilde_v_infinite=float(inf_sol.initial),
-        tilde_v_finite=finite_v0,
-        prob_bound_fails=chain.prob_bound_fails(max(idx, 0)),
+        tilde_v_finite=float(values[n - 1, 0]),  # the gate is open at the start
+        prob_bound_fails=float(fails[n]),
     )
 
 

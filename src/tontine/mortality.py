@@ -20,9 +20,9 @@ scale ``stay**j`` and a unit of its own, so Pascal's step along a line is
 one ``np.add.accumulate`` of the line before; each row stops where a ratio
 bound proves its remaining exact mass below 2**-60.  Kept entries are
 within about 1e-15 of the exact binomial law, and a row does not depend on
-the kernel's size.  ``bound_chain`` records the mass that the survivor
-bound cuts at each step, so the probability that the bound fails keeps its
-relative accuracy when it is small.
+the kernel's size.  ``bound_chain`` steps the count's law forward by one
+kernel per step, alone and jointly with the event that the survivor bound
+has held so far.
 """
 
 from __future__ import annotations
@@ -301,43 +301,27 @@ class BoundChain:
     """Exact law of (survivor count, bound-still-holds flag) over time.
 
     ``joint[t, j]`` is P(n_t = j and the 1/lam bound held at all s <= t);
-    ``count[t, j]`` is the unconditioned P(n_t = j); ``cut[t]`` is the mass
-    that the bound removes from the joint law at step t (``cut[0] = 0``).
+    ``count[t, j]`` is the unconditioned P(n_t = j).
     """
 
     n: int
     lam: float
     joint: np.ndarray
     count: np.ndarray
-    cut: np.ndarray
-
-    def prob_bound_fails(self, up_to_idx: int) -> float:
-        """P(the bound fails at some grid point up to ``up_to_idx``), summed from the cut masses.
-
-        Summing the small cut masses keeps their relative accuracy, which
-        ``1 - joint[t].sum()`` loses to cancellation when the bound rarely fails.
-        """
-        return float(self.cut[: up_to_idx + 1].sum())
 
 
-def bound_chain(n: int, table: MortalityTable, lam: float, kernels: list[np.ndarray] | None = None) -> BoundChain:
+def bound_chain(n: int, table: MortalityTable, lam: float) -> BoundChain:
     """Evolve the exact joint law of count and running bound flag.
 
-    ``kernels[t]``, if given, is ``binomial_transition_matrix(n, s[t])`` for
-    each step t before the last, built by a caller that keeps them.  The
-    joint and unconditioned laws are stepped by one product per step.
+    The joint and unconditioned laws are stepped by one product per step
+    with that step's kernel; the joint law drops the counts above the bound.
     """
     thresholds = survivor_bound(n, table, lam)
     m = table.grid.n_steps
     s = table.step_survival
     laws = np.zeros((m, 2, n + 1))  # laws[t, 0] is the joint law, laws[t, 1] the count's
     laws[0, :, n] = 1.0  # the bound floor(n / lam) is at least n at the start
-    cut = np.zeros(m)
     for t in range(m - 1):
-        trans = binomial_transition_matrix(n, s[t]) if kernels is None else kernels[t]
-        nxt = laws[t] @ trans
-        above = nxt[0, thresholds[t + 1] + 1 :]
-        cut[t + 1] = above.sum()
-        above[:] = 0.0
-        laws[t + 1] = nxt
-    return BoundChain(n=n, lam=lam, joint=laws[:, 0], count=laws[:, 1], cut=cut)
+        laws[t + 1] = laws[t] @ binomial_transition_matrix(n, s[t])
+        laws[t + 1, 0, thresholds[t + 1] + 1 :] = 0.0
+    return BoundChain(n=n, lam=lam, joint=laws[:, 0], count=laws[:, 1])

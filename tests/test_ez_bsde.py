@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tontine.ez_bsde import (
 )
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel, build_lattice
-from tontine.mortality import gompertz_makeham_table
+from tontine.mortality import bound_chain, gompertz_makeham_table
 from tontine.optimizer import HomogeneousProblem, solve_infinite
 from tontine.preferences import EzParams, PowerUtility, VnmParams, ez_utility_discrete
 
@@ -79,6 +80,47 @@ def test_prob_bound_fails_matches_the_exact_value_to_rounding(quarterly10):
 
 
 @pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("window_end", [-1.0, 7.0, None, 20.0], ids=["before-start", "interior", "default", "horizon"])
+def test_prob_bound_fails_matches_the_forward_chain_on_every_window(annual20, n, window_end):
+    # The backward sweep against the independent forward chain; None is
+    # error_bound_check's default window T - T/10.
+    table, lattice, stream = annual20
+    if window_end is None:
+        window_end = 18.0
+        p_fail = error_bound_check(EZ, 1.0, stream, LAM, n, table, lattice).prob_bound_fails
+    else:
+        pair = solve_transfer_pair(TruncatedDriver(EZ, 1.0), stream, LAM, n, table, lattice, window_end)
+        p_fail = pair.prob_bound_fails
+    points = table.grid.points
+    if window_end < points[0]:
+        assert p_fail == 0.0
+    else:
+        idx = int(np.flatnonzero(points <= window_end)[-1])
+        assert p_fail == pytest.approx(1.0 - bound_chain(n, table, LAM).joint[idx].sum(), rel=0, abs=1e-13)
+
+
+def test_transfer_pair_keeps_at_most_four_kernels_alive(quarterly10):
+    # Each step builds its survivor kernel, uses it and drops it, so a few
+    # (n + 1)**2 arrays at most are alive at once, not one per step.
+    table, lattice, stream = quarterly10
+    n = 512
+    tracemalloc.start()
+    try:
+        solve_transfer_pair(TruncatedDriver(EZ, 4.0), stream, LAM, n, table, lattice, table.grid.points[-1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (n + 1) ** 2 * 8
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_transfer_pair_rejects_pools_below_one(annual20, n):
+    table, lattice, stream = annual20
+    with pytest.raises(ValueError, match="n >= 1"):
+        solve_transfer_pair(TruncatedDriver(EZ, 1.0), stream, LAM, n, table, lattice, table.grid.points[-1])
+
+
+@pytest.mark.parametrize("n", [8, 16])
 def test_error_bound_holds_where_the_gate_binds(annual20, n):
     table, lattice, stream = annual20
     report = error_bound_check(EZ, 1.0, stream, LAM, n, table, lattice)
@@ -94,6 +136,17 @@ def test_prob_bound_fails_is_a_probability_when_the_gate_never_closes(horizon, n
     table, lattice, stream = half_stream(0.25, horizon)
     pair = solve_transfer_pair(TruncatedDriver(EZ, 4.0), stream, LAM, n, table, lattice, table.grid.points[-1])
     assert 0.0 <= pair.prob_bound_fails <= 1.0
+
+
+@pytest.mark.parametrize("level", [1.0, math.inf])
+def test_negative_rate_in_a_node_stream_is_rejected(level):
+    table, lattice, stream = half_stream(1.0, 10.0)
+    stream = [np.array(rates, dtype=float) for rates in stream]
+    stream[3][1] = -0.01
+    with pytest.raises(ValueError, match="consumption must be nonnegative"):
+        solve_truncated(TruncatedDriver(EZ, level), stream, table, lattice)
+    with pytest.raises(ValueError, match="consumption must be nonnegative"):
+        error_bound_check(EZ, level, stream, LAM, 8, table, lattice)
 
 
 def test_tilde_v0_nonincreasing_in_truncation_level(quarterly10):
