@@ -169,6 +169,8 @@ def solve_truncated(
     if isinstance(consumption, list) and lattice is None:
         raise ValueError("node-adapted streams require a lattice")
     rates = _rate_levels(consumption, grid.n_steps)
+    if not all(np.all(np.isfinite(level)) for level in rates):
+        raise ValueError("consumption must be finite")
     if any(np.any(level < 0) for level in rates):
         raise ValueError("consumption must be nonnegative")
     points = grid.points

@@ -23,7 +23,10 @@ Solvers
   search.
 * The remaining families (recursive utility with adequacy, the
   multiplicative family, exponential utility) run on a geometric wealth
-  grid with shape-preserving cubic interpolation.
+  grid with shape-preserving cubic interpolation, by the endogenous grid
+  method: each step makes one line search, over the risky fraction at
+  fixed post-consumption wealth, and takes consumption from the family's
+  first-order condition.
 * The infinite pool is additionally solved by the pricing route: choose
   the adapted consumption stream maximizing the gain subject to its
   replication cost not exceeding the budget, then replicate.  For power
@@ -145,9 +148,11 @@ def golden_max_vec(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized golden-section maximization with per-point brackets.
 
-    Each iteration keeps the surviving interior point and its value, so
-    ``fn`` is called ``_GOLDEN_ITERS + 2`` times: two opening probes, one
-    per later iteration and one at the returned midpoint.
+    The wealth-grid solver makes one search per time step, over the risky
+    fraction at fixed post-consumption wealth.  Each iteration keeps the
+    surviving interior point and its value, so ``fn`` is called
+    ``_GOLDEN_ITERS + 2`` times: two opening probes, one per later
+    iteration and one at the returned midpoint.
     """
     a = np.array(lo, dtype=float, copy=True)
     b = np.array(hi, dtype=float, copy=True)
@@ -381,6 +386,11 @@ class _VnmAdapter:
         rate = kappa * fgrid / (drain_measure * self.dt)
         return math.exp(-self.gain.discount * t) * self.gain.utility(rate) * self.dt + (1.0 - death_prob) * cont
 
+    def consumption(self, t, drain_measure, death_prob, cont, marginal):
+        # exp(-b t) u'(c) = (1 - d) drain E'(x).
+        mu = math.exp(self.gain.discount * t) * (1.0 - death_prob) * drain_measure * marginal
+        return _inverse_marginal(self.gain.utility, mu)
+
 
 class _ExpKmAdapter:
     # Values stored as -R with R = E[exp(-remaining utility integral)].
@@ -396,6 +406,16 @@ class _ExpKmAdapter:
         r_next = -cont
         u = self.gain.utility(rate)
         return -np.exp(-u * self.dt) * (death_prob + (1.0 - death_prob) * r_next)
+
+    def consumption(self, t, drain_measure, death_prob, cont, marginal):
+        # u'(c) = (1 - d) drain E'(x) / (d - (1 - d) E).
+        mu = (1.0 - death_prob) * drain_measure * marginal / (death_prob - (1.0 - death_prob) * cont)
+        return _inverse_marginal(self.gain.utility, mu)
+
+
+# Newton steps of the recursive family's consumption condition: a cap only,
+# the steps stop once every one is below 1e-13 relative.
+_NEWTON_MAX_STEPS = 50
 
 
 class _EzAdapter:
@@ -414,22 +434,64 @@ class _EzAdapter:
             agg = _ez_drift(p.risk, p.substitution, p.discount, rate, expected)
         result = expected + agg * self.dt
         # The explicit aggregator step can overshoot the family's upper
-        # bound (zero) at extreme probe rates; cap just below zero.  The
-        # cap can bind at reachable wealth: with light mortality on a
-        # 40-step annual grid the infinite-pool solve returns the cap
-        # itself as the value at the starting wealth.
+        # bound (zero) at extreme rates; cap just below zero.  The cap can
+        # bind at reachable wealth: with light mortality on a 40-step annual
+        # grid the infinite-pool solve returns the cap itself as the value
+        # at the starting wealth.
         cap = -1e-12 * abs(p.adequacy_value)
         return np.minimum(result, cap)
 
+    def consumption(self, t, drain_measure, death_prob, cont, marginal):
+        """Rate solving ``f_c(c, e) = lam (1 + f_v(c, e) dt)``; NaN where it has no root.
+
+        ``e`` is the expected next value and ``lam = (1 - d) drain E'(x)``.
+        With ``w = alpha e`` and ``z = c**rho w**(-rho/alpha)`` the condition
+        reads ``b w z / c = lam (A - B z)``, where ``A - B z = 1 + f_v dt``
+        is the continuation's weight in the explicit step, positive below
+        ``z = A/B``.  In ``y = log c`` the log ratio of the two sides,
+        ``phi(y)``, is convex, least at ``z = (1 - rho) A / B``, and its
+        smaller root is the node's maximum; with ``phi`` above zero at its
+        least there is no root in the step's domain.  Newton's method
+        starts from the root of ``phi`` without its ``B z`` term, which
+        lies left of the smaller root, and climbs to it monotonically.
+        """
+        p = self.params
+        alpha, rho, dt = p.risk, p.substitution, self.dt
+        expected = death_prob * p.adequacy_value + (1.0 - death_prob) * cont
+        log_w = np.log(alpha * expected)
+        shift = -rho / alpha * log_w  # log z = rho y + shift
+        const = math.log(p.discount) + log_w + shift - np.log((1.0 - death_prob) * drain_measure * marginal)
+        a_coef = 1.0 - p.discount * alpha * dt / rho
+        b_coef = p.discount * (rho - alpha) * dt / rho
+
+        def phi(y):
+            bz = b_coef * np.exp(rho * y + shift)
+            return const + (rho - 1.0) * y - np.log(a_coef - bz), rho * bz / (a_coef - bz) + rho - 1.0
+
+        y_least = (math.log((1.0 - rho) * a_coef / b_coef) - shift) / rho
+        no_root = phi(y_least)[0] > 0.0
+        y = np.where(no_root, y_least, (const - math.log(a_coef)) / (1.0 - rho))
+        for _ in range(_NEWTON_MAX_STEPS):
+            value, slope = phi(y)
+            step = np.divide(value, slope, out=np.zeros_like(y), where=~no_root)
+            y = y - step
+            if np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(y))):
+                break
+        return np.where(no_root, np.nan, np.exp(y))
+
 
 def _grid_adapter(gain: GainFunction, dt: float):
-    """Terminal value and node objective of the gain's family, given alive.
+    """Terminal value, node objective and consumption rule of the gain's family, given alive.
 
     ``node_value(t, drain_measure, death_prob, fgrid, kappa, cont)`` is the
     objective to maximize: ``kappa`` and ``cont`` are (states x wealth)
     arrays, ``cont`` given that the investor survives the step, and
     ``drain_measure`` is the (states, 1) column of survivor counts, or of
-    the survival fraction in the infinite pool.
+    the survival fraction in the infinite pool.  Every family's objective
+    increases in ``cont``.  ``consumption(t, drain_measure, death_prob,
+    cont, marginal)`` solves the objective's first-order condition in the
+    rate at fixed post-consumption wealth x, where ``cont`` is E(x) and
+    ``marginal`` is E'(x) > 0, all arrays of the same shape.
     """
     if isinstance(gain, VnmParams):
         return _VnmAdapter(gain, dt)
@@ -499,42 +561,80 @@ class PchipInterpolator:
         self.pieces = np.stack([curv / dx, (secant - d0) / dx - curv, d0, y[:, :-1]]).reshape(4, -1)
         self.row_base = np.arange(y.shape[0])[:, None] * (x.size - 1)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points: np.ndarray, nu: int = 0) -> np.ndarray:
+        """Values, or first derivatives for ``nu = 1``, at ``points``.
+
+        Beyond the grid's ends the value is the end value, so the
+        derivative there is zero.
+        """
         x = self.x
-        points = np.minimum(np.maximum(points, x[0]), x[-1])
-        k = np.minimum(((points - x[0]) / self.step).astype(np.intp), x.size - 2)
+        clamped = np.minimum(np.maximum(points, x[0]), x[-1])
+        k = np.minimum(((clamped - x[0]) / self.step).astype(np.intp), x.size - 2)
         c3, c2, c1, c0 = np.take(self.pieces, self.row_base + k, axis=1)
-        u = points - x[k]
+        u = clamped - x[k]
+        if nu:
+            return np.where(clamped == points, (3.0 * c3 * u + 2.0 * c2) * u + c1, 0.0)
         return ((c3 * u + c2) * u + c1) * u + c0
+
+
+# The continuation's marginal value counts as zero below this share of its
+# value per unit of log wealth: the PCHIP slope of values equal to rounding.
+_FLAT_RTOL = 1e-13
+# Consumed fraction of grid wealth below every endogenous point, where the
+# continuation is clamped at the grid bottom.
+_KAPPA_MAX = 1.0 - 1e-9
 
 
 def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     """Backward induction on the wealth grid, finite or infinite pool.
 
-    Each time step handles every drain state at once: values are one
-    (states x wealth) array, the states are mixed by one product with the
-    step's kernel, and the alternating line searches run on the whole
-    array.
+    Each time step handles every drain state at once, values being one
+    (states x wealth) array mixed by one product with the step's kernel,
+    by the endogenous grid method (Carroll 2006) on post-consumption
+    wealth x, taken on the grid itself:
+
+    1. one golden search over the risky fraction maximizes the
+       continuation E(x) = (1 - p) V(x R_d) + p V(x R_u); every family's
+       node value increases in E, so the best fraction does not depend on
+       consumption;
+    2. by the envelope theorem E'(x) is the probability-weighted slope of
+       the interpolant at the two branches;
+    3. the family's first-order condition at fixed x gives the rate c, and
+       with it the endogenous wealth F = x + c * drain * dt;
+    4. x and the fraction are interpolated from the points (F, x) back onto
+       the grid, linearly in log wealth.  Grid wealth below every point
+       consumes the fraction ``_KAPPA_MAX``; wealth above every point keeps
+       the last point's x and consumes the rest;
+    5. each grid point's value is the family's node value of that policy,
+       with E from the interpolant, so the value is the value of the
+       policy returned, given the interpolated continuation.
+
+    ``extras`` counts, over all steps and states, the points where
+    (1 - d) E'(x) is zero to rounding (the last step, the flat top of the
+    grid), the points whose first-order condition has no root in the
+    family's domain, and the endogenous points left out because a larger x
+    gave a smaller F (a continuation that is not concave, as where the
+    golden search lands on different local maxima near the clamped grid
+    bottom).
     """
     lattice = problem.lattice()
     grid = problem.grid
     m = grid.n_steps
     dt = grid.dt
     s = problem.table.step_survival
-    # The drain table: each state's policy row and drain measure per step,
-    # and the kernel mixing the states.  A pool of n has the survivor counts
-    # 1..n: from j, k of the j - 1 others survive; count 0 keeps a zero
+    # The drain table: each state's policy row and drain measure per step.
+    # A pool of n has the survivor counts 1..n: from j, k of the j - 1
+    # others survive, mixed by the step's kernel; count 0 keeps a zero
     # policy row.  The infinite pool has one state, draining at pi_t.
-    if math.isfinite(problem.n):
+    finite = math.isfinite(problem.n)
+    if finite:
         n = int(problem.n)
         rows = np.arange(1, n + 1)
         drain = np.broadcast_to(rows.astype(float), (m, n))
-        kernels = [binomial_transition_matrix(n - 1, s[t]) for t in range(m)]
     else:
         n = 1
         rows = np.zeros(1, dtype=int)
         drain = problem.table.pi[:m, None]
-        kernels = [np.eye(1)] * m
     adapter = _grid_adapter(problem.gain, dt)
     scale = n * problem.budget
     fgrid = wealth_grid(scale, lattice, n_points)
@@ -543,59 +643,63 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     a_lo, a_hi = allocation_bounds(lattice)
 
     values = np.tile(adapter.terminal(fgrid), (rows.size, 1))
+    shape = values.shape
+    lo_a, hi_a = np.full(shape, a_lo), np.full(shape, a_hi)
     kappa_pol = np.zeros((m, rows[-1] + 1, fgrid.size))
     frac_pol = np.zeros((m, rows[-1] + 1, fgrid.size))
+    counts = dict.fromkeys(("flat_continuation_points", "no_root_points", "non_monotone_points"), 0)
+
+    def log_gross(frac):
+        return np.log(np.stack(_portfolio_gross(lattice, frac)))
 
     for t in range(m - 1, -1, -1):
         if not np.all(drain[t] > 0):
             continue  # the infinite pool once pi_t is zero: value and policy stay
-        mixed = kernels[t] @ values
+        mixed = binomial_transition_matrix(n - 1, s[t]) @ values if finite else values
         interpolant = PchipInterpolator(log_fgrid, mixed)
 
-        def continuation(log_x):
-            # Expected mixed value at probe log wealths stacked as (down, up).
+        def continuation(log_post, frac):
             # Clamped at both ends: the top carries headroom above any
-            # wealth reachable from the start, so clamping only touches
-            # line-search probes at extreme leverage.
-            down, up = interpolant(log_x)
+            # wealth reachable from the start.
+            down, up = interpolant(log_post + log_gross(frac))
             return (1.0 - p_up) * down + p_up * up
 
-        dm = drain[t, :, None]
+        dm = np.broadcast_to(drain[t, :, None], shape)
         death_prob = 1.0 - s[t]
         t_now = grid.points[t]
+        frac, cont = golden_max_vec(lambda a: continuation(log_fgrid, a), lo_a, hi_a)
+        slope_down, slope_up = interpolant(log_fgrid + log_gross(frac), 1)
+        marginal = ((1.0 - p_up) * slope_down + p_up * slope_up) / fgrid
+        live = (1.0 - death_prob) * marginal * fgrid > _FLAT_RTOL * np.abs(cont)
+        rate = np.full(shape, np.nan)
+        rate[live] = adapter.consumption(t_now, dm[live], death_prob, cont[live], marginal[live])
+        log_wealth = np.log(fgrid + rate * dm * dt)
+        valid = np.isfinite(log_wealth)
+        # A point is kept only below every valid point at larger x, so that
+        # one point of outsized F (a near-flat continuation) costs itself
+        # alone.
+        later = np.fmin.accumulate(np.where(valid, log_wealth, np.inf)[:, ::-1], axis=1)[:, ::-1]
+        kept = valid.copy()
+        kept[:, :-1] &= log_wealth[:, :-1] < later[:, 1:]
+        counts["flat_continuation_points"] += int(np.count_nonzero(~live))
+        counts["no_root_points"] += int(np.count_nonzero(live & ~valid))
+        counts["non_monotone_points"] += int(np.count_nonzero(valid & ~kept))
 
-        def objective(kappa_arr, log_post, log_gross):
-            # log_post: log wealth after consumption; log_gross: (down, up)
-            # log returns.  Each search holds one of them fixed.
-            cont = continuation(log_post + log_gross)
-            return adapter.node_value(t_now, dm, death_prob, fgrid, kappa_arr, cont)
-
-        def log_gross_of(frac_arr):
-            return np.log(np.stack(_portfolio_gross(lattice, frac_arr)))
-
-        def log_post_of(kappa_arr):
-            return np.log1p(-kappa_arr) + log_fgrid
-
-        shape = mixed.shape
-        kappa_v = np.full(shape, 0.5)
-        lo_k = np.full(shape, 1e-9)
-        hi_k = np.full(shape, 1.0 - 1e-9)
-        lo_a = np.full(shape, a_lo)
-        hi_a = np.full(shape, a_hi)
-        for _ in range(3):
-            log_post = log_post_of(kappa_v)
-            frac_v, _ = golden_max_vec(lambda a_arr: objective(kappa_v, log_post, log_gross_of(a_arr)), lo_a, hi_a)
-            log_gross = log_gross_of(frac_v)
-            kappa_v, last_val = golden_max_vec(lambda k_arr: objective(k_arr, log_post_of(k_arr), log_gross), lo_k, hi_k)
-        # Consuming everything may dominate when the future is worthless.
-        all_in = np.full(shape, 1.0 - 1e-12)
-        all_now = objective(all_in, log_post_of(all_in), log_gross)
-        kappa_pol[t, rows] = np.where(all_now > last_val, 1.0, kappa_v)
-        frac_pol[t, rows] = frac_v
-        values = np.maximum(all_now, last_val)
+        post = (1.0 - _KAPPA_MAX) * np.tile(fgrid, (shape[0], 1))
+        for r in range(shape[0]):
+            known = log_wealth[r, kept[r]]
+            if known.size:
+                inside = log_fgrid >= known[0]
+                post[r, inside] = np.exp(np.interp(log_fgrid[inside], known, log_fgrid[kept[r]]))
+                frac[r] = np.interp(log_fgrid, known, frac[r, kept[r]])
+        kappa = 1.0 - post / fgrid
+        values = adapter.node_value(t_now, dm, death_prob, fgrid, kappa, continuation(np.log(post), frac))
+        kappa_pol[t, rows] = kappa
+        frac_pol[t, rows] = frac
 
     value = float(np.interp(math.log(scale), log_fgrid, values[-1]))
-    return ValueResult(value=value, method="dp", strategy=GridPolicy(grid, fgrid, kappa_pol, frac_pol))
+    policy = GridPolicy(grid, fgrid, kappa_pol, frac_pol)
+    return ValueResult(value=value, method="dp", strategy=policy, extras=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +873,15 @@ def _marginal_utility(u, c: np.ndarray) -> np.ndarray:
     if isinstance(u, LogUtility):
         return 1.0 / c
     return np.power(c, u.exponent - 1.0)
+
+
+def _inverse_marginal(u, mu: np.ndarray) -> np.ndarray:
+    """The rate c >= 0 with u'(c) = mu, zero where mu is at least u'(0)."""
+    if isinstance(u, ExponentialUtility):
+        return np.maximum(-np.log(mu) / u.rate, 0.0)
+    if isinstance(u, LogUtility):
+        return 1.0 / mu
+    return np.power(mu, 1.0 / (u.exponent - 1.0))
 
 
 def _expkm_value_and_grad(gain: ExpKmParams, stream_flat, layout, table, lattice):

@@ -149,6 +149,22 @@ def test_negative_rate_in_a_node_stream_is_rejected(level):
         error_bound_check(EZ, level, stream, LAM, 8, table, lattice)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("level", [1.0, math.inf])
+def test_non_finite_rate_is_rejected(level, bad):
+    # `level < 0` is false for NaN: such a rate used to reach the node solve
+    # and raise StepTooCoarseError, which points at the step, not the input.
+    table, lattice, stream = half_stream(1.0, 10.0)
+    stream = [np.array(rates, dtype=float) for rates in stream]
+    stream[3][1] = bad
+    with pytest.raises(ValueError, match="consumption must be finite"):
+        solve_truncated(TruncatedDriver(EZ, level), stream, table, lattice)
+    with pytest.raises(ValueError, match="consumption must be finite"):
+        error_bound_check(EZ, level, stream, LAM, 8, table, lattice)
+    with pytest.raises(ValueError, match="consumption must be finite"):
+        solve_truncated(TruncatedDriver(EZ, level), bad, table)
+
+
 def test_tilde_v0_nonincreasing_in_truncation_level(quarterly10):
     table, lattice, stream = quarterly10
     scaled = [LAM * np.asarray(level) for level in stream]

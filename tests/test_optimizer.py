@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator as ScipyPchip
+from policy_oracle import exact_policy_value
 from stream_helpers import ConstantRateStrategy
 from survival_oracle import explicit_table, point_mass_table, uniform_table
 
+from tontine import ez_bsde, fund, market, mortality, optimizer, preferences
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel, build_lattice, q_price, scale_stream
 from tontine.mortality import gompertz_makeham_table
@@ -406,23 +409,24 @@ def test_golden_max_vec_finds_each_argmax_with_one_probe_per_iteration():
 
 EZ_SHORT = EzParams(risk=-2.0, substitution=0.5, discount=0.03, adequacy=0.05)
 
-# Value and the t = 0 policy of the per-state solver (one line search per
-# survivor state), on a quarterly 2-year grid with heavy mortality.  Policy
-# rows are the states (n, 1), or the single infinite-pool state, at wealth
-# (0.1, 0.5, 1, 1.5) times the pool's starting wealth.
+# Value and the t = 0 policy of the endogenous-grid solver, on a quarterly
+# 2-year grid with heavy mortality.  Policy rows are the states (n, 1), or
+# the single infinite-pool state, at wealth (0.1, 0.5, 1, 1.5) times the
+# pool's starting wealth.  The values are within 1e-8 relative of those
+# of the golden-search solver the endogenous grid replaced.
 GRID_PINS = {
-    "ez-n8": (EZ_SHORT, 8, -121.0795607474017,
-              [[0.128691, 0.129585, 0.130021, 0.130260], [0.131277, 0.132266, 0.045595, 0.002351]],
-              [[1.231412, 1.012878, 0.896664, 0.823974], [0.934133, 0.657720, 3.377926, 1.387879]]),
-    "expkm-n4": (ExpKmParams(ExponentialUtility(1.0)), 4, -3.2627418114197897,
-                 [[0.039668, 0.119029, 0.124144, 0.125809], [0.120402, 0.126397, 0.127075, 0.127208]],
-                 [[4.094230, 1.244727, 0.721680, 0.541178], [1.505513, 0.457834, 0.302755, 0.226802]]),
-    "exponential-n4": (VnmParams(ExponentialUtility(1.0), 0.02), 4, -1.1542782329639583,
-                       [[0.024773, 0.132363, 0.131109, 0.130216], [0.135228, 0.129600, 0.128404, 0.127990]],
-                       [[6.513073, 2.856457, 1.479415, 0.977911], [3.456531, 0.748218, 0.374377, 0.244968]]),
-    "ez-infinite": (EZ_SHORT, math.inf, -121.06027708861059,
+    "ez-n8": (EZ_SHORT, 8, -121.07956077130686,
+              [[0.128691, 0.129585, 0.130021, 0.130260], [0.131277, 0.132267, 0.061637, 0.005248]],
+              [[1.231419, 1.012861, 0.896654, 0.823993], [0.934070, 0.657477, 2.396226, 1.465641]]),
+    "expkm-n4": (ExpKmParams(ExponentialUtility(1.0)), 4, -3.2627418358909956,
+                 [[0.039258, 0.119009, 0.124164, 0.125803], [0.120455, 0.126393, 0.127083, 0.127202]],
+                 [[4.099708, 1.245588, 0.721800, 0.541325], [1.506340, 0.457544, 0.302491, 0.227230]]),
+    "exponential-n4": (VnmParams(ExponentialUtility(1.0), 0.02), 4, -1.1542782428974723,
+                       [[0.024638, 0.132129, 0.131105, 0.130217], [0.134611, 0.129600, 0.128408, 0.127986]],
+                       [[6.514372, 2.844378, 1.479853, 0.977688], [3.394106, 0.748291, 0.374442, 0.245359]]),
+    "ez-infinite": (EZ_SHORT, math.inf, -121.060277112395,
                     [[0.128635, 0.129508, 0.129927, 0.130151]],
-                    [[1.231404, 1.012839, 0.896608, 0.823905]]),
+                    [[1.231412, 1.012827, 0.896599, 0.823922]]),
 }
 
 
@@ -447,6 +451,45 @@ def test_batched_grid_solver_matches_per_state_solver(case):
     idx = np.searchsorted(policy.fgrid, start_wealth * np.array([0.1, 0.5, 1.0, 1.5]))
     np.testing.assert_allclose(policy.kappa[0][states][:, idx], kappa, rtol=0, atol=1e-4)
     np.testing.assert_allclose(policy.fraction[0][states][:, idx], fraction, rtol=0, atol=1e-4)
+
+
+# The EZ solver's reported value against the exact value of its own policy
+# on the full binary tree, infinite pool with heavy mortality: the quarterly
+# 2-year grid of GRID_PINS and annual grids of 10, 16 and 20 years.  The
+# gaps read 7.8e-10, 1.0e-7, 1.8e-7 and 2.1e-7 relative; the golden-search
+# solver's read 9.6e-10, 1.0e-7, 1.4e-4 and 0.22.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt, horizon, rtol", [(0.25, 2.0, 1e-9), (1.0, 10.0, 3e-7), (1.0, 16.0, 3e-7),
+                                               (1.0, 20.0, 3e-7)], ids=["q2", "a10", "a16", "a20"])
+def test_ez_grid_value_is_the_exact_value_of_its_policy(dt, horizon, rtol):
+    problem = heavy_problem(EZ_SHORT, dt, horizon)
+    res = solve_infinite(problem, methods=("dp",))
+    assert abs(res.value - exact_policy_value(problem, res.strategy)) <= rtol * abs(res.value)
+    # The last step's continuation is the constant adequacy value: flat everywhere.
+    assert set(res.extras) == {"flat_continuation_points", "no_root_points", "non_monotone_points"}
+    assert res.extras["flat_continuation_points"] >= res.strategy.fgrid.size
+
+
+def test_benchmark_tracer_sees_one_portfolio_search_per_step(monkeypatch):
+    # The benchmark's traced mode wraps golden_max_vec and PchipInterpolator
+    # by name; a solver that stops calling either would leave its per-layer
+    # figures silently empty.  Imported without writing bytecode beside it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import tracer
+
+    problem = heavy_problem(EZ_SHORT, 0.25, 1.0)
+    modules = dict(market=market, mortality=mortality, fund=fund, preferences=preferences, optimizer=optimizer,
+                   ez_bsde=ez_bsde)
+    log = tracer.Tracer()
+    with tracer.instrument(log, modules):
+        optimizer.solve_infinite(problem, methods=("dp",))
+    summary = tracer.summarize(log)
+    steps = problem.grid.n_steps
+    assert summary["layers"]["optimizer.golden_max_vec"]["calls"] == steps
+    assert summary["counts"]["optimizer.golden_max_vec.evals"] == 50 * steps
+    assert summary["counts"]["optimizer.PchipInterpolator.builds"] > 0
+    assert optimizer.golden_max_vec is golden_max_vec and optimizer.PchipInterpolator is PchipInterpolator
 
 
 # Infinite-pool scaling DP on a quarterly 40-year grid with heavy mortality:
@@ -527,9 +570,10 @@ def test_finite_pool_gap_closes_at_rate_one_over_n(family, alpha):
 
 
 # Exponential utility on the wealth grid, annual 10-year grid with heavy
-# mortality, pinned from the pool-level recursion.
-@pytest.mark.parametrize("n, value", [(4, -7.43870824660916), (8, -7.436227566309967),
-                                      (math.inf, -7.434323303797253)])
+# mortality, pinned from the endogenous-grid solver (within 1.7e-6 relative
+# of the golden-search solver it replaced).
+@pytest.mark.parametrize("n, value", [(4, -7.438720110059771), (8, -7.436239421726909),
+                                      (math.inf, -7.4343352369624025)], ids=["n4", "n8", "infinite"])
 def test_exponential_grid_dp_pinned(n, value):
     problem = heavy_problem(VnmParams(ExponentialUtility(1.0), 0.02), 1.0, 10.0).with_n(n)
     res = solve_finite_dp(problem) if math.isfinite(n) else solve_infinite(problem, methods=("dp",))
@@ -754,6 +798,24 @@ def test_pchip_interpolant_matches_scipy_per_row_and_clamps():
         np.testing.assert_allclose(values[:, r], scipy_pchip(x, y[r])(points[:, r]), rtol=1e-12, atol=1e-12)
     outside = np.broadcast_to(np.array([x[0] - 1.0, x[-1] + 1.0])[:, None, None], (2, 4, 1))
     np.testing.assert_allclose(PchipInterpolator(x, y)(outside)[:, :, 0], y[:, [0, -1]].T, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pchip_slopes_match_scipy_and_vanish_beyond_the_ends_and_on_flat_segments():
+    x = np.log(np.geomspace(0.01, 50.0, 60))
+    y = pchip_rows(x)
+    interpolant = PchipInterpolator(x, y)
+    points = np.random.default_rng(2).uniform(x[0], x[-1], size=(2, 4, 30))
+    slopes = interpolant(points, 1)
+    for r in range(4):
+        expected = scipy_pchip(x, y[r]).derivative()(points[:, r])
+        np.testing.assert_allclose(slopes[:, r], expected, rtol=1e-12, atol=1e-12)
+    outside = np.broadcast_to(np.array([x[0] - 1e-9, x[-1] + 1e-9, x[0] - 5.0, x[-1] + 5.0])[:, None, None], (4, 4, 1))
+    assert np.all(interpolant(outside, 1) == 0.0)
+    flat = np.flatnonzero(np.diff(y[1]) == 0.0)
+    assert flat.size
+    midpoints = np.broadcast_to(0.5 * (x[flat] + x[flat + 1]), (4, flat.size))
+    assert np.all(interpolant(midpoints, 1)[1] == 0.0)
 
 
 # --- consistency of reported values ------------------------------------------------------
