@@ -13,6 +13,13 @@ optimizers can penalize rather than crash.  All evolutions accept a
 leading batch dimension of simulated paths and run through one loop,
 ``_evolve``; the gated transfer of an infinite-pool stream to a finite
 pool evolves through it too, with the gated survivor count as its drain.
+
+Arrays are indexed batch-first, ``(..., m)``, but the loop steps through
+time and reads one grid point of every path at a time.  The samplers
+(``simulate_survivor_counts``, ``sample_lattice_paths``) therefore store
+their arrays time-major and hand out transposed views, and elementwise
+results such as ``risky_gross`` keep that layout: each step reads
+contiguous rows.  Any layout gives the same values.
 """
 
 from __future__ import annotations
@@ -72,7 +79,11 @@ class TabulatedPolicy:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Gross returns along simulated paths (batch-first arrays)."""
+    """Gross returns along simulated paths (batch-first indexing).
+
+    Built from sampled lattice paths, the arrays are transposed views of
+    time-major storage (see the module docstring).
+    """
 
     grid: TimeGrid
     risky_gross: np.ndarray  # (..., m)
@@ -113,7 +124,10 @@ def _evolve(
     """Shared evolution; ``drain_measure[..., t]`` multiplies rate * dt.
 
     Steps time-major, on ``(m, batch)`` work arrays whose rows are
-    contiguous, and returns them moved to batch-first.
+    contiguous, and returns them as batch-first views.  The inputs are
+    read through ``np.moveaxis(x, -1, 0)``: for the samplers' time-major
+    arrays each step's row is contiguous, for C-ordered batch-first
+    arrays it is strided by ``m`` elements (the same values, slower).
     """
     grid = paths.grid
     m = grid.n_steps

@@ -118,17 +118,23 @@ def gompertz_makeham_table(grid: TimeGrid, a: float, b: float, c: float) -> Mort
 def simulate_survivor_counts(
     n: int, table: MortalityTable, trials: int, seed: int, label: str = "mortality"
 ) -> np.ndarray:
-    """Simulate ``trials`` independent pools of ``n`` lives; shape (trials, m)."""
+    """Simulate ``trials`` independent pools of ``n`` lives; shape (trials, m).
+
+    The counts are stored time-major, one contiguous row of ``trials``
+    counts per grid point, and returned as the transposed view: each step
+    draws into a contiguous row, and the fund evolution reads its rows
+    back the same way.
+    """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
     gen = substream(seed, label)
     m = table.grid.n_steps
     s = table.step_survival
-    counts = np.empty((trials, m), dtype=np.int64)
-    counts[:, 0] = n
+    counts = np.empty((m, trials), dtype=np.int64)
+    counts[0] = n
     for t in range(m - 1):
-        counts[:, t + 1] = gen.binomial(counts[:, t], s[t])
-    return counts
+        counts[t + 1] = gen.binomial(counts[t], s[t])
+    return counts.T
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,24 @@ def test_self_financing_identity_on_lattice_paths():
     assert np.allclose(traj.post_value, traj.pre_value[:, :-1] - drains, rtol=1e-13)
 
 
+def test_sampled_arrays_are_time_major_and_evolve_the_same_either_way():
+    # The evolution reads one row per step; the samplers store exactly that.
+    grid = TimeGrid(0.25, 2.0)
+    lat = build_lattice(MarketModel(rate=0.01, mu=(0.05,), sigma=(0.2,), s0=(1.0,)), grid)
+    sampled = sample_lattice_paths(lat, 300, "P", 6)
+    paths = PathBundle.from_lattice_paths(sampled)
+    counts = simulate_survivor_counts(10, uniform_table(grid), trials=300, seed=8)
+    for x in (counts, sampled.ups, sampled.node_idx, paths.risky_gross):
+        assert np.moveaxis(x, -1, 0).flags.c_contiguous
+    strategy = ConstantRateStrategy(0.05, fraction=0.6)
+    c_ordered = PathBundle(grid, np.ascontiguousarray(paths.risky_gross), paths.bond_gross,
+                           np.ascontiguousarray(paths.node_idx))
+    a = evolve_finite(strategy, paths, counts, np.ones(10))
+    b = evolve_finite(strategy, c_ordered, np.ascontiguousarray(counts), np.ones(10))
+    for field in ("pre_value", "post_value", "alive", "rate", "admissible", "first_violation"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 # --- infinite pools -----------------------------------------------------------------
 
 

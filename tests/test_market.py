@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from stream_helpers import constant_stream, level_prices, stream_from_function
@@ -107,6 +109,27 @@ def test_seed_determinism_bit_identical():
     assert np.array_equal(a.ups, b.ups) and np.array_equal(a.node_idx, b.node_idx)
     assert not np.array_equal(a.ups, sample_lattice_paths(lat, 100, "P", seed=43).ups)
     assert not np.array_equal(a.ups, sample_lattice_paths(lat, 100, "Q", seed=42).ups)
+
+
+def test_lattice_path_stream_is_pinned():
+    # Digests of the paths' batch-first bytes, taken before the samplers
+    # stored their arrays time-major: the draws must not move.
+    lat = build_lattice(one_asset(rate=0.02, mu=0.05, sigma=0.2), TimeGrid(1.0, 40.0))
+    paths = sample_lattice_paths(lat, 1000, "P", 7)
+    assert paths.ups.shape == (1000, 40) and paths.ups.dtype == np.bool_
+    assert paths.node_idx.shape == (1000, 41) and paths.node_idx.dtype == np.int64
+    assert hashlib.sha256(paths.ups.tobytes()).hexdigest() == (
+        "2ea2fe7f283791e024855980009d1683fc773c995314ef5cc231d5b26aa4e8d6"
+    )
+    assert hashlib.sha256(paths.node_idx.tobytes()).hexdigest() == (
+        "3ed880b195616b188a6773fde7d20e5eb52ee5cd204c55533f6acbc000a90dba"
+    )
+
+
+def test_lattice_path_sampling_rejects_an_empty_batch():
+    lat = build_lattice(one_asset(), TimeGrid(0.5, 2.0))
+    with pytest.raises(ValueError, match="n_paths >= 1"):
+        sample_lattice_paths(lat, 0, "P", 1)
 
 
 def test_lattice_path_sampling_matches_branch_probabilities():

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +142,17 @@ def test_survivor_simulation_deterministic():
     a = simulate_survivor_counts(100, table, 1, seed=9)
     b = simulate_survivor_counts(100, table, 1, seed=9)
     assert np.array_equal(a, b)
+
+
+def test_survivor_count_stream_is_pinned():
+    # Digest of the counts' batch-first bytes, taken before the sampler
+    # stored them time-major: the draws must not move.
+    table = gompertz_makeham_table(TimeGrid(1.0, 40.0), 0.0, 0.01, 0.1)
+    counts = simulate_survivor_counts(64, table, 1000, seed=7)
+    assert counts.shape == (1000, 40) and counts.dtype == np.int64
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+        "20832a87efae5b99aa75cf409985a4beee38a8390c6cb527fd93c6f28caeb6fc"
+    )
 
 
 def test_death_times_consistent_with_counts():

@@ -381,6 +381,39 @@ def test_transfer_counts_each_inadmissible_path_once():
     assert 0 < out.admissibility_violations <= out.trials
 
 
+# simulate_policy_value of the DP policies of the half investor at A10
+# (2000 paths, seed 7): estimate and standard error, pinned before the
+# samplers stored their arrays time-major.
+SIMULATION_PINS = {
+    "n8": (8, 6.1764631292615295, 0.035498793591324636),
+    "infinite": (math.inf, 6.1820110139137565, 0.035271594183880865),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATION_PINS))
+def test_simulated_policy_value_pinned(case):
+    n, estimate, se = SIMULATION_PINS[case]
+    problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0).with_n(n)
+    policy = solve_finite_dp(problem).strategy if math.isfinite(n) else solve_infinite(problem, methods=("dp",)).strategy
+    out = simulate_policy_value(problem, policy, trials=2000, seed=7)
+    assert out[0] == pytest.approx(estimate, rel=1e-13)
+    assert out[1] == pytest.approx(se, rel=1e-13)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_monte_carlo_entry_points_need_two_trials(trials):
+    # One path has no standard error, and none has no mean.
+    problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
+    res = solve_infinite(problem, methods=("martingale",))
+    with pytest.raises(ValueError, match="trials >= 2"):
+        simulate_policy_value(problem, res.strategy, trials=trials, seed=3)
+    with pytest.raises(ValueError, match="trials >= 2"):
+        simulate_policy_value(problem.with_n(8), ConstantRateStrategy(0.1), trials=trials, seed=3)
+    with pytest.raises(ValueError, match="trials >= 2"):
+        transfer_infinite_to_finite(res.extras["stream"], res.extras["replication"], lam=0.9, n=8,
+                                    problem=problem, trials=trials, seed=3)
+
+
 def test_simulated_value_of_a_minus_inf_policy_has_infinite_standard_error():
     # Consuming nothing under CRRA alpha = -1 scores -inf on every path.
     problem = heavy_problem(VnmParams(PowerUtility(-1.0), 0.02), 1.0, 10.0).with_n(8)
