@@ -52,8 +52,8 @@ def test_numpy_is_the_only_runtime_dependency():
     assert [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]] == ["numpy"]
 
 
-def _public_definitions(path: Path):
-    """Public module-level names and public methods of ``path``, each with its defining node."""
+def _definitions(path: Path):
+    """Module-level names, public or private, and public methods of ``path``, each with its defining node."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
@@ -64,7 +64,7 @@ def _public_definitions(path: Path):
         else:
             continue
         for name in targets:
-            if not name.startswith("_"):
+            if not name.startswith("__"):
                 yield name, name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
@@ -80,14 +80,16 @@ def _without_lines(text: str, node) -> str:
 
 def test_every_public_name_has_a_caller_in_the_library_or_the_benchmark():
     # A word-boundary reference outside the name's own definition, in src/
-    # or benchmarks/, counts as a caller; the tests do not count.
+    # or benchmarks/, counts as a caller; the tests do not count.  Private
+    # module-level names are held to the same rule: a helper that only the
+    # tests call is uncalled code.
     files = sorted(SRC.rglob("*.py")) + sorted((SRC.parent / "benchmarks").rglob("*.py"))
     sources = {path: path.read_text() for path in files}
     uncalled = []
     for path in sorted((SRC / "tontine").glob("*.py")):
-        for qualified, name, node in _public_definitions(path):
+        for qualified, name, node in _definitions(path):
             pattern = re.compile(rf"\b{re.escape(name)}\b")
             texts = (_without_lines(text, node) if other == path else text for other, text in sources.items())
             if not any(pattern.search(text) for text in texts):
                 uncalled.append(f"{path.stem}.{qualified}")
-    assert not uncalled, "public names with no caller in src/ or benchmarks/: " + ", ".join(uncalled)
+    assert not uncalled, "names with no caller in src/ or benchmarks/: " + ", ".join(uncalled)

@@ -486,6 +486,29 @@ def test_batched_grid_solver_matches_per_state_solver(case):
     np.testing.assert_allclose(policy.fraction[0][states][:, idx], fraction, rtol=0, atol=1e-4)
 
 
+# Infinite-pool wealth-grid values of the multiplicative family with log and
+# power-1/2 inner utility, on an annual 10-year grid with heavy mortality in
+# the benchmark's market: the inner utilities GRID_PINS leaves out.
+EXPKM_GRID_PINS = {
+    "log": (LogUtility(), -1718686131.922054),
+    "half": (PowerUtility(0.5), -0.008274895483374213),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPKM_GRID_PINS))
+def test_multiplicative_grid_value_pinned_for_log_and_power_inner_utility(case):
+    utility, value = EXPKM_GRID_PINS[case]
+    res = solve_infinite(heavy_problem(ExpKmParams(utility), 1.0, 10.0), methods=("dp",))
+    assert res.value == pytest.approx(value, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [math.inf, 4])
+def test_grid_rejects_a_negative_power_inner_utility(n):
+    problem = heavy_problem(ExpKmParams(PowerUtility(-1.0)), 1.0, 10.0).with_n(n)
+    with pytest.raises(ValueError, match="negative-power inner utility overflows the multiplicative recursion"):
+        solve_finite_dp(problem) if math.isfinite(n) else solve_infinite(problem, methods=("dp",))
+
+
 # The EZ solver's reported value against the exact value of its own policy
 # on the full binary tree, infinite pool with heavy mortality: the quarterly
 # 2-year grid of GRID_PINS and annual grids of 10, 16 and 20 years.  The
@@ -673,6 +696,10 @@ GRADIENT_PINS = {
            -129.25750354693866, 100.12137059587432, 0.4504996472805797, 807.9310957242099),
     "expkm": (ExpKmParams(ExponentialUtility(1.0)), _expkm_value_and_grad,
               -7042.787918066223, 6331.743027037855, 44.54395486361487, 63163.30342453127),
+    "expkm-log": (ExpKmParams(LogUtility()), _expkm_value_and_grad,
+                  -4647736123.608778, 43670014733.70131, 311094778.2414134, 436565107808.36505),
+    "expkm-half": (ExpKmParams(PowerUtility(0.5)), _expkm_value_and_grad,
+                   -0.013811470145735695, 0.04233609984825482, 2.7756937315862546e-05, 0.12566019570491893),
 }
 
 
