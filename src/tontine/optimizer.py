@@ -25,16 +25,22 @@ Solvers
   multiplicative family, exponential utility) run on a geometric wealth
   grid with shape-preserving cubic interpolation, by the endogenous grid
   method: each step makes one line search, over the risky fraction at
-  fixed post-consumption wealth, and takes consumption from the family's
-  first-order condition.
+  fixed post-consumption wealth, takes consumption from the family's
+  first-order condition and values the policy by the family's step.
 * The infinite pool is additionally solved by the pricing route: choose
   the adapted consumption stream maximizing the gain subject to its
   replication cost not exceeding the budget, then replicate.  For power
   and log utility (exponent zero) the stream is one closed form,
   ``c ~ (exp((b - r) t) dQ/dP) ** (1 / (alpha - 1))``; the recursive
   and multiplicative families solve the problem's first-order conditions
-  by an ascent on the exact utility gradient.  The route cross-checks the
-  dynamic-programming one.
+  by an ascent on the exact utility gradient, the adjoint of the family's
+  backward sweep.  The route cross-checks the dynamic-programming one.
+
+The per-family math (death value, step, its partials, the consumption
+rule) lives on the gain's parameter set in ``preferences``, and the grid
+solver and the pricing route call it alone.  The family is inspected here
+only to choose a solver, for the annuity benchmark and in the Monte Carlo
+estimators, which score the additive family alone.
 
 Consumption policies are rates per survivor; the cash drained from the
 fund at a grid point is ``count * rate * dt`` (or ``pi_t * rate * dt``
@@ -72,15 +78,12 @@ from .mortality import (
 )
 from .preferences import (
     ExpKmParams,
-    ExponentialUtility,
     EzParams,
     GainFunction,
     LogUtility,
     PowerUtility,
     VnmParams,
-    _exp_km_levels,
-    _ez_drift,
-    _ez_levels,
+    _gain_levels,
     exp_km_value_of_rates,
     ez_utility_discrete,
     vnm_value_of_rates,
@@ -373,140 +376,6 @@ class GridPolicy:
         return self._lookup(self.fraction, t_idx, alive, wealth)
 
 
-class _VnmAdapter:
-    # Death ends the utility stream: the death branch is worth zero.
-    def __init__(self, gain: VnmParams, dt: float):
-        self.gain = gain
-        self.dt = dt
-
-    def terminal(self, fgrid):
-        return np.zeros_like(fgrid)
-
-    def node_value(self, t, drain_measure, death_prob, fgrid, kappa, cont):
-        rate = kappa * fgrid / (drain_measure * self.dt)
-        return math.exp(-self.gain.discount * t) * self.gain.utility(rate) * self.dt + (1.0 - death_prob) * cont
-
-    def consumption(self, t, drain_measure, death_prob, cont, marginal):
-        # exp(-b t) u'(c) = (1 - d) drain E'(x).
-        mu = math.exp(self.gain.discount * t) * (1.0 - death_prob) * drain_measure * marginal
-        return _inverse_marginal(self.gain.utility, mu)
-
-
-class _ExpKmAdapter:
-    # Values stored as -R with R = E[exp(-remaining utility integral)].
-    def __init__(self, gain: ExpKmParams, dt: float):
-        self.gain = gain
-        self.dt = dt
-
-    def terminal(self, fgrid):
-        return -np.ones_like(fgrid)
-
-    def node_value(self, t, drain_measure, death_prob, fgrid, kappa, cont):
-        rate = kappa * fgrid / (drain_measure * self.dt)
-        r_next = -cont
-        u = self.gain.utility(rate)
-        return -np.exp(-u * self.dt) * (death_prob + (1.0 - death_prob) * r_next)
-
-    def consumption(self, t, drain_measure, death_prob, cont, marginal):
-        # u'(c) = (1 - d) drain E'(x) / (d - (1 - d) E).
-        mu = (1.0 - death_prob) * drain_measure * marginal / (death_prob - (1.0 - death_prob) * cont)
-        return _inverse_marginal(self.gain.utility, mu)
-
-
-# Newton steps of the recursive family's consumption condition: a cap only,
-# the steps stop once every one is below 1e-13 relative.
-_NEWTON_MAX_STEPS = 50
-
-
-class _EzAdapter:
-    def __init__(self, params: EzParams, dt: float):
-        self.params = params
-        self.dt = dt
-
-    def terminal(self, fgrid):
-        return np.full_like(fgrid, self.params.adequacy_value)
-
-    def node_value(self, t, drain_measure, death_prob, fgrid, kappa, cont):
-        p = self.params
-        rate = kappa * fgrid / (drain_measure * self.dt)
-        expected = death_prob * p.adequacy_value + (1.0 - death_prob) * cont
-        with np.errstate(invalid="ignore", over="ignore"):
-            agg = _ez_drift(p.risk, p.substitution, p.discount, rate, expected)
-        result = expected + agg * self.dt
-        # The explicit aggregator step can overshoot the family's upper
-        # bound (zero) at extreme rates; cap just below zero.  The cap can
-        # bind at reachable wealth: with light mortality on a 40-step annual
-        # grid the infinite-pool solve returns the cap itself as the value
-        # at the starting wealth.
-        cap = -1e-12 * abs(p.adequacy_value)
-        return np.minimum(result, cap)
-
-    def consumption(self, t, drain_measure, death_prob, cont, marginal):
-        """Rate solving ``f_c(c, e) = lam (1 + f_v(c, e) dt)``; NaN where it has no root.
-
-        ``e`` is the expected next value and ``lam = (1 - d) drain E'(x)``.
-        With ``w = alpha e`` and ``z = c**rho w**(-rho/alpha)`` the condition
-        reads ``b w z / c = lam (A - B z)``, where ``A - B z = 1 + f_v dt``
-        is the continuation's weight in the explicit step, positive below
-        ``z = A/B``.  In ``y = log c`` the log ratio of the two sides,
-        ``phi(y)``, is convex, least at ``z = (1 - rho) A / B``, and its
-        smaller root is the node's maximum; with ``phi`` above zero at its
-        least there is no root in the step's domain.  Newton's method
-        starts from the root of ``phi`` without its ``B z`` term, which
-        lies left of the smaller root, and climbs to it monotonically.
-        """
-        p = self.params
-        alpha, rho, dt = p.risk, p.substitution, self.dt
-        expected = death_prob * p.adequacy_value + (1.0 - death_prob) * cont
-        log_w = np.log(alpha * expected)
-        shift = -rho / alpha * log_w  # log z = rho y + shift
-        const = math.log(p.discount) + log_w + shift - np.log((1.0 - death_prob) * drain_measure * marginal)
-        a_coef = 1.0 - p.discount * alpha * dt / rho
-        b_coef = p.discount * (rho - alpha) * dt / rho
-
-        def phi(y):
-            bz = b_coef * np.exp(rho * y + shift)
-            return const + (rho - 1.0) * y - np.log(a_coef - bz), rho * bz / (a_coef - bz) + rho - 1.0
-
-        y_least = (math.log((1.0 - rho) * a_coef / b_coef) - shift) / rho
-        no_root = phi(y_least)[0] > 0.0
-        y = np.where(no_root, y_least, (const - math.log(a_coef)) / (1.0 - rho))
-        for _ in range(_NEWTON_MAX_STEPS):
-            value, slope = phi(y)
-            step = np.divide(value, slope, out=np.zeros_like(y), where=~no_root)
-            y = y - step
-            if np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(y))):
-                break
-        return np.where(no_root, np.nan, np.exp(y))
-
-
-def _grid_adapter(gain: GainFunction, dt: float):
-    """Terminal value, node objective and consumption rule of the gain's family, given alive.
-
-    ``node_value(t, drain_measure, death_prob, fgrid, kappa, cont)`` is the
-    objective to maximize: ``kappa`` and ``cont`` are (states x wealth)
-    arrays, ``cont`` given that the investor survives the step, and
-    ``drain_measure`` is the (states, 1) column of survivor counts, or of
-    the survival fraction in the infinite pool.  Every family's objective
-    increases in ``cont``.  ``consumption(t, drain_measure, death_prob,
-    cont, marginal)`` solves the objective's first-order condition in the
-    rate at fixed post-consumption wealth x, where ``cont`` is E(x) and
-    ``marginal`` is E'(x) > 0, all arrays of the same shape.
-    """
-    if isinstance(gain, VnmParams):
-        return _VnmAdapter(gain, dt)
-    if isinstance(gain, ExpKmParams):
-        if isinstance(gain.utility, PowerUtility) and gain.utility.exponent < 0:
-            raise ValueError(
-                "negative-power inner utility overflows the multiplicative recursion; "
-                "use exponential or log inner utility"
-            )
-        return _ExpKmAdapter(gain, dt)
-    if isinstance(gain, EzParams):
-        return _EzAdapter(gain, dt)
-    raise TypeError(f"unsupported gain family {type(gain)!r}")
-
-
 def _pchip_slopes(h: np.ndarray, secant: np.ndarray) -> np.ndarray:
     """Node slopes of the PCHIP interpolant, from interval widths and secants.
 
@@ -595,7 +464,7 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
 
     1. one golden search over the risky fraction maximizes the
        continuation E(x) = (1 - p) V(x R_d) + p V(x R_u); every family's
-       node value increases in E, so the best fraction does not depend on
+       step increases in E, so the best fraction does not depend on
        consumption;
     2. by the envelope theorem E'(x) is the probability-weighted slope of
        the interpolant at the two branches;
@@ -605,9 +474,10 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
        the grid, linearly in log wealth.  Grid wealth below every point
        consumes the fraction ``_KAPPA_MAX``; wealth above every point keeps
        the last point's x and consumes the rest;
-    5. each grid point's value is the family's node value of that policy,
-       with E from the interpolant, so the value is the value of the
-       policy returned, given the interpolated continuation.
+    5. each grid point's value is the family's step at that policy, with E
+       from the interpolant and capped at the family's ``value_cap``, so
+       the value is the value of the policy returned, given the
+       interpolated continuation.
 
     ``extras`` counts, over all steps and states, the points where
     (1 - d) E'(x) is zero to rounding (the last step, the flat top of the
@@ -635,14 +505,14 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
         n = 1
         rows = np.zeros(1, dtype=int)
         drain = problem.table.pi[:m, None]
-    adapter = _grid_adapter(problem.gain, dt)
+    gain = problem.gain
     scale = n * problem.budget
     fgrid = wealth_grid(scale, lattice, n_points)
     log_fgrid = np.log(fgrid)
     p_up = lattice.p_up
     a_lo, a_hi = allocation_bounds(lattice)
 
-    values = np.tile(adapter.terminal(fgrid), (rows.size, 1))
+    values = np.full((rows.size, fgrid.size), gain.death_value)
     shape = values.shape
     lo_a, hi_a = np.full(shape, a_lo), np.full(shape, a_hi)
     kappa_pol = np.zeros((m, rows[-1] + 1, fgrid.size))
@@ -667,12 +537,17 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
         dm = np.broadcast_to(drain[t, :, None], shape)
         death_prob = 1.0 - s[t]
         t_now = grid.points[t]
+
+        def expected(cont):
+            # Given alive now: death absorbs at the family's death value.
+            return death_prob * gain.death_value + (1.0 - death_prob) * cont
+
         frac, cont = golden_max_vec(lambda a: continuation(log_fgrid, a), lo_a, hi_a)
         slope_down, slope_up = interpolant(log_fgrid + log_gross(frac), 1)
         marginal = ((1.0 - p_up) * slope_down + p_up * slope_up) / fgrid
         live = (1.0 - death_prob) * marginal * fgrid > _FLAT_RTOL * np.abs(cont)
         rate = np.full(shape, np.nan)
-        rate[live] = adapter.consumption(t_now, dm[live], death_prob, cont[live], marginal[live])
+        rate[live] = gain.consumption(t_now, expected(cont[live]), 1.0 - death_prob, dm[live], marginal[live], dt)
         log_wealth = np.log(fgrid + rate * dm * dt)
         valid = np.isfinite(log_wealth)
         # A point is kept only below every valid point at larger x, so that
@@ -693,7 +568,9 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
                 post[r, inside] = np.exp(np.interp(log_fgrid[inside], known, log_fgrid[kept[r]]))
                 frac[r] = np.interp(log_fgrid, known, frac[r, kept[r]])
         kappa = 1.0 - post / fgrid
-        values = adapter.node_value(t_now, dm, death_prob, fgrid, kappa, continuation(np.log(post), frac))
+        with np.errstate(invalid="ignore", over="ignore"):  # the explicit recursive step at extreme rates
+            values = gain.step(t_now, kappa * fgrid / (dm * dt), expected(continuation(np.log(post), frac)), dt)
+        values = np.minimum(values, gain.value_cap)
         kappa_pol[t, rows] = kappa
         frac_pol[t, rows] = frac
 
@@ -757,9 +634,11 @@ def solve_infinite(
         problem = problem.with_n(math.inf)
     gain = problem.gain
     alpha = _scaling_exponent(gain)
+    additive_without_pricing = isinstance(gain, VnmParams) and alpha is None
     if methods is None:
-        additive_without_pricing = isinstance(gain, VnmParams) and alpha is None
         methods = ("dp",) if additive_without_pricing else ("dp", "martingale")
+    elif additive_without_pricing and "martingale" in methods:
+        raise TypeError("the additive family has a pricing route for power and log utility only")
     dp_result = None
     mart_result = None
     if "dp" in methods:
@@ -831,90 +710,44 @@ def _martingale_closed_form(problem: HomogeneousProblem, alpha: float) -> ValueR
     )
 
 
-def _adjoint_weights(p_up: float, survival: np.ndarray, slopes: list) -> list[np.ndarray]:
-    """Sensitivity of the root value to the alive value at every node.
+def _value_and_grad(gain: GainFunction, stream_flat, layout, table, lattice):
+    """The gain of a node stream and its gradient in every node's rate.
 
-    The adjoint of the lattice x death backward step: ``slopes[i]`` is the
-    derivative of level ``i``'s values in the expectation they were
-    computed from, and each level's weights pass back through that
-    expectation to the next level.
+    The value is the gain's backward sweep.  The gradient is its adjoint:
+    each level's sensitivities (of the root value to the alive value at
+    its nodes) pass back to the next level through the expectation the
+    level's values were computed from, times the step's partial in that
+    expectation, and a node's gradient entry is its sensitivity times the
+    step's partial in its rate.
     """
+    points, dt, p_up = lattice.grid.points, lattice.grid.dt, lattice.p_up
+    survival = table.step_survival
+    levels = [stream_flat[start:stop] for start, stop in layout]
+    values, expected = _gain_levels(gain, levels, table, lattice)
     lam = np.array([1.0])
-    weights = []
-    for i, slope in enumerate(slopes):
-        weights.append(lam)
-        factor = lam * slope * survival[i]
+    grad = []
+    for i, (c, e) in enumerate(zip(levels, expected)):
+        d_rate, d_expected = gain.partials(points[i], c, e, dt)
+        grad.append(lam * d_rate)
+        factor = lam * d_expected * survival[i]
         lam = np.zeros(i + 2)
         lam[1:] += factor * p_up
         lam[:-1] += factor * (1.0 - p_up)
-    return weights
+    return float(values[0][0]), np.concatenate(grad)
 
 
-def _ez_value_and_grad(params: EzParams, stream_flat, layout, table, lattice):
-    """Recursive value of a node stream and its gradient (adjoint sweep)."""
-    dt = lattice.grid.dt
-    alpha, rho, b = params.risk, params.substitution, params.discount
-    levels = [stream_flat[start:stop] for start, stop in layout]
-    values, expected = _ez_levels(alpha, rho, b, params.adequacy, levels, table, lattice)
-    f_c, f_v = [], []  # the aggregator's partial derivatives in consumption and value
-    for c, e in zip(levels, expected):
-        av = alpha * e
-        f_c.append(b * np.power(c, rho - 1.0) * np.power(av, 1.0 - rho / alpha))
-        f_v.append((b * alpha / rho) * ((1.0 - rho / alpha) * np.power(c, rho) * np.power(av, -rho / alpha) - 1.0))
-    weights = _adjoint_weights(lattice.p_up, table.step_survival, [1.0 + d * dt for d in f_v])
-    grad = np.concatenate([lam * d * dt for lam, d in zip(weights, f_c)])
-    return float(values[0][0]), grad
-
-
-def _marginal_utility(u, c: np.ndarray) -> np.ndarray:
-    """u'(c) of a power, log or exponential utility."""
-    if isinstance(u, ExponentialUtility):
-        return np.exp(-u.rate * c)
-    if isinstance(u, LogUtility):
-        return 1.0 / c
-    return np.power(c, u.exponent - 1.0)
-
-
-def _inverse_marginal(u, mu: np.ndarray) -> np.ndarray:
-    """The rate c >= 0 with u'(c) = mu, zero where mu is at least u'(0)."""
-    if isinstance(u, ExponentialUtility):
-        return np.maximum(-np.log(mu) / u.rate, 0.0)
-    if isinstance(u, LogUtility):
-        return 1.0 / mu
-    return np.power(mu, 1.0 / (u.exponent - 1.0))
-
-
-def _expkm_value_and_grad(gain: ExpKmParams, stream_flat, layout, table, lattice):
-    """Multiplicative-family value of a node stream and its gradient."""
-    dt = lattice.grid.dt
-    u = gain.utility
-    levels = [stream_flat[start:stop] for start, stop in layout]
-    r_levels = _exp_km_levels(gain, levels, table, lattice)
-    # J = -R_0, and R at a node is exp(-u(c) dt) times its expectation.
-    weights = _adjoint_weights(lattice.p_up, table.step_survival, [np.exp(-u(c) * dt) for c in levels])
-    grad = [lam * _marginal_utility(u, c) * dt * r for lam, c, r in zip(weights, levels, r_levels)]
-    return float(-r_levels[0][0]), np.concatenate(grad)
-
-
-def _marginal_coordinate(gain) -> tuple[Callable, Callable]:
+def _marginal_coordinate(gain: GainFunction) -> tuple[Callable, Callable]:
     """A node's coordinate for the pricing ascent, and its inverse.
 
-    The coordinate is minus the log of the gain's marginal utility in the
-    node's rate, up to terms that do not depend on that rate: ``(1 - rho)
-    log c`` for the recursive family, ``rate * c`` for the multiplicative
-    family with exponential utility, and ``(1 - exponent) log c`` for it
-    with power utility (``log c`` for log utility).
+    The coordinate is ``-log u'(c)`` for the gain's felicity ``u =
+    gain.utility``, which is minus the log of the gain's marginal value in
+    the node's rate up to terms that do not depend on that rate: ``(1 -
+    rho) log c`` for the recursive family, ``rate * c`` for the
+    multiplicative family with exponential utility, and ``(1 - exponent)
+    log c`` for it with power utility (``log c`` for log utility).
     """
-    if isinstance(gain, ExpKmParams) and isinstance(gain.utility, ExponentialUtility):
-        rate = gain.utility.rate
-        return (lambda c: rate * c), (lambda h: h / rate)
-    if isinstance(gain, EzParams):
-        k = 1.0 - gain.substitution
-    elif isinstance(gain.utility, PowerUtility):
-        k = 1.0 - gain.utility.exponent
-    else:
-        k = 1.0
-    return (lambda c: k * np.log(c)), (lambda h: np.exp(h / k))
+    u = gain.utility
+    return (lambda c: -np.log(u.marginal(c))), (lambda h: u.inverse_marginal(np.exp(-h)))
 
 
 # The pricing ascent stops once every first-order condition holds to this
@@ -1010,9 +843,8 @@ def _martingale_numeric(problem: HomogeneousProblem) -> ValueResult:
 
     Maximizes the gain over node streams whose price is the budget, on the
     first-order conditions of that problem (``_kkt_ascent``, with the
-    exact gradient of ``_ez_value_and_grad`` or ``_expkm_value_and_grad``),
-    from the annuity stream, with rates floored at ``1e-10`` times the
-    annuity rate.  ``extras["converged"]`` says whether every node's
+    exact gradient of ``_value_and_grad``), from the annuity stream, with
+    rates floored at ``1e-10`` times the annuity rate.  ``extras["converged"]`` says whether every node's
     first-order condition held to a relative residual of ``1e-10`` where
     the ascent stopped; it also stops at its step cap, or where no shrunk
     step stays in the family's domain.  The stream prices to the budget
@@ -1030,14 +862,7 @@ def _martingale_numeric(problem: HomogeneousProblem) -> ValueResult:
     coeffs = _stream_price_coefficients(lattice, table)[np.tri(m, m + 1, dtype=bool)]
     annuity = annuity_rate(problem)
     gain = problem.gain
-
-    if isinstance(gain, EzParams):
-        value_and_grad = lambda x: _ez_value_and_grad(gain, x, layout, table, lattice)
-    elif isinstance(gain, ExpKmParams):
-        value_and_grad = lambda x: _expkm_value_and_grad(gain, x, layout, table, lattice)
-    else:
-        raise TypeError("numeric pricing route supports the recursive and multiplicative families")
-
+    value_and_grad = lambda x: _value_and_grad(gain, x, layout, table, lattice)
     coordinate = _marginal_coordinate(gain)
     floor = 1e-10 * annuity
     res = optimize.minimize(value_and_grad, coordinate, coeffs, problem.budget, floor, np.full(start, annuity))

@@ -1,37 +1,57 @@
 """Gain functions over (consumption stream, death time) outcomes.
 
-Three families are supported: expected discounted utility with mortality,
-the exponential multiplicative family (outer ``-exp(-integral u)``), and
-recursive utility with separate risk and substitution parameters plus an
-adequacy level.  All consumption arguments are rates with respect to the
-grid measure, and every family returns ``-inf`` whenever negative
-consumption is received with positive probability.
+Three families are supported: expected discounted utility with mortality
+(``VnmParams``), the exponential multiplicative family (``ExpKmParams``,
+outer ``-exp(-integral u)``), and recursive utility with separate risk and
+substitution parameters plus an adequacy level (``EzParams``).  All
+consumption arguments are rates with respect to the grid measure; every
+family returns ``-inf`` whenever negative consumption is received with
+positive probability, and a NaN rate raises.
 
-The recursive family is defined through the aggregator
+Each family is one backward step on an investor's chain, given alive, and
+every solver calls the same four pieces of it:
 
+* ``death_value``: the value once dead (0, -1 and the adequacy value);
+* ``step(t, rate, expected, dt)``: the alive value at time ``t`` from the
+  step's consumption rate and the expected next value, death included;
+* ``partials(t, rate, expected, dt)``: the step's derivatives in the rate
+  and in the expected value, for the pricing route's adjoint gradient;
+* ``consumption(t, expected, survival, drain, slope, dt)``: for the
+  wealth-grid DP, the rate solving the step's first-order condition at
+  fixed post-consumption wealth x.  A unit of rate costs ``drain * dt`` of
+  x, whose continuation, given survival, has slope ``slope``, so the
+  condition is ``d step / d rate = survival * drain * slope * dt *
+  d step / d expected``.
+
+Each family also names the felicity ``utility`` of its step in the rate;
+the pricing route takes its coordinates from that felicity's marginal.
+
+The multiplicative family is held in value units, ``-R`` with ``R =
+E[exp(-remaining utility integral)]``: its step is ``exp(-u(c) dt) *
+expected`` and its death value -1, and since negation is exact the values
+are those of the recursion on ``R``.  The recursive family's step is the
+explicit aggregator step
+
+    V_t = E_t[V_{t+dt}] + f(c_t, E_t[V_{t+dt}]) * dt,
     f(c, v) = (b / rho) * (c**rho * (alpha*v)**(1 - rho/alpha) - alpha*v)
 
-with ``alpha < 0`` and ``0 < rho < 1``, and is evaluated by a backward
-recursion on the market-lattice x own-death chain:
+with ``alpha < 0`` and ``0 < rho < 1``, written once in ``_ez_drift``.
+Death continues at the adequacy value ``a**alpha / alpha``, so consuming
+exactly the adequacy rate gives the adequacy value regardless of
+mortality, to machine precision.  That step can overshoot the family's
+upper bound (zero) at extreme rates, so the wealth-grid DP caps its node
+values at the family's ``value_cap``; the evaluators here do not.
 
-    V_t = E_t[V_{t+dt}] + f(c_t, E_t[V_{t+dt}]) * dt   while alive,
-
-where the death branch continues at the adequacy value ``a**alpha /
-alpha``.  Consuming exactly the adequacy rate therefore gives the
-adequacy value regardless of mortality, to machine precision.
-
-The recursive and multiplicative families share one backward step on
-that chain, the expectation over the next lattice level and own death,
-and one sweep that keeps every level.  The sweep runs with a lattice or
-without one (one node per level, death the only branch), so deterministic
-rates take the same path as node streams, and its death value is a
-constant or one value per level.  The transformed solver in ``ez_bsde``
-and the pricing route's value-and-gradient in ``optimizer`` use the same
-step and sweep, and the aggregator is written once.
+Node streams and deterministic rates are evaluated by one backward sweep on
+the market-lattice x own-death chain, with a lattice or without one (one
+node per level, death the only branch).  Its death value is a constant or
+one value per level, so the transformed solver in ``ez_bsde`` runs on the
+same sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -62,6 +82,13 @@ class PowerUtility:
             out = np.where(c > 0, np.power(np.maximum(c, 1e-300), self.exponent), np.inf if self.exponent < 0 else 0.0)
         return out / self.exponent
 
+    def marginal(self, c):
+        return np.power(c, self.exponent - 1.0)
+
+    def inverse_marginal(self, mu):
+        """The rate c with u'(c) = mu."""
+        return np.power(mu, 1.0 / (self.exponent - 1.0))
+
 
 @dataclass(frozen=True)
 class LogUtility:
@@ -71,6 +98,12 @@ class LogUtility:
         c = np.asarray(c, dtype=float)
         with np.errstate(divide="ignore"):
             return np.where(c > 0, np.log(np.maximum(c, 1e-300)), -np.inf)
+
+    def marginal(self, c):
+        return 1.0 / c
+
+    def inverse_marginal(self, mu):
+        return 1.0 / mu
 
 
 @dataclass(frozen=True)
@@ -85,6 +118,13 @@ class ExponentialUtility:
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         return -np.exp(-self.rate * np.asarray(c, dtype=float)) / self.rate
+
+    def marginal(self, c):
+        return np.exp(-self.rate * c)
+
+    def inverse_marginal(self, mu):
+        """The rate c >= 0 with u'(c) = mu, zero where mu is at least u'(0) = 1."""
+        return np.maximum(-np.log(mu) / self.rate, 0.0)
 
 
 Utility = Union[PowerUtility, LogUtility, ExponentialUtility]
@@ -102,31 +142,146 @@ class VnmParams:
     utility: Utility
     discount: float = 0.0
 
+    # Death ends the utility stream.
+    death_value = 0.0
+    value_cap = math.inf
+
     def __post_init__(self) -> None:
         if self.discount < 0:
             raise ValueError("discount rate must be nonnegative")
 
+    def step(self, t, rate, expected, dt):
+        return math.exp(-self.discount * t) * self.utility(rate) * dt + expected
+
+    def partials(self, t, rate, expected, dt):
+        return math.exp(-self.discount * t) * self.utility.marginal(rate) * dt, 1.0
+
+    def consumption(self, t, expected, survival, drain, slope, dt):
+        """The first-order condition's rate: ``exp(-b t) u'(c) = survival * drain * slope``."""
+        return self.utility.inverse_marginal(math.exp(self.discount * t) * survival * drain * slope)
+
 
 @dataclass(frozen=True)
 class ExpKmParams:
-    """Multiplicative family: -exp(-integral of u over the lifetime)."""
+    """Multiplicative family: -exp(-integral of u over the lifetime), held as -R (see the module notes)."""
 
     utility: Utility
 
+    death_value = -1.0
+    value_cap = math.inf
+
+    def step(self, t, rate, expected, dt):
+        return np.exp(-self.utility(rate) * dt) * expected
+
+    def partials(self, t, rate, expected, dt):
+        growth = np.exp(-self.utility(rate) * dt)
+        return -self.utility.marginal(rate) * dt * growth * expected, growth
+
+    def consumption(self, t, expected, survival, drain, slope, dt):
+        """The first-order condition's rate: ``u'(c) = survival * drain * slope / -expected``.
+
+        A negative power inner utility is refused: as the rate falls to zero
+        its step factor ``exp(-u(c) dt)`` overflows.
+        """
+        if isinstance(self.utility, PowerUtility) and self.utility.exponent < 0:
+            raise ValueError(
+                "negative-power inner utility overflows the multiplicative recursion; "
+                "use exponential or log inner utility"
+            )
+        return self.utility.inverse_marginal(survival * drain * slope / -expected)
+
+
+# Newton steps of the recursive family's consumption condition: a cap only,
+# the steps stop once every one is below 1e-13 relative.
+_NEWTON_MAX_STEPS = 50
+
 
 @dataclass(frozen=True)
-class EzParams:
+class _Recursive:
+    """The recursive family at raw parameters, without domain checks (see ``EzParams``)."""
+
+    risk: float
+    substitution: float
+    discount: float
+    adequacy: float
+
+    @property
+    def adequacy_value(self) -> float:
+        """Fixed-point value a**alpha / alpha."""
+        return self.adequacy**self.risk / self.risk
+
+    @property
+    def death_value(self) -> float:
+        return self.adequacy_value
+
+    @property
+    def value_cap(self) -> float:
+        # Just below zero.  The cap can bind at reachable wealth: with light
+        # mortality on a 40-step annual grid the infinite-pool solve returns
+        # the cap itself as the value at the starting wealth.
+        return -1e-12 * abs(self.adequacy_value)
+
+    @property
+    def utility(self) -> PowerUtility:
+        """The aggregator's felicity in the rate, c**rho / rho up to a factor free of c."""
+        return PowerUtility(self.substitution)
+
+    def step(self, t, rate, expected, dt):
+        return expected + _ez_drift(self.risk, self.substitution, self.discount, rate, expected) * dt
+
+    def partials(self, t, rate, expected, dt):
+        alpha, rho, b = self.risk, self.substitution, self.discount
+        av = alpha * expected
+        f_c = b * np.power(rate, rho - 1.0) * np.power(av, 1.0 - rho / alpha)
+        f_v = (b * alpha / rho) * ((1.0 - rho / alpha) * np.power(rate, rho) * np.power(av, -rho / alpha) - 1.0)
+        return f_c * dt, 1.0 + f_v * dt
+
+    def consumption(self, t, expected, survival, drain, slope, dt):
+        """The first-order condition's rate, NaN where it has no root.
+
+        The condition is ``f_c(c, e) = lam (1 + f_v(c, e) dt)``, where ``e``
+        is the expected next value and ``lam = survival * drain * slope``.
+        With ``w = alpha e`` and ``z = c**rho w**(-rho/alpha)`` it reads ``b
+        w z / c = lam (A - B z)``, where ``A - B z = 1 + f_v dt`` is the
+        continuation's weight in the explicit step, positive below ``z =
+        A/B``.  In ``y = log c`` the log ratio of the two sides, ``phi(y)``,
+        is convex, least at ``z = (1 - rho) A / B``, and its smaller root is
+        the node's maximum; with ``phi`` above zero at its least there is no
+        root in the step's domain.  Newton's method starts from the root of
+        ``phi`` without its ``B z`` term, which lies left of the smaller
+        root, and climbs to it monotonically.
+        """
+        alpha, rho = self.risk, self.substitution
+        log_w = np.log(alpha * expected)
+        shift = -rho / alpha * log_w  # log z = rho y + shift
+        const = math.log(self.discount) + log_w + shift - np.log(survival * drain * slope)
+        a_coef = 1.0 - self.discount * alpha * dt / rho
+        b_coef = self.discount * (rho - alpha) * dt / rho
+
+        def phi(y):
+            bz = b_coef * np.exp(rho * y + shift)
+            return const + (rho - 1.0) * y - np.log(a_coef - bz), rho * bz / (a_coef - bz) + rho - 1.0
+
+        y_least = (math.log((1.0 - rho) * a_coef / b_coef) - shift) / rho
+        no_root = phi(y_least)[0] > 0.0
+        y = np.where(no_root, y_least, (const - math.log(a_coef)) / (1.0 - rho))
+        for _ in range(_NEWTON_MAX_STEPS):
+            value, derivative = phi(y)
+            step = np.divide(value, derivative, out=np.zeros_like(y), where=~no_root)
+            y = y - step
+            if np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(y))):
+                break
+        return np.where(no_root, np.nan, np.exp(y))
+
+
+@dataclass(frozen=True)
+class EzParams(_Recursive):
     """Recursive preferences with mortality and an adequacy level.
 
     ``risk`` (< 0) and ``substitution`` (in (0, 1)) control risk aversion
     and intertemporal substitution separately; ``adequacy`` (> 0) is the
     constant rate at which living and dying are equally attractive.
     """
-
-    risk: float
-    substitution: float
-    discount: float
-    adequacy: float
 
     def __post_init__(self) -> None:
         if not (self.risk < 0):
@@ -138,11 +293,6 @@ class EzParams:
         if not (self.adequacy > 0):
             raise ValueError("adequacy level must be positive")
 
-    @property
-    def adequacy_value(self) -> float:
-        """Fixed-point value a**alpha / alpha."""
-        return self.adequacy**self.risk / self.risk
-
 
 GainFunction = Union[VnmParams, ExpKmParams, EzParams]
 
@@ -152,11 +302,19 @@ GainFunction = Union[VnmParams, ExpKmParams, EzParams]
 # ---------------------------------------------------------------------------
 
 
+def _any_negative(rates: np.ndarray) -> bool:
+    """Whether some rate is negative; a NaN rate, which no comparison catches, raises."""
+    least = np.min(rates)
+    if np.isnan(least):
+        raise ValueError("consumption rates must not be NaN")
+    return bool(least < 0)
+
+
 def vnm_value_of_rates(gain: VnmParams, rates: np.ndarray, table: MortalityTable) -> float:
     """Exact value of a deterministic rate stream under the mortality law."""
     grid = table.grid
     rates = np.broadcast_to(np.asarray(rates, dtype=float), (grid.n_steps,))
-    if np.any(rates < 0):
+    if _any_negative(rates):
         return -np.inf
     pi = table.pi[: grid.n_steps]
     disc = np.exp(-gain.discount * grid.points)
@@ -171,7 +329,7 @@ def vnm_value_on_lattice(
 ) -> float:
     """Exact value of a node-adapted rate stream (death independent of market)."""
     rates = stack_stream(stream)
-    if rates.min() < 0:
+    if _any_negative(rates):
         return -np.inf
     grid = lattice.grid
     m = grid.n_steps
@@ -190,7 +348,7 @@ def exp_km_value_of_rates(gain: ExpKmParams, rates: np.ndarray, table: Mortality
     """Exact value of a deterministic rate stream: enumerate death times."""
     grid = table.grid
     rates = np.broadcast_to(np.asarray(rates, dtype=float), (grid.n_steps,))
-    if np.any(rates < 0):
+    if _any_negative(rates):
         return -np.inf
     partial = np.cumsum(gain.utility(rates)) * grid.dt  # integral up to and incl. t
     masses = table.p * grid.dt
@@ -201,9 +359,9 @@ def exp_km_value_on_lattice(
     gain: ExpKmParams, stream: Stream, table: MortalityTable, lattice: Lattice
 ) -> float:
     """Backward evaluation of the multiplicative family on the lattice."""
-    if np.concatenate(stream).min() < 0:
+    if _any_negative(np.concatenate(stream)):
         return -np.inf
-    return float(-_exp_km_levels(gain, stream, table, lattice)[0][0])
+    return float(_gain_levels(gain, stream, table, lattice)[0][0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +405,12 @@ def _backward_levels(node_value, absorbed, table: MortalityTable, lattice: Latti
     return values, expected
 
 
+def _gain_levels(gain, rates: list, table: MortalityTable, lattice: Lattice | None = None):
+    """``_backward_levels`` on the gain's own step and death value, for rates given per level."""
+    points, dt = table.grid.points, table.grid.dt
+    return _backward_levels(lambda i, e: gain.step(points[i], rates[i], e, dt), gain.death_value, table, lattice)
+
+
 def _rate_levels(consumption, m: int) -> list:
     """Rates per level: a node stream as given, deterministic rates one per level."""
     if isinstance(consumption, list):
@@ -254,35 +418,10 @@ def _rate_levels(consumption, m: int) -> list:
     return list(np.broadcast_to(np.asarray(consumption, dtype=float), (m,)))
 
 
-def _exp_km_levels(gain: ExpKmParams, stream: Stream, table: MortalityTable, lattice: Lattice) -> list:
-    """E[exp(-remaining utility integral) | alive] at every lattice node."""
-    dt = table.grid.dt
-
-    def node_value(i, expected):
-        return np.exp(-gain.utility(stream[i]) * dt) * expected
-
-    return _backward_levels(node_value, 1.0, table, lattice)[0]
-
-
 def _ez_drift(alpha: float, rho: float, b: float, consumption, value):
     """Aggregator drift f(c, v) at raw parameters, without domain checks."""
     av = alpha * value  # positive wherever v < 0
     return (b / rho) * (np.power(consumption, rho) * np.power(av, 1.0 - rho / alpha) - av)
-
-
-def _ez_levels(alpha: float, rho: float, b: float, adequacy: float, stream: Stream, table, lattice):
-    """Recursive values at every lattice node, with the expectations behind them.
-
-    The death branch continues at the adequacy value; parameter ranges and
-    the sign of the rates are the caller's concern.
-    """
-    terminal = adequacy**alpha / alpha
-    dt = table.grid.dt
-
-    def node_value(i, expected):
-        return expected + _ez_drift(alpha, rho, b, stream[i], expected) * dt
-
-    return _backward_levels(node_value, terminal, table, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +477,7 @@ def ez_value_unrestricted(
     if any(np.any(level < 0) for level in rates):
         return -np.inf
     with np.errstate(invalid="ignore", over="ignore"):
-        values, _ = _ez_levels(risk, substitution, discount, adequacy, rates, table, lattice)
+        values, _ = _gain_levels(_Recursive(risk, substitution, discount, adequacy), rates, table, lattice)
     broken = [i for i, level in enumerate(values) if not np.all(np.isfinite(level))]
     if broken:
         raise ValueError(f"recursive value not finite at level {broken[-1]}: the explicit step left the domain v < 0")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from tontine.optimizer import _grid_adapter, _portfolio_gross
+from tontine.optimizer import _portfolio_gross
 
 
 def exact_policy_value(problem, policy) -> float:
@@ -27,9 +27,12 @@ def exact_policy_value(problem, policy) -> float:
         down, up = _portfolio_gross(lattice, policy.risky_fraction(t, pi[t], w))
         post = w * (1.0 - kappas[-1])
         wealth.append(np.stack([post * down, post * up], axis=1).ravel())
-    adapter = _grid_adapter(problem.gain, dt)
-    values = adapter.terminal(wealth[m])
+    gain = problem.gain
+    values = np.full(wealth[m].shape, gain.death_value)
     for t in range(m - 1, -1, -1):
         cont = (1.0 - lattice.p_up) * values[0::2] + lattice.p_up * values[1::2]
-        values = adapter.node_value(grid.points[t], pi[t], 1.0 - survival[t], wealth[t], kappas[t], cont)
+        death_prob = 1.0 - survival[t]
+        expected = death_prob * gain.death_value + (1.0 - death_prob) * cont
+        rate = kappas[t] * wealth[t] / (pi[t] * dt)
+        values = np.minimum(gain.step(grid.points[t], rate, expected, dt), gain.value_cap)
     return float(values[0])

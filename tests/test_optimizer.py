@@ -21,8 +21,7 @@ from tontine.optimizer import (
     annuity_rate,
     annuity_value,
     PchipInterpolator,
-    _expkm_value_and_grad,
-    _ez_value_and_grad,
+    _value_and_grad,
     _pchip_slopes,
     _stream_price_coefficients,
     _solve_scaling,
@@ -692,31 +691,55 @@ def test_closed_form_replication_pinned(case):
 # and last entries and sum of the gradient, pinned from the hand-written
 # forward and adjoint sweeps that the shared lattice x death step replaced.
 GRADIENT_PINS = {
-    "ez": (EZ_SHORT, _ez_value_and_grad,
+    "ez": (EZ_SHORT,
            -129.25750354693866, 100.12137059587432, 0.4504996472805797, 807.9310957242099),
-    "expkm": (ExpKmParams(ExponentialUtility(1.0)), _expkm_value_and_grad,
+    "expkm": (ExpKmParams(ExponentialUtility(1.0)),
               -7042.787918066223, 6331.743027037855, 44.54395486361487, 63163.30342453127),
-    "expkm-log": (ExpKmParams(LogUtility()), _expkm_value_and_grad,
+    "expkm-log": (ExpKmParams(LogUtility()),
                   -4647736123.608778, 43670014733.70131, 311094778.2414134, 436565107808.36505),
-    "expkm-half": (ExpKmParams(PowerUtility(0.5)), _expkm_value_and_grad,
+    "expkm-half": (ExpKmParams(PowerUtility(0.5)),
                    -0.013811470145735695, 0.04233609984825482, 2.7756937315862546e-05, 0.12566019570491893),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GRADIENT_PINS))
 def test_pricing_objective_gradient_pinned(case):
-    gain, value_and_grad, value, first, last, total = GRADIENT_PINS[case]
+    gain, value, first, last, total = GRADIENT_PINS[case]
     problem = heavy_problem(gain, 1.0, 10.0)
     sizes = np.arange(1, problem.grid.n_steps + 1)
     stops = np.cumsum(sizes)
     layout = list(zip(stops - sizes, stops))
     x = np.full(stops[-1], annuity_rate(problem))
-    v, grad = value_and_grad(gain, x, layout, problem.table, problem.lattice())
+    v, grad = _value_and_grad(gain, x, layout, problem.table, problem.lattice())
     assert v == pytest.approx(value, rel=1e-12)
     assert grad.shape == x.shape
     assert grad[0] == pytest.approx(first, rel=1e-12)
     assert grad[-1] == pytest.approx(last, rel=1e-12)
     assert grad.sum() == pytest.approx(total, rel=1e-12)
+
+
+def test_additive_step_sweep_matches_the_lattice_evaluator_and_central_differences():
+    # The additive family's step and partials, which only the wealth grid
+    # and no pricing route uses, against the closed sum of
+    # vnm_value_on_lattice and central differences of the sweep itself.
+    gain = VnmParams(ExponentialUtility(1.0), 0.02)
+    problem = heavy_problem(gain, 1.0, 10.0)
+    lattice = problem.lattice()
+    sizes = np.arange(1, problem.grid.n_steps + 1)
+    stops = np.cumsum(sizes)
+    layout = list(zip(stops - sizes, stops))
+    x = annuity_rate(problem) * np.linspace(0.5, 1.5, stops[-1])
+    value, grad = _value_and_grad(gain, x, layout, problem.table, lattice)
+    stream = [x[a:b] for a, b in layout]
+    assert value == pytest.approx(preferences.vnm_value_on_lattice(gain, stream, problem.table, lattice), rel=1e-13)
+    h = 1e-6
+    for k in (0, 7, stops[-1] - 1):
+        up, down = x.copy(), x.copy()
+        up[k] += h
+        down[k] -= h
+        difference = (_value_and_grad(gain, up, layout, problem.table, lattice)[0]
+                      - _value_and_grad(gain, down, layout, problem.table, lattice)[0]) / (2 * h)
+        assert grad[k] == pytest.approx(difference, rel=1e-6)
 
 
 # The numeric pricing route, solved from its first-order conditions, on
@@ -744,8 +767,7 @@ def pricing_value_and_grad(problem, stream):
     sizes = np.array([level.size for level in stream])
     stops = np.cumsum(sizes)
     layout = list(zip(stops - sizes, stops))
-    value_and_grad = _ez_value_and_grad if isinstance(problem.gain, EzParams) else _expkm_value_and_grad
-    return value_and_grad(problem.gain, np.concatenate(stream), layout, problem.table, problem.lattice())
+    return _value_and_grad(problem.gain, np.concatenate(stream), layout, problem.table, problem.lattice())
 
 
 def kkt_residual(problem, stream):

@@ -481,3 +481,34 @@ def test_ez_value_outside_the_recursion_domain_raises(law):
     stream = solve_infinite(problem, methods=("martingale",)).extras["stream"]
     with pytest.raises(ValueError, match="level 38"):
         ez_utility_discrete(EZ_BENCH, stream, table, problem.lattice())
+
+
+# --- NaN rates ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "evaluate, gain",
+    [
+        (vnm_value_of_rates, VnmParams(PowerUtility(0.5), 0.02)),
+        (vnm_value_on_lattice, VnmParams(PowerUtility(0.5), 0.02)),
+        (exp_km_value_of_rates, ExpKmParams(LogUtility())),
+        (exp_km_value_on_lattice, ExpKmParams(LogUtility())),
+    ],
+    ids=["vnm-rates", "vnm-lattice", "expkm-rates", "expkm-lattice"],
+)
+def test_a_nan_rate_raises(evaluate, gain):
+    # Utilities send a NaN rate down their zero branch (power 1/2 to 0, log
+    # to -inf), so these evaluators used to score it as zero consumption:
+    # the additive power-1/2 value of rates 0.1 with a NaN at level 3 read
+    # 4.879185043544746, its value with that rate set to zero.
+    table, lattice = heavy_annual10()
+    if evaluate in (vnm_value_on_lattice, exp_km_value_on_lattice):
+        stream = constant_stream(lattice, 0.1)
+        stream[3][1] = np.nan
+        args = (stream, table, lattice)
+    else:
+        rates = np.full(10, 0.1)
+        rates[3] = np.nan
+        args = (rates, table)
+    with pytest.raises(ValueError, match="NaN"):
+        evaluate(gain, *args)
