@@ -5,14 +5,16 @@ withdraw cash at the policy's per-survivor rate (times the grid step);
 the remainder compounds over the step at the portfolio gross return
 implied by the risky allocation fraction.  Finite pools drain by the
 realized survivor count, infinite pools by the deterministic survival
-fraction.
+fraction.  The drain measure keeps the caller's dtype: integer survivor
+counts pass through without a float copy.
 
 Trajectories are never rejected: a violation of the nonnegativity
 constraints is flagged (first offending grid point recorded) so that
 optimizers can penalize rather than crash.  All evolutions accept a
 leading batch dimension of simulated paths and run through one loop,
 ``_evolve``; the gated transfer of an infinite-pool stream to a finite
-pool evolves through it too, with the gated survivor count as its drain.
+pool evolves through it too, with the survivor count as its drain and a
+policy whose rate is zero once the gate has closed.
 
 Arrays are indexed batch-first, ``(..., m)``, but the loop steps through
 time and reads one grid point of every path at a time.  The samplers
@@ -103,7 +105,8 @@ class FundTrajectory:
 
     ``post_value[..., t] = pre_value[..., t] - drain_t`` and compounds to
     ``pre_value[..., t+1]`` with zero leakage.  ``alive`` is the survivor
-    count (or fraction), ``rate`` the per-survivor consumption rate.
+    count (or fraction) as the caller passed it, dtype included: integer
+    counts stay integers.  ``rate`` is the per-survivor consumption rate.
     """
 
     grid: TimeGrid
@@ -169,14 +172,14 @@ def evolve_finite(
     """Evolve a finite pool along realized market and mortality paths.
 
     Args:
-        survivor_counts: integer counts, shape (..., m); deaths at a grid
+        survivor_counts: survivor counts, shape (..., m), used as given
+            (integer counts are not copied to floats); deaths at a grid
             point still consume there.
         budgets: per-individual initial budgets (last axis indexes the
             individuals); the fund starts at their sum.
     """
-    counts = np.asarray(survivor_counts, dtype=float)
     initial = np.sum(np.asarray(budgets, dtype=float), axis=-1)
-    return _evolve(strategy, paths, counts, initial)
+    return _evolve(strategy, paths, np.asarray(survivor_counts), initial)
 
 
 def evolve_infinite(

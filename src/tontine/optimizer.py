@@ -939,29 +939,41 @@ class TransferResult:
 class _NodePolicy:
     """Per-survivor rates and risky fractions read off the lattice nodes.
 
-    Survivors outside the drain measure (a closed gate) consume nothing.
+    Survivors consume nothing once their pool's gate has closed:
+    ``gate[..., t]`` is true while it is open at grid point ``t``.
     """
 
     rates: Stream
     fractions: Stream
+    gate: np.ndarray  # (..., m) bool
 
     def consumption_rate(self, t_idx, alive, wealth, node=None):
-        return np.where(alive > 0, self.rates[t_idx][node], 0.0)
+        return np.where(self.gate[..., t_idx], self.rates[t_idx][node], 0.0)
 
     def risky_fraction(self, t_idx, alive, wealth, node=None):
         return self.fractions[t_idx][node]
 
 
-def _path_score(gain: VnmParams, grid: TimeGrid, weights: np.ndarray, rates: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of ``sum_t exp(-b t) weight_t u(rate_t) dt`` over paths.
+def _path_score(
+    gain: VnmParams, grid: TimeGrid, weights: np.ndarray, rates: np.ndarray, n: float
+) -> tuple[float, float]:
+    """Mean and standard error of ``sum_t exp(-b t) (weight_t / n) u(rate_t) dt`` over paths.
 
     ``weights`` is ``(..., m)`` or one ``(m,)`` row shared by every path.
-    Rates where the weight is zero are not scored.  A path scoring minus
-    infinity makes the estimate -inf and its standard error ``math.inf``.
+    Scores in place: ``rates`` is overwritten by the terms of the sum.
+    Rates where the weight is zero are not scored; a NaN rate elsewhere
+    raises ``ValueError``.  A path scoring minus infinity makes the
+    estimate -inf and its standard error ``math.inf``.
     """
-    terms = np.where(weights > 0, gain.utility(np.maximum(rates, 0.0)), 0.0)
-    terms *= weights * np.exp(-gain.discount * grid.points)
-    per_path = np.sum(terms, axis=1) * grid.dt
+    scored = weights > 0
+    if np.isnan(np.min(rates, initial=np.inf, where=scored)):
+        raise ValueError("consumption rates must not be NaN")
+    terms = gain.utility(np.maximum(rates, 0.0, out=rates), out=rates)
+    # Unscored terms may be u(0) = -inf; zero them before weighting.
+    np.copyto(terms, 0.0, where=~scored)
+    terms *= weights
+    terms *= np.exp(-gain.discount * grid.points)
+    per_path = np.sum(terms, axis=1) * (grid.dt / n)
     trials = per_path.shape[0]
     se = float(per_path.std(ddof=1) / np.sqrt(trials)) if np.all(np.isfinite(per_path)) else math.inf
     return float(per_path.mean()), se
@@ -983,7 +995,13 @@ def transfer_infinite_to_finite(
     fund invests exactly like the scaled infinite-pool replication, which
     keeps wealth nonnegative path by path.  Returns the Monte Carlo gain
     with its standard error plus the exact chain value, for the additive
-    family.
+    family; a NaN rate raises ``ValueError``.
+
+    Beyond the sampled inputs (node indices, risky returns, survivor
+    counts) the run holds only the fund trajectory's (trials, m) arrays:
+    the gate zeroes the rate inside the policy, so the counts drain as
+    they are, and the rates are scored in place once the fund values and
+    the paths are released.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
@@ -1007,9 +1025,13 @@ def transfer_infinite_to_finite(
     for t in range(1, m):
         gate[:, t] &= gate[:, t - 1]
     scaled = scale_stream(stream, lam)
-    policy = _NodePolicy(scaled, replication.risky_fraction)
-    traj = evolve_finite(policy, paths, np.multiply(counts, gate, dtype=float), np.full(n, problem.budget))
-    estimate, se = _path_score(gain, grid, counts / n, traj.rate)
+    policy = _NodePolicy(scaled, replication.risky_fraction, gate)
+    traj = evolve_finite(policy, paths, counts, np.full(n, problem.budget))
+    violations = int(np.count_nonzero(~traj.admissible))
+    # Only the rates are scored: free the fund values and the paths first.
+    rates = traj.rate
+    del traj, paths
+    estimate, se = _path_score(gain, grid, counts, rates, n)
 
     # Exact value over the joint (count, gate) chain; market factor exact.
     chain = bound_chain(n, table, lam)
@@ -1034,7 +1056,7 @@ def transfer_infinite_to_finite(
         gain_se=se,
         exact_gain=float(exact),
         target_gain=float(target),
-        admissibility_violations=int(np.count_nonzero(~traj.admissible)),
+        admissibility_violations=violations,
         trials=trials,
     )
 
@@ -1057,6 +1079,12 @@ def simulate_policy_value(
     ``sum_t exp(-b t) (alive_t / n) u(rate_t) dt``; for the infinite pool
     the weight is the survival fraction.  Returns (estimate, standard
     error); the error is ``math.inf`` when a path scores minus infinity.
+    A NaN rate where the weight is positive raises ``ValueError``.
+
+    Beyond the sampled inputs (node indices, risky returns, survivor
+    counts) the run holds only the fund trajectory's (trials, m) arrays;
+    the rates are scored in place once the fund values and the paths are
+    released.
     """
     if trials < 2:
         raise ValueError("need trials >= 2")
@@ -1069,10 +1097,12 @@ def simulate_policy_value(
     paths = PathBundle.from_lattice_paths(sample_lattice_paths(lattice, trials, "P", seed))
     if math.isfinite(problem.n):
         n = int(problem.n)
-        counts = simulate_survivor_counts(n, problem.table, trials, seed, label="resim-mortality")
-        traj = evolve_finite(policy, paths, counts, np.full(n, problem.budget))
-        weights = counts / n
+        weights = simulate_survivor_counts(n, problem.table, trials, seed, label="resim-mortality")
+        rates = evolve_finite(policy, paths, weights, np.full(n, problem.budget)).rate
     else:
-        traj = evolve_infinite(policy, paths, problem.table, problem.budget)
+        n = 1
         weights = problem.table.pi[:m]
-    return _path_score(gain, grid, weights, traj.rate)
+        rates = evolve_infinite(policy, paths, problem.table, problem.budget).rate
+    # Only the rates are scored: free the paths first.
+    del paths
+    return _path_score(gain, grid, weights, rates, n)

@@ -64,6 +64,15 @@ from .mortality import MortalityTable
 # ---------------------------------------------------------------------------
 # Utility functions on consumption rates
 # ---------------------------------------------------------------------------
+#
+# Each utility writes its values into ``out`` when one is given (an array
+# of the input's shape, which may be the input itself) and into a new
+# array otherwise, with the same values either way.  A NaN rate gives a
+# NaN utility.
+
+
+def _output_for(c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    return np.empty_like(c) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -76,11 +85,14 @@ class PowerUtility:
         if not (self.exponent < 1.0) or self.exponent == 0.0:
             raise ValueError("power exponent must be < 1 and nonzero")
 
-    def __call__(self, c: np.ndarray) -> np.ndarray:
+    def __call__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where(c > 0, np.power(np.maximum(c, 1e-300), self.exponent), np.inf if self.exponent < 0 else 0.0)
-        return out / self.exponent
+        at_zero = c <= 0
+        out = _output_for(c, out)
+        np.power(np.maximum(c, 1e-300, out=out), self.exponent, out=out)
+        out /= self.exponent
+        out[at_zero] = -np.inf if self.exponent < 0 else 0.0
+        return out
 
     def marginal(self, c):
         return np.power(c, self.exponent - 1.0)
@@ -94,10 +106,13 @@ class PowerUtility:
 class LogUtility:
     """u(c) = log(c); minus infinity at zero."""
 
-    def __call__(self, c: np.ndarray) -> np.ndarray:
+    def __call__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(c > 0, np.log(np.maximum(c, 1e-300)), -np.inf)
+        at_zero = c <= 0
+        out = _output_for(c, out)
+        np.log(np.maximum(c, 1e-300, out=out), out=out)
+        out[at_zero] = -np.inf
+        return out
 
     def marginal(self, c):
         return 1.0 / c
@@ -116,8 +131,13 @@ class ExponentialUtility:
         if not (self.rate > 0):
             raise ValueError("exponential utility rate must be positive")
 
-    def __call__(self, c: np.ndarray) -> np.ndarray:
-        return -np.exp(-self.rate * np.asarray(c, dtype=float)) / self.rate
+    def __call__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        c = np.asarray(c, dtype=float)
+        out = _output_for(c, out)
+        np.exp(np.multiply(c, -self.rate, out=out), out=out)
+        np.negative(out, out=out)
+        out /= self.rate
+        return out
 
     def marginal(self, c):
         return np.exp(-self.rate * c)
@@ -174,21 +194,25 @@ class ExpKmParams:
         return np.exp(-self.utility(rate) * dt) * expected
 
     def partials(self, t, rate, expected, dt):
+        self._refuse_negative_power()
         growth = np.exp(-self.utility(rate) * dt)
         return -self.utility.marginal(rate) * dt * growth * expected, growth
 
     def consumption(self, t, expected, survival, drain, slope, dt):
-        """The first-order condition's rate: ``u'(c) = survival * drain * slope / -expected``.
+        """The first-order condition's rate: ``u'(c) = survival * drain * slope / -expected``."""
+        self._refuse_negative_power()
+        return self.utility.inverse_marginal(survival * drain * slope / -expected)
 
-        A negative power inner utility is refused: as the rate falls to zero
-        its step factor ``exp(-u(c) dt)`` overflows.
+    def _refuse_negative_power(self) -> None:
+        """Refuse a negative power inner utility, in the DP (``consumption``) and the pricing route (``partials``).
+
+        As the rate falls to zero its step factor ``exp(-u(c) dt)`` overflows.
         """
         if isinstance(self.utility, PowerUtility) and self.utility.exponent < 0:
             raise ValueError(
                 "negative-power inner utility overflows the multiplicative recursion; "
                 "use exponential or log inner utility"
             )
-        return self.utility.inverse_marginal(survival * drain * slope / -expected)
 
 
 # Newton steps of the recursive family's consumption condition: a cap only,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -421,6 +422,62 @@ def test_simulated_value_of_a_minus_inf_policy_has_infinite_standard_error():
     assert se == math.inf
 
 
+class OneNanRate(ConstantRateStrategy):
+    """The constant rate, except NaN on the first path at grid point 3."""
+
+    def consumption_rate(self, t_idx, alive, wealth, node=None):
+        rate = super().consumption_rate(t_idx, alive, wealth, node)
+        if t_idx == 3:
+            rate[0] = np.nan
+        return rate
+
+
+@pytest.mark.parametrize("n", [8, math.inf])
+def test_simulated_value_of_a_nan_rate_raises(n):
+    # The score used to send a NaN rate down the utility's zero branch:
+    # power 1/2 with one NaN among 4 paths of rate 0.1 at A10 heavy scored
+    # (5.310544591286364, 0.14378651591387248), its score with that rate 0.
+    problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0).with_n(n)
+    with pytest.raises(ValueError, match="consumption rates must not be NaN"):
+        simulate_policy_value(problem, OneNanRate(0.1), trials=4, seed=3)
+
+
+def test_transfer_of_a_nan_rate_raises():
+    problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
+    res = solve_infinite(problem, methods=("martingale",))
+    stream = [level.copy() for level in res.extras["stream"]]
+    stream[3][:] = np.nan
+    with pytest.raises(ValueError, match="consumption rates must not be NaN"):
+        transfer_infinite_to_finite(stream, res.extras["replication"], lam=0.9, n=8, problem=problem,
+                                    trials=4, seed=3)
+
+
+@pytest.mark.parametrize("entry", ["simulate", "transfer"])
+def test_monte_carlo_entry_points_hold_fewer_than_seven_full_arrays(entry):
+    # At n = 64 on Q40 heavy with 8000 paths one (trials, m) float array
+    # is 9.8 MiB.  The sampled inputs (node indices, risky returns, survivor
+    # counts) and the fund's values and rates make six; the score works in
+    # place on the rates.  With float copies of the counts and the drain
+    # and the score's temporaries, the peak read 11.3 such arrays.
+    trials = 8000
+    if entry == "simulate":
+        problem = heavy_problem(VnmParams(PowerUtility(-1.0), 0.02), 0.25, 40.0).with_n(64)
+        policy = solve_finite_dp(problem).strategy
+        run = lambda: simulate_policy_value(problem, policy, trials, seed=7)
+    else:
+        problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 0.25, 40.0)
+        res = solve_infinite(problem, methods=("martingale",))
+        run = lambda: transfer_infinite_to_finite(res.extras["stream"], res.extras["replication"], lam=0.9,
+                                                  n=64, problem=problem, trials=trials, seed=7)
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * trials * problem.grid.n_steps * 8
+
+
 # --- wealth-grid solver ----------------------------------------------------------------
 
 
@@ -501,11 +558,16 @@ def test_multiplicative_grid_value_pinned_for_log_and_power_inner_utility(case):
     assert res.value == pytest.approx(value, rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [math.inf, 4])
-def test_grid_rejects_a_negative_power_inner_utility(n):
+@pytest.mark.parametrize(
+    "n, route",
+    [pytest.param(math.inf, "dp", id="inf"), pytest.param(4, "dp", id="4"),
+     pytest.param(math.inf, "martingale", id="inf-pricing")],
+)
+def test_grid_rejects_a_negative_power_inner_utility(n, route):
+    # The pricing route used to accept this gain and return -1.7746951292298218e37 as converged.
     problem = heavy_problem(ExpKmParams(PowerUtility(-1.0)), 1.0, 10.0).with_n(n)
     with pytest.raises(ValueError, match="negative-power inner utility overflows the multiplicative recursion"):
-        solve_finite_dp(problem) if math.isfinite(n) else solve_infinite(problem, methods=("dp",))
+        solve_finite_dp(problem) if math.isfinite(n) else solve_infinite(problem, methods=(route,))
 
 
 # The EZ solver's reported value against the exact value of its own policy

@@ -43,6 +43,26 @@ def test_utility_zero_conventions():
     assert ExponentialUtility(2.0)(0.0) == pytest.approx(-0.5)
 
 
+@pytest.mark.parametrize(
+    "utility, at_zero, at_inf",
+    [(PowerUtility(-1.0), -np.inf, -0.0), (PowerUtility(0.5), 0.0, np.inf), (LogUtility(), -np.inf, np.inf),
+     (ExponentialUtility(1.0), -1.0, -0.0)],
+    ids=["power-1", "power-half", "log", "exponential"],
+)
+def test_utility_written_in_place_equals_the_allocating_call(utility, at_zero, at_inf):
+    # The Monte Carlo score writes the utility into its own rate array.
+    c = np.array([0.0, 5e-324, 1e-300, 0.1, 1.0, 1e300, np.inf])
+    expected = utility(c)
+    assert expected[0] == at_zero and expected[-1] == at_inf
+    assert np.signbit(expected[-1]) == np.signbit(at_inf)
+    buf = np.full_like(c, np.nan)
+    assert utility(c, out=buf) is buf
+    assert buf.tobytes() == expected.tobytes()
+    rows = np.tile(c, (3, 1)).T  # a transposed view, as the score's rates are
+    assert utility(rows, out=rows) is rows
+    assert np.ascontiguousarray(rows.T).tobytes() == np.tile(expected, 3).tobytes()
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         PowerUtility(1.5)
@@ -497,9 +517,8 @@ def test_ez_value_outside_the_recursion_domain_raises(law):
     ids=["vnm-rates", "vnm-lattice", "expkm-rates", "expkm-lattice"],
 )
 def test_a_nan_rate_raises(evaluate, gain):
-    # Utilities send a NaN rate down their zero branch (power 1/2 to 0, log
-    # to -inf), so these evaluators used to score it as zero consumption:
-    # the additive power-1/2 value of rates 0.1 with a NaN at level 3 read
+    # These evaluators used to score a NaN rate as zero consumption: the
+    # additive power-1/2 value of rates 0.1 with a NaN at level 3 read
     # 4.879185043544746, its value with that rate set to zero.
     table, lattice = heavy_annual10()
     if evaluate in (vnm_value_on_lattice, exp_km_value_on_lattice):
