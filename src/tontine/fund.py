@@ -6,7 +6,8 @@ the remainder compounds over the step at the portfolio gross return
 implied by the risky allocation fraction.  Finite pools drain by the
 realized survivor count, infinite pools by the deterministic survival
 fraction.  The drain measure keeps the caller's dtype: integer survivor
-counts pass through without a float copy.
+counts, narrow unsigned ones included, pass through without a float
+copy; they are only compared, used as indices or multiplied into floats.
 
 Trajectories are never rejected: a violation of the nonnegativity
 constraints is flagged (first offending grid point recorded) so that
@@ -19,9 +20,15 @@ policy whose rate is zero once the gate has closed.
 Arrays are indexed batch-first, ``(..., m)``, but the loop steps through
 time and reads one grid point of every path at a time.  The samplers
 (``simulate_survivor_counts``, ``sample_lattice_paths``) therefore store
-their arrays time-major and hand out transposed views, and elementwise
-results such as ``risky_gross`` keep that layout: each step reads
+their arrays time-major and hand out transposed views: each step reads
 contiguous rows.  Any layout gives the same values.
+
+Per path and step the evolution holds only what needs the width: the
+up moves as booleans (the risky return is looked up one step at a time
+from the two gross returns), node indices and survivor counts in the
+samplers' narrow unsigned types, and the pre-payment fund values and
+the rates as floats.  Post-payment wealth lives in one scratch row and
+is recomputed on demand (``FundTrajectory.post_value``).
 """
 
 from __future__ import annotations
@@ -83,20 +90,30 @@ class TabulatedPolicy:
 class PathBundle:
     """Gross returns along simulated paths (batch-first indexing).
 
-    Built from sampled lattice paths, the arrays are transposed views of
+    The risky asset moves up or down at each step: ``ups[..., t]`` is
+    true for an up move, and ``risky_returns`` holds the gross return of
+    a down move and of an up move, in that order.  Built from sampled
+    lattice paths, ``ups`` and ``node_idx`` are transposed views of
     time-major storage (see the module docstring).
     """
 
     grid: TimeGrid
-    risky_gross: np.ndarray  # (..., m)
+    ups: np.ndarray  # (..., m) bool
+    risky_returns: np.ndarray  # (2,) down, up
     bond_gross: np.ndarray  # (m,) broadcastable
     node_idx: np.ndarray | None = None  # (..., m+1)
 
     @staticmethod
     def from_lattice_paths(paths: LatticePaths) -> "PathBundle":
-        grid = paths.lattice.grid
-        bond = np.full(grid.n_steps, paths.bond_gross())
-        return PathBundle(grid, paths.risky_gross(), bond, paths.node_idx)
+        lattice = paths.lattice
+        bond = np.full(lattice.n_steps, paths.bond_gross())
+        return PathBundle(lattice.grid, paths.ups, np.array([lattice.down, lattice.up]), bond, paths.node_idx)
+
+    def risky_step(self, t: int) -> np.ndarray:
+        """Gross risky returns of step ``t`` on every path, shape ``(...,)``."""
+        # Indexing the two-entry table by the moves as bytes takes half the
+        # time of ``np.where`` with scalar branches.
+        return self.risky_returns[self.ups[..., t].view(np.uint8)]
 
 
 @dataclass(frozen=True)
@@ -111,11 +128,16 @@ class FundTrajectory:
 
     grid: TimeGrid
     pre_value: np.ndarray  # (..., m+1)
-    post_value: np.ndarray  # (..., m)
     alive: np.ndarray  # (..., m)
     rate: np.ndarray  # (..., m)
     admissible: np.ndarray  # (...,) bool
     first_violation: np.ndarray  # (...,) int, -1 if none
+
+    @property
+    def post_value(self) -> np.ndarray:
+        """Fund values after each step's payments, ``(..., m)``, computed
+        on each access with the evolution's own expression (same bits)."""
+        return self.pre_value[..., :-1] - self.alive * self.rate * self.grid.dt
 
 
 def _evolve(
@@ -126,20 +148,20 @@ def _evolve(
 ) -> FundTrajectory:
     """Shared evolution; ``drain_measure[..., t]`` multiplies rate * dt.
 
-    Steps time-major, on ``(m, batch)`` work arrays whose rows are
-    contiguous, and returns them as batch-first views.  The inputs are
-    read through ``np.moveaxis(x, -1, 0)``: for the samplers' time-major
-    arrays each step's row is contiguous, for C-ordered batch-first
-    arrays it is strided by ``m`` elements (the same values, slower).
+    Steps time-major, on ``(m, batch)`` arrays of fund values and rates
+    whose rows are contiguous, and returns them as batch-first views;
+    post-payment wealth is one scratch row.  The inputs are read one step
+    at a time along their last axis: for the samplers' time-major arrays
+    each step's row is contiguous, for C-ordered batch-first arrays it is
+    strided by ``m`` elements (the same values, slower).
     """
     grid = paths.grid
     m = grid.n_steps
-    batch = np.broadcast_shapes(np.shape(initial), paths.risky_gross.shape[:-1], drain_measure.shape[:-1])
+    batch = np.broadcast_shapes(np.shape(initial), paths.ups.shape[:-1], drain_measure.shape[:-1])
     pre = np.empty((m + 1,) + batch)
-    post = np.empty((m,) + batch)
+    post = np.empty(batch)
     rates = np.empty((m,) + batch)
     alive = np.moveaxis(drain_measure, -1, 0)
-    risky = np.moveaxis(paths.risky_gross, -1, 0)
     nodes = None if paths.node_idx is None else np.moveaxis(paths.node_idx, -1, 0)
     pre[0] = initial
     tol = ADMISSIBILITY_TOL * max(float(np.max(np.abs(initial))), 1.0)
@@ -147,15 +169,14 @@ def _evolve(
     for t in range(m):
         node = None if nodes is None else nodes[t]
         rates[t] = strategy.consumption_rate(t, alive[t], pre[t], node)
-        np.subtract(pre[t], alive[t] * rates[t] * grid.dt, out=post[t])
-        bad = ((pre[t] < -tol) | (post[t] < -tol)) & (first_violation < 0)
+        np.subtract(pre[t], alive[t] * rates[t] * grid.dt, out=post)
+        bad = ((pre[t] < -tol) | (post < -tol)) & (first_violation < 0)
         first_violation[bad] = t
-        frac = strategy.risky_fraction(t, alive[t], post[t], node)
-        np.multiply(post[t], frac * risky[t] + (1.0 - frac) * paths.bond_gross[t], out=pre[t + 1])
+        frac = strategy.risky_fraction(t, alive[t], post, node)
+        np.multiply(post, frac * paths.risky_step(t) + (1.0 - frac) * paths.bond_gross[t], out=pre[t + 1])
     return FundTrajectory(
         grid=grid,
         pre_value=np.moveaxis(pre, 0, -1),
-        post_value=np.moveaxis(post, 0, -1),
         alive=drain_measure,
         rate=np.moveaxis(rates, 0, -1),
         admissible=first_violation < 0,
@@ -190,5 +211,5 @@ def evolve_infinite(
 ) -> FundTrajectory:
     """Evolve per-individual fund value with a deterministic survival mix."""
     m = paths.grid.n_steps
-    pi = np.broadcast_to(table.pi[:m], paths.risky_gross.shape[:-1] + (m,))
+    pi = np.broadcast_to(table.pi[:m], paths.ups.shape[:-1] + (m,))
     return _evolve(strategy, paths, pi, np.asarray(budget_per_person, dtype=float))

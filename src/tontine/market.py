@@ -279,23 +279,19 @@ class LatticePaths:
     """Paths sampled from the lattice's branch distribution.
 
     Used to evaluate strategies whose decisions are tabulated on lattice
-    nodes; ``node_idx[p, i]`` is the up-move count of path ``p`` at level
-    ``i``, and gross risky returns per step are ``up`` or ``down``.  Both
-    arrays are stored time-major (one contiguous row per level) and held
-    as their transposed, path-first views, so ``risky_gross`` and every
-    elementwise result keep that layout.
+    nodes; ``ups[p, i]`` is true when path ``p`` moves up at step ``i``
+    (gross risky return ``up``, else ``down``), and ``node_idx[p, i]`` is
+    its up-move count at level ``i``, held in the narrowest unsigned type
+    that holds ``n_steps`` (uint8 up to 255 steps).  Both arrays are
+    stored time-major (one contiguous row per level) and held as their
+    transposed, path-first views.
     """
 
     lattice: Lattice
     ups: np.ndarray  # (n_paths, n_steps) bool, a view of (n_steps, n_paths)
-    node_idx: np.ndarray  # (n_paths, n_steps + 1) int, a view of (n_steps + 1, n_paths)
+    node_idx: np.ndarray  # (n_paths, n_steps + 1) unsigned, a view of (n_steps + 1, n_paths)
     seed: int
     measure: str
-
-    def risky_gross(self) -> np.ndarray:
-        # Indexing a two-entry table keeps the layout of ``ups`` and takes
-        # half the time of ``np.where`` with scalar branches.
-        return np.array([self.lattice.down, self.lattice.up])[self.ups.view(np.uint8)]
 
     def bond_gross(self) -> float:
         return float(np.exp(self.lattice.rate * self.lattice.grid.dt))
@@ -317,7 +313,8 @@ def sample_lattice_paths(
     pu = lattice.p_up if measure == "P" else lattice.q_up
     gen = substream(seed, "lattice-paths", measure)
     ups = np.ascontiguousarray((gen.random(size=(n_paths, lattice.n_steps)) < pu).T)
-    node_idx = np.empty((lattice.n_steps + 1, n_paths), dtype=np.int64)
+    # A count never exceeds its level, so the running sums cannot wrap.
+    node_idx = np.empty((lattice.n_steps + 1, n_paths), dtype=np.min_scalar_type(lattice.n_steps))
     node_idx[0] = 0
     for i, up in enumerate(ups):
         np.add(node_idx[i], up, out=node_idx[i + 1])

@@ -123,14 +123,16 @@ def simulate_survivor_counts(
     The counts are stored time-major, one contiguous row of ``trials``
     counts per grid point, and returned as the transposed view: each step
     draws into a contiguous row, and the fund evolution reads its rows
-    back the same way.
+    back the same way.  They are held in the narrowest unsigned type that
+    holds ``n`` (uint8 up to 255 lives, uint16 up to 65 535): integer
+    arithmetic on them wraps, so cast before subtracting or scaling.
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
     gen = substream(seed, label)
     m = table.grid.n_steps
     s = table.step_survival
-    counts = np.empty((m, trials), dtype=np.int64)
+    counts = np.empty((m, trials), dtype=np.min_scalar_type(n))
     counts[0] = n
     for t in range(m - 1):
         counts[t + 1] = gen.binomial(counts[t], s[t])

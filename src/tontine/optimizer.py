@@ -997,11 +997,12 @@ def transfer_infinite_to_finite(
     with its standard error plus the exact chain value, for the additive
     family; a NaN rate raises ``ValueError``.
 
-    Beyond the sampled inputs (node indices, risky returns, survivor
-    counts) the run holds only the fund trajectory's (trials, m) arrays:
-    the gate zeroes the rate inside the policy, so the counts drain as
-    they are, and the rates are scored in place once the fund values and
-    the paths are released.
+    Beyond the sampled inputs (boolean up moves, and node indices and
+    survivor counts in narrow unsigned types) the run holds only the
+    fund values and rates as (trials, m) float arrays: the gate zeroes the
+    rate inside the policy, so the counts drain as they are, and the
+    rates are scored in place once the fund values and the paths are
+    released.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
@@ -1081,10 +1082,10 @@ def simulate_policy_value(
     error); the error is ``math.inf`` when a path scores minus infinity.
     A NaN rate where the weight is positive raises ``ValueError``.
 
-    Beyond the sampled inputs (node indices, risky returns, survivor
-    counts) the run holds only the fund trajectory's (trials, m) arrays;
-    the rates are scored in place once the fund values and the paths are
-    released.
+    Beyond the sampled inputs (boolean up moves, and node indices and
+    survivor counts in narrow unsigned types) the run holds only the
+    fund values and rates as (trials, m) float arrays; the rates are
+    scored in place once the fund values and the paths are released.
     """
     if trials < 2:
         raise ValueError("need trials >= 2")

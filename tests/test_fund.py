@@ -1,10 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scenario_reference import equal_split, vnm_utility
 from stream_helpers import ConstantRateStrategy
 from survival_oracle import point_mass_table, uniform_table
 
-from tontine.fund import PathBundle, evolve_finite, evolve_infinite
+from tontine.fund import PathBundle, TabulatedPolicy, evolve_finite, evolve_infinite
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel, build_lattice, sample_lattice_paths
 from tontine.mortality import simulate_survivor_counts
@@ -15,7 +17,7 @@ from tontine.rng import substream
 def flat_paths(grid, rate=0.0):
     """Deterministic all-bond path bundle (risky return pinned to bond)."""
     bond = np.full(grid.n_steps, np.exp(rate * grid.dt))
-    return PathBundle(grid, bond[None, :].copy(), bond, None)
+    return PathBundle(grid, np.zeros((1, grid.n_steps), dtype=bool), np.full(2, bond[0]), bond, None)
 
 
 def lattice_paths(grid, n_paths=32, seed=0, mu=0.05, sigma=0.2, rate=0.01):
@@ -72,7 +74,7 @@ def test_self_financing_identity_on_lattice_paths():
     lat, paths = lattice_paths(grid, n_paths=64, seed=4)
     counts = simulate_survivor_counts(10, uniform_table(grid), trials=64, seed=5)
     traj = evolve_finite(ConstantRateStrategy(0.02, fraction=0.4), paths, counts, np.ones(10))
-    gross = 0.4 * paths.risky_gross + 0.6 * paths.bond_gross[None, :]
+    gross = 0.4 * np.where(paths.ups, lat.up, lat.down) + 0.6 * paths.bond_gross[None, :]
     assert np.allclose(traj.pre_value[:, 1:], traj.post_value * gross, rtol=1e-13)
     drains = counts * traj.rate * grid.dt
     assert np.allclose(traj.post_value, traj.pre_value[:, :-1] - drains, rtol=1e-13)
@@ -85,15 +87,71 @@ def test_sampled_arrays_are_time_major_and_evolve_the_same_either_way():
     sampled = sample_lattice_paths(lat, 300, "P", 6)
     paths = PathBundle.from_lattice_paths(sampled)
     counts = simulate_survivor_counts(10, uniform_table(grid), trials=300, seed=8)
-    for x in (counts, sampled.ups, sampled.node_idx, paths.risky_gross):
+    for x in (counts, sampled.ups, sampled.node_idx):
         assert np.moveaxis(x, -1, 0).flags.c_contiguous
     strategy = ConstantRateStrategy(0.05, fraction=0.6)
-    c_ordered = PathBundle(grid, np.ascontiguousarray(paths.risky_gross), paths.bond_gross,
+    c_ordered = PathBundle(grid, np.ascontiguousarray(paths.ups), paths.risky_returns, paths.bond_gross,
                            np.ascontiguousarray(paths.node_idx))
     a = evolve_finite(strategy, paths, counts, np.ones(10))
     b = evolve_finite(strategy, c_ordered, np.ascontiguousarray(counts), np.ones(10))
     for field in ("pre_value", "post_value", "alive", "rate", "admissible", "first_violation"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@dataclass(frozen=True)
+class NodeAndCountPolicy:
+    """Consumption tabulated by survivor count, risky fraction by lattice node."""
+
+    counts: TabulatedPolicy
+    node_fraction: np.ndarray  # (m, m + 1)
+
+    def consumption_rate(self, t_idx, alive, wealth, node=None):
+        return self.counts.consumption_rate(t_idx, alive, wealth)
+
+    def risky_fraction(self, t_idx, alive, wealth, node=None):
+        return self.node_fraction[t_idx, node]
+
+
+def test_narrow_counts_and_nodes_evolve_as_their_int64_copies():
+    # The samplers store counts and node indices in uint8 here; they only
+    # index tables and multiply floats, so int64 copies give the same bits.
+    grid = TimeGrid(0.25, 5.0)
+    m, n = grid.n_steps, 12
+    lat = build_lattice(MarketModel(rate=0.01, mu=(0.05,), sigma=(0.2,), s0=(1.0,)), grid)
+    sampled = sample_lattice_paths(lat, 200, "P", 3)
+    counts = simulate_survivor_counts(n, uniform_table(grid), trials=200, seed=4)
+    assert sampled.node_idx.dtype == counts.dtype == np.uint8
+    gen = substream(5, "narrow-evolution-test")
+    kappa = gen.uniform(0.0, 0.2, (m, n + 1))
+    policy = NodeAndCountPolicy(TabulatedPolicy(grid, kappa, np.zeros((m, n + 1))),
+                                gen.uniform(0.0, 1.0, (m, m + 1)))
+    narrow = PathBundle.from_lattice_paths(sampled)
+    wide = PathBundle(grid, narrow.ups, narrow.risky_returns, narrow.bond_gross,
+                      sampled.node_idx.astype(np.int64))
+    a = evolve_finite(policy, narrow, counts, np.ones(n))
+    b = evolve_finite(policy, wide, counts.astype(np.int64), np.ones(n))
+    for field in ("pre_value", "post_value", "rate", "admissible", "first_violation"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.alive.dtype == np.uint8 and np.array_equal(a.alive, b.alive)
+
+
+def test_post_value_is_the_wealth_the_evolution_compounded():
+    # A step that is not a power of two, and rates and fractions that vary
+    # by count and node, make any change in rounding order show.
+    grid = TimeGrid(0.1, 2.0)
+    m, n = grid.n_steps, 10
+    lat, paths = lattice_paths(grid, n_paths=64, seed=4)
+    counts = simulate_survivor_counts(n, uniform_table(grid), trials=64, seed=5)
+    gen = substream(6, "post-value-test")
+    kappa = gen.uniform(0.0, 0.2, (m, n + 1))
+    node_fraction = gen.uniform(0.0, 1.0, (m, m + 1))
+    policy = NodeAndCountPolicy(TabulatedPolicy(grid, kappa, np.zeros((m, n + 1))), node_fraction)
+    traj = evolve_finite(policy, paths, counts, np.ones(n))
+    post = traj.post_value
+    assert np.array_equal(post, traj.pre_value[..., :-1] - traj.alive * traj.rate * grid.dt)
+    frac = node_fraction[np.arange(m), paths.node_idx[:, :-1]]
+    gross = frac * np.where(paths.ups, lat.up, lat.down) + (1.0 - frac) * paths.bond_gross
+    assert np.array_equal(traj.pre_value[:, 1:], post * gross)
 
 
 # --- infinite pools -----------------------------------------------------------------
@@ -104,7 +162,7 @@ def test_infinite_zero_consumption_compounds_at_portfolio_return():
     lat, paths = lattice_paths(grid, n_paths=8, seed=1)
     table = uniform_table(grid)
     traj = evolve_infinite(ConstantRateStrategy(0.0, fraction=1.0), paths, table, 1.0)
-    assert np.allclose(traj.pre_value[:, -1], np.prod(paths.risky_gross, axis=1), rtol=1e-13)
+    assert np.allclose(traj.pre_value[:, -1], np.prod(np.where(paths.ups, lat.up, lat.down), axis=1), rtol=1e-13)
 
 
 def test_point_mass_mortality_finite_equals_infinite_per_unit_budget():

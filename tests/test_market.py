@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -112,18 +113,28 @@ def test_seed_determinism_bit_identical():
 
 
 def test_lattice_path_stream_is_pinned():
-    # Digests of the paths' batch-first bytes, taken before the samplers
-    # stored their arrays time-major: the draws must not move.
+    # Digests of the paths' batch-first bytes with node indices as int64,
+    # taken before the samplers stored them time-major and narrow: the
+    # draws must not move.
     lat = build_lattice(one_asset(rate=0.02, mu=0.05, sigma=0.2), TimeGrid(1.0, 40.0))
     paths = sample_lattice_paths(lat, 1000, "P", 7)
     assert paths.ups.shape == (1000, 40) and paths.ups.dtype == np.bool_
-    assert paths.node_idx.shape == (1000, 41) and paths.node_idx.dtype == np.int64
+    assert paths.node_idx.shape == (1000, 41) and paths.node_idx.dtype == np.uint8
     assert hashlib.sha256(paths.ups.tobytes()).hexdigest() == (
         "2ea2fe7f283791e024855980009d1683fc773c995314ef5cc231d5b26aa4e8d6"
     )
-    assert hashlib.sha256(paths.node_idx.tobytes()).hexdigest() == (
+    assert hashlib.sha256(paths.node_idx.astype(np.int64).tobytes()).hexdigest() == (
         "3ed880b195616b188a6773fde7d20e5eb52ee5cd204c55533f6acbc000a90dba"
     )
+
+
+@pytest.mark.parametrize("m, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_node_indices_take_the_narrowest_type_that_holds_every_level(m, dtype):
+    # Every path moves up at every step, so the last level reaches m itself.
+    lat = dataclasses.replace(build_lattice(one_asset(), TimeGrid(1.0, float(m))), p_up=1.0)
+    paths = sample_lattice_paths(lat, 3, "P", 1)
+    assert paths.node_idx.dtype == dtype
+    np.testing.assert_array_equal(paths.node_idx, np.broadcast_to(np.arange(m + 1), (3, m + 1)))
 
 
 def test_lattice_path_sampling_rejects_an_empty_batch():

@@ -145,14 +145,22 @@ def test_survivor_simulation_deterministic():
 
 
 def test_survivor_count_stream_is_pinned():
-    # Digest of the counts' batch-first bytes, taken before the sampler
-    # stored them time-major: the draws must not move.
+    # Digest of the counts' batch-first bytes as int64, taken before the
+    # sampler stored them time-major and narrow: the draws must not move.
     table = gompertz_makeham_table(TimeGrid(1.0, 40.0), 0.0, 0.01, 0.1)
     counts = simulate_survivor_counts(64, table, 1000, seed=7)
-    assert counts.shape == (1000, 40) and counts.dtype == np.int64
-    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+    assert counts.shape == (1000, 40) and counts.dtype == np.uint8
+    assert hashlib.sha256(counts.astype(np.int64).tobytes()).hexdigest() == (
         "20832a87efae5b99aa75cf409985a4beee38a8390c6cb527fd93c6f28caeb6fc"
     )
+
+
+@pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_survivor_counts_take_the_narrowest_type_that_holds_the_pool(n, dtype):
+    # Nobody dies before the last grid point, so every count is n itself.
+    counts = simulate_survivor_counts(n, point_mass_table(TimeGrid(0.25, 2.0)), 3, seed=5)
+    assert counts.dtype == dtype
+    assert np.all(counts == n)
 
 
 def test_death_times_consistent_with_counts():
