@@ -323,7 +323,9 @@ def error_bound_check(
     The constant combines the driver's Lipschitz data: with ``C_m`` the
     Lipschitz constant, ``eta = 1/C_m**2``, ``beta = 3 C_m**2 + 2 C_m``
     and ``K = b |alpha| / rho * m**(2 - rho/alpha)``, the constant is
-    ``eta * K**2 * exp(beta T)``.  Checked as an inequality only.
+    ``eta * K**2 * exp(beta T)``.  Checked as an inequality only.  A
+    non-finite ``level`` has no constant: it raises ``ValueError`` once
+    the pair has checked the stream.
     """
     horizon = table.grid.horizon
     if delta is None:
@@ -332,6 +334,8 @@ def error_bound_check(
         raise ValueError("delta must lie in (0, horizon)")
     driver = TruncatedDriver(params, float(level))
     pair = solve_transfer_pair(driver, stream, lam, n, table, lattice, window_end=horizon - delta)
+    if not math.isfinite(level):
+        raise ValueError("the error bound needs a finite truncation level")
     c_m = lipschitz_constant(params, level)
     eta = 1.0 / c_m**2
     beta = 3.0 * c_m**2 + 2.0 * c_m

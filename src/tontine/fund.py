@@ -23,12 +23,12 @@ time and reads one grid point of every path at a time.  The samplers
 their arrays time-major and hand out transposed views: each step reads
 contiguous rows.  Any layout gives the same values.
 
-Per path and step the evolution holds only what needs the width: the
-up moves as booleans (the risky return is looked up one step at a time
-from the two gross returns), node indices and survivor counts in the
-samplers' narrow unsigned types, and the pre-payment fund values and
-the rates as floats.  Post-payment wealth lives in one scratch row and
-is recomputed on demand (``FundTrajectory.post_value``).
+The evolution reads the sampler's ``LatticePaths`` as they come and
+holds per path and step only what needs the width: the up moves as
+booleans (each step's risky return is looked up from them), node
+indices and survivor counts in the samplers' narrow unsigned types, and
+the pre-payment fund values and the rates as floats.  Post-payment
+wealth is one scratch row, recomputed on demand (``post_value``).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class Strategy(Protocol):
 
     ``alive`` is the survivor count for finite pools and the survival
     fraction for per-individual (infinite-pool) accounting.  ``node`` is
-    the lattice up-move count when the path carries one.
+    the path's lattice up-move count.
     """
 
     def consumption_rate(self, t_idx: int, alive, wealth, node=None): ...
@@ -87,36 +87,6 @@ class TabulatedPolicy:
 
 
 @dataclass(frozen=True)
-class PathBundle:
-    """Gross returns along simulated paths (batch-first indexing).
-
-    The risky asset moves up or down at each step: ``ups[..., t]`` is
-    true for an up move, and ``risky_returns`` holds the gross return of
-    a down move and of an up move, in that order.  Built from sampled
-    lattice paths, ``ups`` and ``node_idx`` are transposed views of
-    time-major storage (see the module docstring).
-    """
-
-    grid: TimeGrid
-    ups: np.ndarray  # (..., m) bool
-    risky_returns: np.ndarray  # (2,) down, up
-    bond_gross: np.ndarray  # (m,) broadcastable
-    node_idx: np.ndarray | None = None  # (..., m+1)
-
-    @staticmethod
-    def from_lattice_paths(paths: LatticePaths) -> "PathBundle":
-        lattice = paths.lattice
-        bond = np.full(lattice.n_steps, paths.bond_gross())
-        return PathBundle(lattice.grid, paths.ups, np.array([lattice.down, lattice.up]), bond, paths.node_idx)
-
-    def risky_step(self, t: int) -> np.ndarray:
-        """Gross risky returns of step ``t`` on every path, shape ``(...,)``."""
-        # Indexing the two-entry table by the moves as bytes takes half the
-        # time of ``np.where`` with scalar branches.
-        return self.risky_returns[self.ups[..., t].view(np.uint8)]
-
-
-@dataclass(frozen=True)
 class FundTrajectory:
     """Realized fund values; ``pre_value`` includes the terminal time.
 
@@ -142,7 +112,7 @@ class FundTrajectory:
 
 def _evolve(
     strategy: Strategy,
-    paths: PathBundle,
+    paths: LatticePaths,
     drain_measure: np.ndarray,
     initial: np.ndarray,
 ) -> FundTrajectory:
@@ -155,25 +125,28 @@ def _evolve(
     each step's row is contiguous, for C-ordered batch-first arrays it is
     strided by ``m`` elements (the same values, slower).
     """
-    grid = paths.grid
+    grid = paths.lattice.grid
     m = grid.n_steps
     batch = np.broadcast_shapes(np.shape(initial), paths.ups.shape[:-1], drain_measure.shape[:-1])
     pre = np.empty((m + 1,) + batch)
     post = np.empty(batch)
     rates = np.empty((m,) + batch)
     alive = np.moveaxis(drain_measure, -1, 0)
-    nodes = None if paths.node_idx is None else np.moveaxis(paths.node_idx, -1, 0)
+    nodes = np.moveaxis(paths.node_idx, -1, 0)
+    # Indexing the two-entry table by the moves as bytes takes half the
+    # time of ``np.where`` with scalar branches.
+    risky = np.array([paths.lattice.down, paths.lattice.up])
+    bond = paths.bond_gross()
     pre[0] = initial
     tol = ADMISSIBILITY_TOL * max(float(np.max(np.abs(initial))), 1.0)
     first_violation = np.full(batch, -1, dtype=np.int64)
     for t in range(m):
-        node = None if nodes is None else nodes[t]
-        rates[t] = strategy.consumption_rate(t, alive[t], pre[t], node)
+        rates[t] = strategy.consumption_rate(t, alive[t], pre[t], nodes[t])
         np.subtract(pre[t], alive[t] * rates[t] * grid.dt, out=post)
         bad = ((pre[t] < -tol) | (post < -tol)) & (first_violation < 0)
         first_violation[bad] = t
-        frac = strategy.risky_fraction(t, alive[t], post, node)
-        np.multiply(post, frac * paths.risky_step(t) + (1.0 - frac) * paths.bond_gross[t], out=pre[t + 1])
+        frac = strategy.risky_fraction(t, alive[t], post, nodes[t])
+        np.multiply(post, frac * risky[paths.ups[..., t].view(np.uint8)] + (1.0 - frac) * bond, out=pre[t + 1])
     return FundTrajectory(
         grid=grid,
         pre_value=np.moveaxis(pre, 0, -1),
@@ -186,7 +159,7 @@ def _evolve(
 
 def evolve_finite(
     strategy: Strategy,
-    paths: PathBundle,
+    paths: LatticePaths,
     survivor_counts: np.ndarray,
     budgets: np.ndarray,
 ) -> FundTrajectory:
@@ -205,11 +178,11 @@ def evolve_finite(
 
 def evolve_infinite(
     strategy: Strategy,
-    paths: PathBundle,
+    paths: LatticePaths,
     table: MortalityTable,
     budget_per_person: float,
 ) -> FundTrajectory:
     """Evolve per-individual fund value with a deterministic survival mix."""
-    m = paths.grid.n_steps
+    m = paths.lattice.n_steps
     pi = np.broadcast_to(table.pi[:m], paths.ups.shape[:-1] + (m,))
     return _evolve(strategy, paths, pi, np.asarray(budget_per_person, dtype=float))

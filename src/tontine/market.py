@@ -4,7 +4,8 @@ The market has one risk-free asset (continuously compounded at a constant
 rate) and one risky lognormal asset, which makes it complete.  It is
 represented by a recombining binomial lattice on which replication is
 exact: this is the vehicle for all pricing and no-arbitrage arguments.
-Monte Carlo evaluation samples paths of the same lattice.
+Monte Carlo samples paths of the same lattice under the physical measure
+(``LatticePaths``); the fund evolves along them as they are.
 
 Cashflow streams on the lattice are *rates* with respect to the grid
 measure: the cash paid at a grid point equals ``rate * dt``.  A stream is
@@ -276,46 +277,39 @@ def replicate(cashflow: Stream, lattice: Lattice) -> ReplicatingStrategy:
 
 @dataclass(frozen=True)
 class LatticePaths:
-    """Paths sampled from the lattice's branch distribution.
+    """Paths sampled from the lattice's physical branch distribution.
 
-    Used to evaluate strategies whose decisions are tabulated on lattice
-    nodes; ``ups[p, i]`` is true when path ``p`` moves up at step ``i``
-    (gross risky return ``up``, else ``down``), and ``node_idx[p, i]`` is
-    its up-move count at level ``i``, held in the narrowest unsigned type
-    that holds ``n_steps`` (uint8 up to 255 steps).  Both arrays are
-    stored time-major (one contiguous row per level) and held as their
-    transposed, path-first views.
+    What the fund evolves along: ``ups[p, i]`` is true when path ``p``
+    moves up at step ``i`` (gross risky return ``up``, else ``down``;
+    the bond returns ``bond_gross()`` at every step), and
+    ``node_idx[p, i]`` is its up-move count at level ``i``, held in the
+    narrowest unsigned type that holds ``n_steps`` (uint8 up to 255
+    steps).  Both arrays are stored time-major (one contiguous row per
+    level) and held as their transposed, path-first views.
     """
 
     lattice: Lattice
     ups: np.ndarray  # (n_paths, n_steps) bool, a view of (n_steps, n_paths)
     node_idx: np.ndarray  # (n_paths, n_steps + 1) unsigned, a view of (n_steps + 1, n_paths)
-    seed: int
-    measure: str
 
     def bond_gross(self) -> float:
         return float(np.exp(self.lattice.rate * self.lattice.grid.dt))
 
 
-def sample_lattice_paths(
-    lattice: Lattice, n_paths: int, measure: str = "P", seed: int = 0
-) -> LatticePaths:
-    """Sample paths under ``'P'`` or ``'Q'``; bit-identical for a fixed seed.
+def sample_lattice_paths(lattice: Lattice, n_paths: int, seed: int = 0) -> LatticePaths:
+    """Sample paths under the physical measure; bit-identical for a fixed seed.
 
     The draws are made path by path; the up moves are then transposed as
     booleans, and the node counts summed level by level along contiguous
     rows (``np.cumsum`` along the level axis took ten times as long).
     """
-    if measure not in ("P", "Q"):
-        raise ValueError(f"unknown measure {measure!r}")
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
-    pu = lattice.p_up if measure == "P" else lattice.q_up
-    gen = substream(seed, "lattice-paths", measure)
-    ups = np.ascontiguousarray((gen.random(size=(n_paths, lattice.n_steps)) < pu).T)
+    gen = substream(seed, "lattice-paths", "P")
+    ups = np.ascontiguousarray((gen.random(size=(n_paths, lattice.n_steps)) < lattice.p_up).T)
     # A count never exceeds its level, so the running sums cannot wrap.
     node_idx = np.empty((lattice.n_steps + 1, n_paths), dtype=np.min_scalar_type(lattice.n_steps))
     node_idx[0] = 0
     for i, up in enumerate(ups):
         np.add(node_idx[i], up, out=node_idx[i + 1])
-    return LatticePaths(lattice, ups.T, node_idx.T, int(seed), measure)
+    return LatticePaths(lattice, ups.T, node_idx.T)

@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fund import PathBundle, TabulatedPolicy, evolve_finite, evolve_infinite
+from .fund import TabulatedPolicy, evolve_finite, evolve_infinite
 from .grid import TimeGrid
 from .market import (
     Lattice,
@@ -487,6 +487,8 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     golden search lands on different local maxima near the clamped grid
     bottom).
     """
+    if n_points < 3:
+        raise ValueError("need wealth_points >= 3")
     lattice = problem.lattice()
     grid = problem.grid
     m = grid.n_steps
@@ -637,6 +639,8 @@ def solve_infinite(
     additive_without_pricing = isinstance(gain, VnmParams) and alpha is None
     if methods is None:
         methods = ("dp",) if additive_without_pricing else ("dp", "martingale")
+    elif unknown := set(methods) - {"dp", "martingale"}:
+        raise ValueError(f"unknown solution routes {sorted(unknown)}; the routes are 'dp' and 'martingale'")
     elif additive_without_pricing and "martingale" in methods:
         raise TypeError("the additive family has a pricing route for power and log utility only")
     dp_result = None
@@ -1017,7 +1021,7 @@ def transfer_infinite_to_finite(
     dt = grid.dt
     table = problem.table
 
-    paths = PathBundle.from_lattice_paths(sample_lattice_paths(lattice, trials, "P", seed))
+    paths = sample_lattice_paths(lattice, trials, seed)
     counts = simulate_survivor_counts(n, table, trials, seed, label="transfer-mortality")
     # The gate stays open while every count so far is within the bound.
     # Step by step over the counts' contiguous columns, in place; the
@@ -1095,7 +1099,7 @@ def simulate_policy_value(
     lattice = problem.lattice()
     grid = problem.grid
     m = grid.n_steps
-    paths = PathBundle.from_lattice_paths(sample_lattice_paths(lattice, trials, "P", seed))
+    paths = sample_lattice_paths(lattice, trials, seed)
     if math.isfinite(problem.n):
         n = int(problem.n)
         weights = simulate_survivor_counts(n, problem.table, trials, seed, label="resim-mortality")

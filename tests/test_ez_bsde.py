@@ -165,6 +165,14 @@ def test_non_finite_rate_is_rejected(level, bad):
         solve_truncated(TruncatedDriver(EZ, level), bad, table)
 
 
+@pytest.mark.parametrize("level", [math.inf, math.nan], ids=["inf", "nan"])
+def test_error_bound_rejects_a_non_finite_truncation_level(level):
+    # At level inf the constant read nan and the check returned holds=False.
+    table, lattice, stream = half_stream(0.25, 2.0)
+    with pytest.raises(ValueError, match="finite truncation level"):
+        error_bound_check(EZ, level, stream, LAM, 8, table, lattice)
+
+
 def test_tilde_v0_nonincreasing_in_truncation_level(quarterly10):
     table, lattice, stream = quarterly10
     scaled = [LAM * np.asarray(level) for level in stream]

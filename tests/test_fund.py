@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from scenario_reference import equal_split, vnm_utility
 from stream_helpers import ConstantRateStrategy
 from survival_oracle import point_mass_table, uniform_table
 
-from tontine.fund import PathBundle, TabulatedPolicy, evolve_finite, evolve_infinite
+from tontine.fund import TabulatedPolicy, evolve_finite, evolve_infinite
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel, build_lattice, sample_lattice_paths
 from tontine.mortality import simulate_survivor_counts
@@ -14,16 +14,16 @@ from tontine.preferences import LogUtility, VnmParams
 from tontine.rng import substream
 
 
-def flat_paths(grid, rate=0.0):
-    """Deterministic all-bond path bundle (risky return pinned to bond)."""
-    bond = np.full(grid.n_steps, np.exp(rate * grid.dt))
-    return PathBundle(grid, np.zeros((1, grid.n_steps), dtype=bool), np.full(2, bond[0]), bond, None)
+def flat_paths(grid, rate=0.0, n_paths=1, seed=0):
+    """Paths on a zero-volatility lattice: every return is the bond's."""
+    model = MarketModel(rate=rate, mu=(rate,), sigma=(0.0,), s0=(1.0,))
+    return sample_lattice_paths(build_lattice(model, grid), n_paths, seed)
 
 
 def lattice_paths(grid, n_paths=32, seed=0, mu=0.05, sigma=0.2, rate=0.01):
     model = MarketModel(rate=rate, mu=(mu,), sigma=(sigma,), s0=(1.0,))
     lat = build_lattice(model, grid)
-    return lat, PathBundle.from_lattice_paths(sample_lattice_paths(lat, n_paths, "P", seed))
+    return lat, sample_lattice_paths(lat, n_paths, seed)
 
 
 # --- finite pools -----------------------------------------------------------------
@@ -74,7 +74,7 @@ def test_self_financing_identity_on_lattice_paths():
     lat, paths = lattice_paths(grid, n_paths=64, seed=4)
     counts = simulate_survivor_counts(10, uniform_table(grid), trials=64, seed=5)
     traj = evolve_finite(ConstantRateStrategy(0.02, fraction=0.4), paths, counts, np.ones(10))
-    gross = 0.4 * np.where(paths.ups, lat.up, lat.down) + 0.6 * paths.bond_gross[None, :]
+    gross = 0.4 * np.where(paths.ups, lat.up, lat.down) + 0.6 * paths.bond_gross()
     assert np.allclose(traj.pre_value[:, 1:], traj.post_value * gross, rtol=1e-13)
     drains = counts * traj.rate * grid.dt
     assert np.allclose(traj.post_value, traj.pre_value[:, :-1] - drains, rtol=1e-13)
@@ -84,14 +84,12 @@ def test_sampled_arrays_are_time_major_and_evolve_the_same_either_way():
     # The evolution reads one row per step; the samplers store exactly that.
     grid = TimeGrid(0.25, 2.0)
     lat = build_lattice(MarketModel(rate=0.01, mu=(0.05,), sigma=(0.2,), s0=(1.0,)), grid)
-    sampled = sample_lattice_paths(lat, 300, "P", 6)
-    paths = PathBundle.from_lattice_paths(sampled)
+    paths = sample_lattice_paths(lat, 300, 6)
     counts = simulate_survivor_counts(10, uniform_table(grid), trials=300, seed=8)
-    for x in (counts, sampled.ups, sampled.node_idx):
+    for x in (counts, paths.ups, paths.node_idx):
         assert np.moveaxis(x, -1, 0).flags.c_contiguous
     strategy = ConstantRateStrategy(0.05, fraction=0.6)
-    c_ordered = PathBundle(grid, np.ascontiguousarray(paths.ups), paths.risky_returns, paths.bond_gross,
-                           np.ascontiguousarray(paths.node_idx))
+    c_ordered = replace(paths, ups=np.ascontiguousarray(paths.ups), node_idx=np.ascontiguousarray(paths.node_idx))
     a = evolve_finite(strategy, paths, counts, np.ones(10))
     b = evolve_finite(strategy, c_ordered, np.ascontiguousarray(counts), np.ones(10))
     for field in ("pre_value", "post_value", "alive", "rate", "admissible", "first_violation"):
@@ -118,16 +116,14 @@ def test_narrow_counts_and_nodes_evolve_as_their_int64_copies():
     grid = TimeGrid(0.25, 5.0)
     m, n = grid.n_steps, 12
     lat = build_lattice(MarketModel(rate=0.01, mu=(0.05,), sigma=(0.2,), s0=(1.0,)), grid)
-    sampled = sample_lattice_paths(lat, 200, "P", 3)
+    narrow = sample_lattice_paths(lat, 200, 3)
     counts = simulate_survivor_counts(n, uniform_table(grid), trials=200, seed=4)
-    assert sampled.node_idx.dtype == counts.dtype == np.uint8
+    assert narrow.node_idx.dtype == counts.dtype == np.uint8
     gen = substream(5, "narrow-evolution-test")
     kappa = gen.uniform(0.0, 0.2, (m, n + 1))
     policy = NodeAndCountPolicy(TabulatedPolicy(grid, kappa, np.zeros((m, n + 1))),
                                 gen.uniform(0.0, 1.0, (m, m + 1)))
-    narrow = PathBundle.from_lattice_paths(sampled)
-    wide = PathBundle(grid, narrow.ups, narrow.risky_returns, narrow.bond_gross,
-                      sampled.node_idx.astype(np.int64))
+    wide = replace(narrow, node_idx=narrow.node_idx.astype(np.int64))
     a = evolve_finite(policy, narrow, counts, np.ones(n))
     b = evolve_finite(policy, wide, counts.astype(np.int64), np.ones(n))
     for field in ("pre_value", "post_value", "rate", "admissible", "first_violation"):
@@ -150,8 +146,17 @@ def test_post_value_is_the_wealth_the_evolution_compounded():
     post = traj.post_value
     assert np.array_equal(post, traj.pre_value[..., :-1] - traj.alive * traj.rate * grid.dt)
     frac = node_fraction[np.arange(m), paths.node_idx[:, :-1]]
-    gross = frac * np.where(paths.ups, lat.up, lat.down) + (1.0 - frac) * paths.bond_gross
+    gross = frac * np.where(paths.ups, lat.up, lat.down) + (1.0 - frac) * paths.bond_gross()
     assert np.array_equal(traj.pre_value[:, 1:], post * gross)
+
+
+def test_zero_volatility_paths_compound_at_the_bond_rate_whatever_their_moves():
+    grid = TimeGrid(0.25, 2.0)
+    paths = flat_paths(grid, rate=0.03, n_paths=64, seed=9)
+    assert paths.ups.any() and not paths.ups.all()
+    traj = evolve_infinite(ConstantRateStrategy(0.0, fraction=1.0), paths, point_mass_table(grid), 1.0)
+    assert np.all(traj.pre_value == traj.pre_value[0])
+    assert traj.pre_value[0, -1] == pytest.approx(np.exp(0.03 * grid.horizon), rel=1e-14)
 
 
 # --- infinite pools -----------------------------------------------------------------

@@ -105,11 +105,10 @@ def test_model_validation():
 
 def test_seed_determinism_bit_identical():
     lat = build_lattice(one_asset(rate=0.01, mu=0.04, sigma=0.2), TimeGrid(0.5, 2.0))
-    a = sample_lattice_paths(lat, 100, "P", seed=42)
-    b = sample_lattice_paths(lat, 100, "P", seed=42)
+    a = sample_lattice_paths(lat, 100, seed=42)
+    b = sample_lattice_paths(lat, 100, seed=42)
     assert np.array_equal(a.ups, b.ups) and np.array_equal(a.node_idx, b.node_idx)
-    assert not np.array_equal(a.ups, sample_lattice_paths(lat, 100, "P", seed=43).ups)
-    assert not np.array_equal(a.ups, sample_lattice_paths(lat, 100, "Q", seed=42).ups)
+    assert not np.array_equal(a.ups, sample_lattice_paths(lat, 100, seed=43).ups)
 
 
 def test_lattice_path_stream_is_pinned():
@@ -117,7 +116,7 @@ def test_lattice_path_stream_is_pinned():
     # taken before the samplers stored them time-major and narrow: the
     # draws must not move.
     lat = build_lattice(one_asset(rate=0.02, mu=0.05, sigma=0.2), TimeGrid(1.0, 40.0))
-    paths = sample_lattice_paths(lat, 1000, "P", 7)
+    paths = sample_lattice_paths(lat, 1000, 7)
     assert paths.ups.shape == (1000, 40) and paths.ups.dtype == np.bool_
     assert paths.node_idx.shape == (1000, 41) and paths.node_idx.dtype == np.uint8
     assert hashlib.sha256(paths.ups.tobytes()).hexdigest() == (
@@ -132,7 +131,7 @@ def test_lattice_path_stream_is_pinned():
 def test_node_indices_take_the_narrowest_type_that_holds_every_level(m, dtype):
     # Every path moves up at every step, so the last level reaches m itself.
     lat = dataclasses.replace(build_lattice(one_asset(), TimeGrid(1.0, float(m))), p_up=1.0)
-    paths = sample_lattice_paths(lat, 3, "P", 1)
+    paths = sample_lattice_paths(lat, 3, 1)
     assert paths.node_idx.dtype == dtype
     np.testing.assert_array_equal(paths.node_idx, np.broadcast_to(np.arange(m + 1), (3, m + 1)))
 
@@ -140,12 +139,12 @@ def test_node_indices_take_the_narrowest_type_that_holds_every_level(m, dtype):
 def test_lattice_path_sampling_rejects_an_empty_batch():
     lat = build_lattice(one_asset(), TimeGrid(0.5, 2.0))
     with pytest.raises(ValueError, match="n_paths >= 1"):
-        sample_lattice_paths(lat, 0, "P", 1)
+        sample_lattice_paths(lat, 0, 1)
 
 
 def test_lattice_path_sampling_matches_branch_probabilities():
     lat = build_lattice(one_asset(rate=0.0, mu=0.05, sigma=0.2), TimeGrid(0.5, 5.0))
-    paths = sample_lattice_paths(lat, 50_000, "P", seed=3)
+    paths = sample_lattice_paths(lat, 50_000, seed=3)
     frac_up = paths.ups.mean()
     se = np.sqrt(lat.p_up * (1 - lat.p_up) / paths.ups.size)
     assert abs(frac_up - lat.p_up) < 4 * se

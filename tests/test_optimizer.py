@@ -254,6 +254,20 @@ def test_default_routes_solve_exponential_utility_by_dp_alone():
         solve_infinite(problem, wealth_points=100, methods=("martingale",))
 
 
+def test_unknown_route_is_named_not_skipped():
+    # A misspelt route used to leave the DP to run alone, with no cross-check.
+    problem = make_problem(VnmParams(LogUtility(), discount=0.02), mu=0.05, rate=0.01)
+    with pytest.raises(ValueError, match="martingal'"):
+        solve_infinite(problem, wealth_points=100, methods=("dp", "martingal"))
+
+
+@pytest.mark.parametrize("points", [1, 2])
+def test_wealth_grid_needs_three_points(points):
+    problem = make_problem(VnmParams(ExponentialUtility(1.0), discount=0.02), n=3, mu=0.05, rate=0.01)
+    with pytest.raises(ValueError, match="wealth_points >= 3"):
+        solve_finite_dp(problem, wealth_points=points)
+
+
 # --- transfer to finite pools ----------------------------------------------------------
 
 
