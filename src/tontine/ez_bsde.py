@@ -141,6 +141,18 @@ def _implicit_node_solve(driver, t, consumption, expected, dt):
     )
 
 
+def _checked_rates(consumption, n_steps: int, lattice: Lattice | None) -> list:
+    """Per-level rates of a consumption input; refuses one that is not finite and nonnegative."""
+    if isinstance(consumption, list) and lattice is None:
+        raise ValueError("node-adapted streams require a lattice")
+    rates = _rate_levels(consumption, n_steps)
+    if not all(np.all(np.isfinite(level)) for level in rates):
+        raise ValueError("consumption must be finite")
+    if any(np.any(level < 0) for level in rates):
+        raise ValueError("consumption must be nonnegative")
+    return rates
+
+
 def solve_truncated(
     driver: TruncatedDriver,
     consumption: Stream | np.ndarray | float,
@@ -166,13 +178,7 @@ def solve_truncated(
             raise StepTooCoarseError(
                 f"C_m * dt = {lipschitz_constant(params, driver.level) * dt:.3f} >= 1"
             )
-    if isinstance(consumption, list) and lattice is None:
-        raise ValueError("node-adapted streams require a lattice")
-    rates = _rate_levels(consumption, grid.n_steps)
-    if not all(np.all(np.isfinite(level)) for level in rates):
-        raise ValueError("consumption must be finite")
-    if any(np.any(level < 0) for level in rates):
-        raise ValueError("consumption must be nonnegative")
+    rates = _checked_rates(consumption, grid.n_steps, lattice)
     points = grid.points
     absorbed = [driver.absorption(t + dt) for t in points] + [driver.absorption(grid.horizon)]
     iterations = [0]
@@ -324,18 +330,19 @@ def error_bound_check(
     Lipschitz constant, ``eta = 1/C_m**2``, ``beta = 3 C_m**2 + 2 C_m``
     and ``K = b |alpha| / rho * m**(2 - rho/alpha)``, the constant is
     ``eta * K**2 * exp(beta T)``.  Checked as an inequality only.  A
-    non-finite ``level`` has no constant: it raises ``ValueError`` once
-    the pair has checked the stream.
+    non-finite ``level`` has no constant: once the stream is checked, it
+    raises ``ValueError`` before the pair is solved.
     """
     horizon = table.grid.horizon
     if delta is None:
         delta = horizon / 10.0
     if not (0.0 < delta < horizon):
         raise ValueError("delta must lie in (0, horizon)")
+    if not math.isfinite(level):
+        _checked_rates(stream, table.grid.n_steps, lattice)  # a bad stream is named first
+        raise ValueError("the error bound needs a finite truncation level")
     driver = TruncatedDriver(params, float(level))
     pair = solve_transfer_pair(driver, stream, lam, n, table, lattice, window_end=horizon - delta)
-    if not math.isfinite(level):
-        raise ValueError("the error bound needs a finite truncation level")
     c_m = lipschitz_constant(params, level)
     eta = 1.0 / c_m**2
     beta = 3.0 * c_m**2 + 2.0 * c_m

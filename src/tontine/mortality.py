@@ -10,7 +10,17 @@ the last grid point.
 
 Survivor counts of a pool of independent lives are simulated by exact
 binomial thinning with the per-step conditional death probability
-``(pi_t - pi_{t+dt}) / pi_t``.
+``(pi_t - pi_{t+dt}) / pi_t``: the draws of numpy's ``Generator.binomial``,
+bit for bit.  Where ``c * min(p, 1 - p) <= 30`` numpy inverts the CDF from one
+uniform ``U`` (Kachitvichyanukul & Schmeiser 1988): it subtracts the point
+probabilities from ``U`` in turn, returns the first ``k`` whose probability
+covers what is left, and draws again past ten standard deviations above the
+mean.  That loop's rounding and the table's stay below 2**-44, so where ``U``
+lies farther than 2**-36 from every CDF value, ``k`` is the number of CDF
+values below ``U``.  A guide table per row (Chen & Asau 1974; Devroye 1986,
+III.2) reads it from one of 1024 bins of ``U``; a bin within 2**-36 of a CDF
+value is flagged, and its draws are counted against the CDF or, that close
+to a value, run numpy's loop in Python floats.
 
 Exact count chains step the law of the survivor count by the binomial
 kernel ``binomial_transition_matrix``.  It is built with numpy alone along
@@ -115,6 +125,102 @@ def gompertz_makeham_table(grid: TimeGrid, a: float, b: float, c: float) -> Mort
 # ---------------------------------------------------------------------------
 
 
+# Table bins, the flag margin, the tail left to the first and last bins and a
+# lookup's chunk.  numpy's loop takes a step per draw and one per event drawn;
+# a table beats it from about 8000 such steps and 2000 draws per row.
+_BINS = 1024
+_GAP = 2.0**-36
+_TAIL = 2.0**-11
+_ROW_CHUNK = 8192
+_TABLE_MIN_STEPS = 8000
+_TABLE_MIN_DRAWS = 2000
+
+
+def _inversion_draw(u: float, c: int, rare: float) -> int | None:
+    """numpy's inversion loop for count ``c`` and uniform ``u``; None where numpy draws again."""
+    q, mean = 1.0 - rare, c * rare
+    bound = int(min(c, mean + 10.0 * math.sqrt(mean * q + 1.0)))
+    x, px = 0, math.exp(c * math.log(q))
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = (c - x + 1) * rare * px / (x * q)
+    return x
+
+
+def _invert(u: np.ndarray, counts: np.ndarray, rare: float) -> np.ndarray | None:
+    """numpy's inversion draws of Binomial(counts, rare) from uniforms ``u``.
+
+    Needs ``counts * rare <= 30``.  None where numpy would draw again, or
+    where a count's CDF at numpy's bound falls short of 1 - _TAIL.
+    """
+    lo = int(counts.min())
+    sizes = np.arange(lo, counts.max() + 1.0)
+    q, mean = 1.0 - rare, sizes * rare
+    bound = np.minimum(sizes, mean + 10.0 * np.sqrt(mean * q + 1.0)).astype(np.intp)
+    top = int(bound[-1])  # the bound rises with the count
+    # cdf[k, i] = P(X <= k) at count lo + i, held at its bound's value past it.
+    k = np.arange(1.0, top + 1.0)[:, None]
+    cdf = np.empty((top + 1, sizes.size))
+    np.exp(sizes * math.log(q), out=cdf[0])
+    np.multiply((sizes + 1.0 - k) * rare / (k * q), k <= bound, out=cdf[1:])
+    np.cumsum(np.multiply.accumulate(cdf, axis=0, out=cdf), axis=0, out=cdf)
+    if cdf[-1].min() < 1.0 - _TAIL:
+        return None
+    # Per count: bin 0 flagged, then for each CDF value from first to last the
+    # number of values below it and the bins within _GAP of it flagged, then
+    # the last bin flagged.  P(X <= k) falls as the count grows, so the values
+    # left out lie within _TAIL of 0 or 1, in the flagged end bins.
+    first = int(np.count_nonzero(cdf[:, 0] < _TAIL))
+    last = int(np.count_nonzero(cdf[:, -1] < 1.0 - _TAIL))
+    edges = np.empty((2 * (last - first) + 4, sizes.size))
+    edges[[0, 1, -2, -1]] = [[0.0], [1.0], [_BINS - 1.0], [_BINS]]
+    edges[2:-2:2] = cdf[first:last] * _BINS - _BINS * _GAP
+    edges[3:-2:2] = cdf[first:last] * _BINS + (_BINS * _GAP + 1.0)
+    ends = np.maximum.accumulate(np.minimum(edges, _BINS).astype(np.intp), axis=0)
+    values = np.full(2 * (last - first) + 3, 255, np.uint8)
+    values[1::2] = np.arange(first, last + 1)
+    table = np.repeat(np.tile(values, sizes.size), np.diff(ends, axis=0).T.ravel())
+    x = np.empty(counts.size, np.uint8)
+    for i in range(0, counts.size, _ROW_CHUNK):  # short-lived index arrays
+        at = np.multiply(counts[i : i + _ROW_CHUNK] - lo, _BINS, dtype=np.intp)
+        at += (u[i : i + _ROW_CHUNK] * _BINS).astype(np.intp)
+        table.take(at, out=x[i : i + _ROW_CHUNK])
+    flagged = np.flatnonzero(x == 255)
+    if flagged.size:
+        size, v = counts[flagged] - lo, u[flagged]
+        gap = cdf[:, size].T - v[:, None]
+        drawn = np.count_nonzero(gap < 0.0, axis=1)
+        for j in np.flatnonzero(np.any(np.abs(gap) <= _GAP, axis=1)):
+            exact = _inversion_draw(float(v[j]), lo + int(size[j]), rare)
+            drawn[j] = top + 1 if exact is None else exact
+        if np.any(drawn > bound[size]):
+            return None
+        x[flagged] = drawn
+    return x
+
+
+def _draw_row(gen: np.random.Generator, counts: np.ndarray, p: float, out: np.ndarray) -> bool:
+    """Draw Binomial(counts, p) into ``out`` as ``gen.binomial`` would; False leaves it the row."""
+    rare = p if p <= 0.5 else 1.0 - p
+    live = np.count_nonzero(counts)
+    if not 0.0 < p <= 1.0 or live < _TABLE_MIN_DRAWS or counts.max() * rare > 30.0:
+        return False
+    if live + rare * counts.sum() < _TABLE_MIN_STEPS:
+        return False
+    state = gen.bit_generator.state
+    alive = counts != 0 if live < counts.size else slice(None)  # a zero count draws nothing
+    x = _invert(gen.random(live), counts[alive], rare)
+    if x is None:
+        gen.bit_generator.state = state
+        return False
+    out[...] = 0
+    out[alive] = x if p <= 0.5 else counts[alive] - x
+    return True
+
+
 def simulate_survivor_counts(
     n: int, table: MortalityTable, trials: int, seed: int, label: str = "mortality"
 ) -> np.ndarray:
@@ -126,6 +232,15 @@ def simulate_survivor_counts(
     back the same way.  They are held in the narrowest unsigned type that
     holds ``n`` (uint8 up to 255 lives, uint16 up to 65 535): integer
     arithmetic on them wraps, so cast before subtracting or scaling.
+
+    Each row holds ``gen.binomial(counts[t], s[t])``'s draws bit for bit.
+    A row that numpy draws by inversion alone takes one uniform per nonzero
+    count and reads each draw from its table (see the module docstring).
+    Rows with a count numpy draws by BTPE (``c * min(p, 1 - p) > 30``), rows
+    too small for a table to pay (fewer than 2000 nonzero counts, or fewer
+    than 8000 steps of numpy's loop, one per draw and one per event), and
+    rows with a uniform that numpy draws again go to ``gen.binomial``
+    itself, from the same stream position.
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
@@ -135,7 +250,8 @@ def simulate_survivor_counts(
     counts = np.empty((m, trials), dtype=np.min_scalar_type(n))
     counts[0] = n
     for t in range(m - 1):
-        counts[t + 1] = gen.binomial(counts[t], s[t])
+        if not _draw_row(gen, counts[t], s[t], counts[t + 1]):
+            counts[t + 1] = gen.binomial(counts[t], s[t])
     return counts.T
 
 

@@ -173,6 +173,16 @@ def test_error_bound_rejects_a_non_finite_truncation_level(level):
         error_bound_check(EZ, level, stream, LAM, 8, table, lattice)
 
 
+def test_error_bound_refuses_an_infinite_level_before_the_pair_solve():
+    # On the annual grid the untruncated node solve does not contract, so
+    # solving the pair first raised StepTooCoarseError instead.
+    table, lattice, stream = half_stream(1.0, 10.0)
+    with pytest.raises(StepTooCoarseError):
+        solve_transfer_pair(TruncatedDriver(EZ, math.inf), stream, LAM, 8, table, lattice, 9.0)
+    with pytest.raises(ValueError, match="finite truncation level"):
+        error_bound_check(EZ, math.inf, stream, LAM, 8, table, lattice)
+
+
 def test_tilde_v0_nonincreasing_in_truncation_level(quarterly10):
     table, lattice, stream = quarterly10
     scaled = [LAM * np.asarray(level) for level in stream]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from survival_oracle import (
     uniform_table,
 )
 
+from tontine import mortality
 from tontine.grid import TimeGrid
 from tontine.market import MarketModel
 from tontine.mortality import (
@@ -29,6 +31,7 @@ from tontine.mortality import (
 )
 from tontine.optimizer import HomogeneousProblem, solve_finite_dp
 from tontine.preferences import LogUtility, PowerUtility, VnmParams
+from tontine.rng import substream
 
 
 def bound_gate(counts, cap):
@@ -161,6 +164,142 @@ def test_survivor_counts_take_the_narrowest_type_that_holds_the_pool(n, dtype):
     counts = simulate_survivor_counts(n, point_mass_table(TimeGrid(0.25, 2.0)), 3, seed=5)
     assert counts.dtype == dtype
     assert np.all(counts == n)
+
+
+def binomial_loop_counts(n, table, trials, seed, label="mortality"):
+    """The sampler as one ``gen.binomial`` call per step: the draws the tables must reproduce."""
+    gen = substream(seed, label)
+    m = table.grid.n_steps
+    s = table.step_survival
+    counts = np.empty((m, trials), dtype=np.min_scalar_type(n))
+    counts[0] = n
+    for t in range(m - 1):
+        counts[t + 1] = gen.binomial(counts[t], s[t])
+    return counts.T
+
+
+def numpy_inversion(u, c, rare):
+    """numpy's ``random_binomial_inversion`` for one uniform, in Python floats; None on a redraw."""
+    q = 1.0 - rare
+    qn = math.exp(c * math.log(q))
+    np_ = c * rare
+    bound = int(min(c, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+    x, px = 0, qn
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = ((c - x + 1) * rare * px) / (x * q)
+    return x
+
+
+# Gompertz-Makeham (a, b, c) per step length; the constant hazards are set
+# per step, to step survivals of 0.5016 and 0.30.
+SAMPLER_LAWS = {
+    "heavy": lambda dt: (0.0, 0.01, 0.1),
+    "light": lambda dt: (5e-4, 7e-5, 0.1),
+    "half": lambda dt: (0.69 / dt, 0.0, 0.0),
+    "below-half": lambda dt: (1.2 / dt, 0.0, 0.0),
+}
+SAMPLER_GRIDS = {
+    "A10": (1.0, 10.0),
+    "A40": (1.0, 40.0),
+    "A60": (1.0, 60.0),
+    "Q2": (0.25, 2.0),
+    "Q40": (0.25, 40.0),
+    "M5": (1.0 / 12.0, 5.0),
+}
+SAMPLER_POOLS = (1, 2, 3, 8, 64, 255, 256, 512, 2000)
+SAMPLER_TRIALS = (1, 2999, 20000)
+
+
+@pytest.mark.parametrize("grid_name", list(SAMPLER_GRIDS))
+@pytest.mark.parametrize("law", list(SAMPLER_LAWS))
+def test_survivor_counts_match_the_binomial_loop_bit_for_bit(law, grid_name):
+    # Each case runs every pool size once, at a trial count and seed that
+    # rotate with the case, so that over the sweep every pool size meets
+    # every trial count.  Rows reach BTPE (c * min(p, 1 - p) > 30) at
+    # n >= 64 near p = 1/2 and at n = 2000, zero counts once pools die out,
+    # and numpy's own loop where a row is too small for a table.
+    dt, horizon = SAMPLER_GRIDS[grid_name]
+    table = gompertz_makeham_table(TimeGrid(dt, horizon), *SAMPLER_LAWS[law](dt))
+    case = list(SAMPLER_LAWS).index(law) * len(SAMPLER_GRIDS) + list(SAMPLER_GRIDS).index(grid_name)
+    for i, n in enumerate(SAMPLER_POOLS):
+        trials = SAMPLER_TRIALS[(case + i) % 3]
+        seed = 100 + (case + i) % 5
+        expected = binomial_loop_counts(n, table, trials, seed)
+        counts = simulate_survivor_counts(n, table, trials, seed)
+        assert counts.dtype == expected.dtype
+        np.testing.assert_array_equal(counts, expected, err_msg=f"n={n} trials={trials} seed={seed}")
+
+
+@pytest.mark.parametrize("c, p", [(8, 0.3), (64, 0.95), (2000, 0.995), (1, 1.0)])
+def test_numpy_inversion_transcribes_generator_binomial(c, p):
+    u = substream(3, "inversion").random(5000)
+    drawn = substream(3, "inversion").binomial(c, p, size=5000)
+    rare = p if p <= 0.5 else 1.0 - p
+    x = [numpy_inversion(float(v), c, rare) for v in u]
+    assert drawn.tolist() == (x if p <= 0.5 else [c - v for v in x])
+
+
+def numpy_inversion_thresholds(c, rare):
+    """Each uniform k * 2**-53 at which numpy's loop first returns more than j, by bisection."""
+    ulp = 2.0**-53
+    bound = int(min(c, c * rare + 10.0 * math.sqrt(c * rare * (1.0 - rare) + 1)))
+
+    def draw(k):
+        x = numpy_inversion(k * ulp, c, rare)
+        return bound + 1 if x is None else x
+
+    cuts = []
+    for j in range(draw(2**53 - 1)):
+        lo, hi = 0, 2**53 - 1  # draw(lo) <= j < draw(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if draw(mid) > j else (mid, hi)
+        cuts.append(hi)
+    return cuts
+
+
+@pytest.mark.parametrize(
+    "c, rare", [(1, 0.3), (2, 0.048), (8, 0.3), (64, 0.05), (255, 0.1), (2000, 0.012)]
+)
+def test_inversion_table_matches_numpy_loop_at_its_thresholds(c, rare):
+    # The table's margin of 2**-36 around each CDF value must cover the
+    # loop's rounding: at each threshold of the loop and one ulp either
+    # side, the table returns the loop's draw, or None where the loop draws
+    # again.  The thresholds sit within 2**-44 of the exact CDF.
+    ulp = 2.0**-53
+    cuts = numpy_inversion_thresholds(c, rare)
+    exact = stats.binom.cdf(np.arange(len(cuts)), c, rare)
+    finite = [k for k, cdf in zip(cuts, exact) if cdf < 1.0 - 2.0**-44]
+    assert np.all(np.abs(np.array(finite) * ulp - exact[: len(finite)]) < 2.0**-44)
+    for cut in cuts:
+        for k in (cut - 1, cut, min(cut + 1, 2**53 - 1)):
+            u = k * ulp
+            x = mortality._invert(np.array([0.5, u]), np.array([c, c]), rare)
+            expected = numpy_inversion(u, c, rare)
+            if expected is None:
+                assert x is None
+            else:
+                assert x is not None and x[1] == expected, (k, x, expected)
+
+
+def test_a_uniform_past_the_bounds_cdf_sends_the_row_to_numpy(monkeypatch):
+    # Two lives at rare = 0.048: numpy's sum of their probabilities stops
+    # short of the largest uniform, so that uniform draws again.
+    u = 1.0 - 2.0**-53
+    assert numpy_inversion(u, 2, 0.048) is None
+    assert mortality._invert(np.array([0.5, u]), np.array([2, 2], np.uint8), 0.048) is None
+    # A row sent back leaves the stream where it was: with every table
+    # refused, each row draws its uniforms, rewinds and goes to numpy.
+    refused = []
+    monkeypatch.setattr(mortality, "_invert", lambda u, counts, rare: refused.append(u.size))
+    table = gompertz_makeham_table(TimeGrid(1.0, 10.0), 0.0, 0.01, 0.1)
+    counts = simulate_survivor_counts(64, table, 10000, seed=3)
+    np.testing.assert_array_equal(counts, binomial_loop_counts(64, table, 10000, seed=3))
+    assert len(refused) == 9
 
 
 def test_death_times_consistent_with_counts():
