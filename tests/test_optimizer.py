@@ -712,6 +712,26 @@ def test_exponential_grid_dp_pinned(n, value):
     assert res.value == pytest.approx(value, rel=1e-12)
 
 
+# Wealth-grid values at the sizes the benchmark's ez-grid workload solves:
+# annual grids in its market, heavy mortality over 10 years and light
+# mortality over 40, pinned from the 48-iteration golden-search solver.
+BENCHMARK_GRID_PINS = {
+    "ez-a10-inf": (EZ_SHORT, 10.0, "heavy", math.inf, -117.85024562890602),
+    "ez-a10-n4": (EZ_SHORT, 10.0, "heavy", 4, -118.50889119863858),
+    "ez-a10-n8": (EZ_SHORT, 10.0, "heavy", 8, -118.16092806227957),
+    "expkm-a10-inf": (ExpKmParams(ExponentialUtility(1.0)), 10.0, "heavy", math.inf, -5713.731385857547),
+    "ez-light-a40-inf": (EZ_SHORT, 40.0, "light", math.inf, -261.52164448836385),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_GRID_PINS))
+def test_grid_dp_pinned_at_benchmark_sizes(case):
+    gain, horizon, mortality, n, value = BENCHMARK_GRID_PINS[case]
+    problem = pricing_problem(gain, horizon, mortality).with_n(n)
+    res = solve_finite_dp(problem) if math.isfinite(n) else solve_infinite(problem, methods=("dp",))
+    assert res.value == pytest.approx(value, rel=1e-10)
+
+
 # Closed-form pricing streams over 40 years with heavy mortality: value,
 # first rate and the sum of every node's rate, pinned from the separate
 # power and log routes that log as exponent zero replaced.
