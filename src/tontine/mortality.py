@@ -62,6 +62,8 @@ class MortalityTable:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (self.grid.n_steps,):
             raise ValueError(f"death masses have shape {p.shape}, expected ({self.grid.n_steps},)")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("death masses must be finite")
         if np.any(p < 0):
             raise ValueError("death masses must be nonnegative")
         total = p.sum() * self.grid.dt
@@ -240,7 +242,8 @@ def simulate_survivor_counts(
     too small for a table to pay (fewer than 2000 nonzero counts, or fewer
     than 8000 steps of numpy's loop, one per draw and one per event), and
     rows with a uniform that numpy draws again go to ``gen.binomial``
-    itself, from the same stream position.
+    itself, from the same stream position.  Once every pool is extinct the
+    remaining rows are zero and nothing more is drawn.
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
@@ -250,6 +253,9 @@ def simulate_survivor_counts(
     counts = np.empty((m, trials), dtype=np.min_scalar_type(n))
     counts[0] = n
     for t in range(m - 1):
+        if not counts[t].any():
+            counts[t + 1 :] = 0  # a zero count draws nothing: the stream stays put
+            break
         if not _draw_row(gen, counts[t], s[t], counts[t + 1]):
             counts[t + 1] = gen.binomial(counts[t], s[t])
     return counts.T

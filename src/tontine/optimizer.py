@@ -26,7 +26,10 @@ Solvers
   grid with shape-preserving cubic interpolation, by the endogenous grid
   method: each step makes one line search, over the risky fraction at
   fixed post-consumption wealth, takes consumption from the family's
-  first-order condition and values the policy by the family's step.
+  first-order condition and values the policy by the family's step.  The
+  line search is a short golden-section bracket, then a few Newton steps
+  on the first-order condition, whose derivatives the piecewise-cubic
+  interpolant gives exactly.
 * The infinite pool is additionally solved by the pricing route: choose
   the adapted consumption stream maximizing the gain subject to its
   replication cost not exceeding the budget, then replicate.  For power
@@ -143,19 +146,30 @@ class ValueResult:
 # ---------------------------------------------------------------------------
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 48  # golden-section iterations per line search
+_GOLDEN_ITERS = 18  # golden-section iterations per line search
+_NEWTON_STEPS = 3  # safeguarded Newton steps after them
 
 
 def golden_max_vec(
-    fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
+    fn: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized golden-section maximization with per-point brackets.
+    """Vectorized maximization with per-point brackets, in two stages.
 
     The wealth-grid solver makes one search per time step, over the risky
-    fraction at fixed post-consumption wealth.  Each iteration keeps the
-    surviving interior point and its value, so ``fn`` is called
-    ``_GOLDEN_ITERS + 2`` times: two opening probes, one per later
-    iteration and one at the returned midpoint.
+    fraction at fixed post-consumption wealth.  A short golden-section
+    stage narrows each bracket ``_GOLDEN_ITERS`` times, keeping the
+    surviving interior point and its value.  From that point,
+    ``_NEWTON_STEPS`` Newton steps on fn' = 0 use ``derivatives(x)``, the
+    first and second derivatives of ``fn``; a step is taken only where fn
+    is concave, each candidate is clipped into the golden bracket, and it
+    is kept only if it raises ``fn``.  The bracket's two ends are the last
+    candidates, so a maximum at an allocation bound is found exactly.
+    ``fn`` is called ``_GOLDEN_ITERS + _NEWTON_STEPS + 3`` times: two
+    opening probes, one per later golden iteration, one per Newton step
+    and one per bracket end.
     """
     a = np.array(lo, dtype=float, copy=True)
     b = np.array(hi, dtype=float, copy=True)
@@ -179,8 +193,20 @@ def golden_max_vec(
             np.where(move_up, x_new, x1),
             np.where(move_up, f_new, f1),
         )
-    x = 0.5 * (a + b)
-    return x, fn(x)
+    x, fx = np.where(move_up, x2, x1), np.where(move_up, f2, f1)
+
+    def keep_better(candidate):
+        f_candidate = fn(candidate)
+        better = f_candidate > fx
+        return np.where(better, candidate, x), np.where(better, f_candidate, fx)
+
+    for _ in range(_NEWTON_STEPS):
+        slope, curvature = derivatives(x)
+        step = np.divide(slope, curvature, out=np.zeros_like(x), where=curvature < 0.0)
+        x, fx = keep_better(np.clip(x - step, a, b))
+    for end in (a, b):
+        x, fx = keep_better(end)
+    return x, fx
 
 
 def allocation_bounds(lattice: Lattice) -> tuple[float, float]:
@@ -430,20 +456,23 @@ class PchipInterpolator:
         self.pieces = np.stack([curv / dx, (secant - d0) / dx - curv, d0, y[:, :-1]]).reshape(4, -1)
         self.row_base = np.arange(y.shape[0])[:, None] * (x.size - 1)
 
-    def __call__(self, points: np.ndarray, nu: int = 0) -> np.ndarray:
-        """Values, or first derivatives for ``nu = 1``, at ``points``.
+    def __call__(self, points: np.ndarray, nu: int = 0):
+        """Values at ``points``, their first derivatives for ``nu = 1``, or
+        the pair of first and second derivatives for ``nu = 2``.
 
         Beyond the grid's ends the value is the end value, so the
-        derivative there is zero.
+        derivatives there are zero.
         """
         x = self.x
         clamped = np.minimum(np.maximum(points, x[0]), x[-1])
         k = np.minimum(((clamped - x[0]) / self.step).astype(np.intp), x.size - 2)
         c3, c2, c1, c0 = np.take(self.pieces, self.row_base + k, axis=1)
         u = clamped - x[k]
-        if nu:
-            return np.where(clamped == points, (3.0 * c3 * u + 2.0 * c2) * u + c1, 0.0)
-        return ((c3 * u + c2) * u + c1) * u + c0
+        if not nu:
+            return ((c3 * u + c2) * u + c1) * u + c0
+        inside = clamped == points
+        first = np.where(inside, (3.0 * c3 * u + 2.0 * c2) * u + c1, 0.0)
+        return first if nu == 1 else (first, np.where(inside, 6.0 * c3 * u + 2.0 * c2, 0.0))
 
 
 # The continuation's marginal value counts as zero below this share of its
@@ -462,10 +491,12 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     by the endogenous grid method (Carroll 2006) on post-consumption
     wealth x, taken on the grid itself:
 
-    1. one golden search over the risky fraction maximizes the
-       continuation E(x) = (1 - p) V(x R_d) + p V(x R_u); every family's
-       step increases in E, so the best fraction does not depend on
-       consumption;
+    1. one search over the risky fraction a maximizes the continuation
+       E(x) = (1 - p) V(x R_d) + p V(x R_u); every family's step
+       increases in E, so the best fraction does not depend on
+       consumption.  A short golden bracket is refined by Newton steps on
+       dE/da = 0, with dE/da and d2E/da2 read from one gather of the
+       interpolant's cubics (``golden_max_vec``);
     2. by the envelope theorem E'(x) is the probability-weighted slope of
        the interpolant at the two branches;
     3. the family's first-order condition at fixed x gives the rate c, and
@@ -484,7 +515,7 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     grid), the points whose first-order condition has no root in the
     family's domain, and the endogenous points left out because a larger x
     gave a smaller F (a continuation that is not concave, as where the
-    golden search lands on different local maxima near the clamped grid
+    line search lands on different local maxima near the clamped grid
     bottom).
     """
     if n_points < 3:
@@ -524,6 +555,12 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     def log_gross(frac):
         return np.log(np.stack(_portfolio_gross(lattice, frac)))
 
+    # Per branch: the probability and the excess return over the riskless
+    # one, the derivative of the gross return in the fraction.
+    rf = math.exp(lattice.rate * dt)
+    weight = np.array([1.0 - p_up, p_up])[:, None, None]
+    excess = np.array([lattice.down - rf, lattice.up - rf])[:, None, None]
+
     for t in range(m - 1, -1, -1):
         if not np.all(drain[t] > 0):
             continue  # the infinite pool once pi_t is zero: value and policy stay
@@ -544,7 +581,15 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
             # Given alive now: death absorbs at the family's death value.
             return death_prob * gain.death_value + (1.0 - death_prob) * cont
 
-        frac, cont = golden_max_vec(lambda a: continuation(log_fgrid, a), lo_a, hi_a)
+        def continuation_derivatives(frac):
+            # With z = log G on each branch, z' = excess / G and z'' = -z'^2,
+            # so E' = sum w V'(x + z) z' and E'' = sum w (V'' - V')(x + z) z'^2.
+            gross = np.stack(_portfolio_gross(lattice, frac))
+            dz = excess / gross
+            first, second = interpolant(log_fgrid + np.log(gross), 2)
+            return np.sum(weight * first * dz, axis=0), np.sum(weight * (second - first) * dz**2, axis=0)
+
+        frac, cont = golden_max_vec(lambda a: continuation(log_fgrid, a), lo_a, hi_a, continuation_derivatives)
         slope_down, slope_up = interpolant(log_fgrid + log_gross(frac), 1)
         marginal = ((1.0 - p_up) * slope_down + p_up * slope_up) / fgrid
         live = (1.0 - death_prob) * marginal * fgrid > _FLAT_RTOL * np.abs(cont)

@@ -103,6 +103,13 @@ def test_negative_masses_rejected():
         MortalityTable(grid, np.array([-1.0, 3.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_masses_rejected(bad):
+    # A NaN mass used to build a table whose survival fractions read NaN.
+    with pytest.raises(ValueError, match="finite"):
+        MortalityTable(TimeGrid(1.0, 4.0), [bad, 0.5, 0.25, 0.25])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=4, max_size=4))
 def test_table_invariants_on_random_masses(masses):
@@ -156,6 +163,29 @@ def test_survivor_count_stream_is_pinned():
     assert hashlib.sha256(counts.astype(np.int64).tobytes()).hexdigest() == (
         "20832a87efae5b99aa75cf409985a4beee38a8390c6cb527fd93c6f28caeb6fc"
     )
+
+
+def test_survivor_simulation_stops_drawing_once_every_pool_is_extinct(monkeypatch):
+    # Everyone dies at t = 0.5, the third grid point: the draws into the
+    # first three rows are the only ones made, and the rest read zero.
+    calls = []
+
+    class CountedGenerator:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def __getattr__(self, name):
+            return getattr(self._gen, name)
+
+        def binomial(self, counts, p):
+            calls.append(int(np.max(counts)))
+            return self._gen.binomial(counts, p)
+
+    monkeypatch.setattr(mortality, "substream", lambda *args: CountedGenerator(substream(*args)))
+    table = point_mass_table(TimeGrid(0.25, 2.0), at=0.5)
+    counts = simulate_survivor_counts(20, table, 5, seed=3)
+    assert calls == [20, 20, 20]
+    assert np.all(counts[:, :3] == 20) and np.all(counts[:, 3:] == 0)
 
 
 @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])

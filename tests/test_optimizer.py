@@ -505,10 +505,31 @@ def test_golden_max_vec_finds_each_argmax_with_one_probe_per_iteration():
         calls.append(x.shape)
         return -curvature * (x - peaks) ** 2
 
-    x, fx = golden_max_vec(fn, np.full((3, 50), -1.0), np.full((3, 50), 2.0))
+    def derivatives(x):
+        return -2.0 * curvature * (x - peaks), -2.0 * curvature
+
+    x, fx = golden_max_vec(fn, np.full((3, 50), -1.0), np.full((3, 50), 2.0), derivatives)
     np.testing.assert_allclose(x, peaks, rtol=0, atol=1e-8)
     np.testing.assert_allclose(fx, 0.0, rtol=0, atol=1e-12)
-    assert calls == [(3, 50)] * (48 + 2)
+    # 18 golden iterations, 3 Newton steps and the bracket's two ends.
+    assert calls == [(3, 50)] * (18 + 1 + 3 + 2)
+
+
+def test_golden_max_vec_returns_a_maximum_at_the_bracket_end_exactly():
+    # Peaks beyond either end, on a concave and on a convex objective: the
+    # Newton steps stop at the golden bracket, whose ends are candidates.
+    peaks = np.array([[-3.0, 4.0], [-3.0, 4.0]])
+    sign = np.array([[1.0, 1.0], [-1.0, -1.0]])
+
+    def fn(x):
+        return -sign * (x - peaks) ** 2 - (sign < 0) * 20.0 * np.abs(x - peaks)
+
+    def derivatives(x):
+        return -2.0 * sign * (x - peaks) - (sign < 0) * 20.0 * np.sign(x - peaks), -2.0 * sign
+
+    lo, hi = np.full((2, 2), -1.0), np.full((2, 2), 2.0)
+    x, _ = golden_max_vec(fn, lo, hi, derivatives)
+    assert np.array_equal(x, np.where(peaks < 0, lo, hi))
 
 
 EZ_SHORT = EzParams(risk=-2.0, substitution=0.5, discount=0.03, adequacy=0.05)
@@ -619,7 +640,7 @@ def test_benchmark_tracer_sees_one_portfolio_search_per_step(monkeypatch):
     summary = tracer.summarize(log)
     steps = problem.grid.n_steps
     assert summary["layers"]["optimizer.golden_max_vec"]["calls"] == steps
-    assert summary["counts"]["optimizer.golden_max_vec.evals"] == 50 * steps
+    assert summary["counts"]["optimizer.golden_max_vec.evals"] == 24 * steps
     assert summary["counts"]["optimizer.PchipInterpolator.builds"] > 0
     assert optimizer.golden_max_vec is golden_max_vec and optimizer.PchipInterpolator is PchipInterpolator
 
@@ -989,8 +1010,14 @@ def test_pchip_slopes_match_scipy_and_vanish_beyond_the_ends_and_on_flat_segment
     for r in range(4):
         expected = scipy_pchip(x, y[r]).derivative()(points[:, r])
         np.testing.assert_allclose(slopes[:, r], expected, rtol=1e-12, atol=1e-12)
+    first, second = interpolant(points, 2)
+    assert np.array_equal(first, slopes)
+    for r in range(4):
+        expected = scipy_pchip(x, y[r]).derivative(2)(points[:, r])
+        np.testing.assert_allclose(second[:, r], expected, rtol=1e-9, atol=1e-9)
     outside = np.broadcast_to(np.array([x[0] - 1e-9, x[-1] + 1e-9, x[0] - 5.0, x[-1] + 5.0])[:, None, None], (4, 4, 1))
     assert np.all(interpolant(outside, 1) == 0.0)
+    assert all(np.all(d == 0.0) for d in interpolant(outside, 2))
     flat = np.flatnonzero(np.diff(y[1]) == 0.0)
     assert flat.size
     midpoints = np.broadcast_to(0.5 * (x[flat] + x[flat + 1]), (4, flat.size))
