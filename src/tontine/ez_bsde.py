@@ -322,9 +322,8 @@ def error_bound_check(
     n: int,
     table: MortalityTable,
     lattice: Lattice,
-    delta: float | None = None,
 ) -> ErrorBoundReport:
-    """Check ``gap^2 <= C_tilde * (T * P(bound fails by T - delta) + delta)``.
+    """Check ``gap^2 <= C_tilde * (T * P(bound fails by T - delta) + delta)``, with ``delta = T / 10``.
 
     The constant combines the driver's Lipschitz data: with ``C_m`` the
     Lipschitz constant, ``eta = 1/C_m**2``, ``beta = 3 C_m**2 + 2 C_m``
@@ -334,10 +333,7 @@ def error_bound_check(
     raises ``ValueError`` before the pair is solved.
     """
     horizon = table.grid.horizon
-    if delta is None:
-        delta = horizon / 10.0
-    if not (0.0 < delta < horizon):
-        raise ValueError("delta must lie in (0, horizon)")
+    delta = horizon / 10.0
     if not math.isfinite(level):
         _checked_rates(stream, table.grid.n_steps, lattice)  # a bad stream is named first
         raise ValueError("the error bound needs a finite truncation level")

@@ -63,6 +63,9 @@ class MarketModel:
     def __post_init__(self) -> None:
         if not (len(self.mu) == len(self.sigma) == len(self.s0) == 1):
             raise ValueError("the market has exactly one risky asset: mu, sigma, s0 take one entry each")
+        for name in ("rate", "mu", "sigma", "s0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.s0[0] <= 0:
             raise ValueError("initial prices must be strictly positive")
         if self.sigma[0] < 0:

@@ -39,11 +39,12 @@ Solvers
   by an ascent on the exact utility gradient, the adjoint of the family's
   backward sweep.  The route cross-checks the dynamic-programming one.
 
-The per-family math (death value, step, its partials, the consumption
-rule) lives on the gain's parameter set in ``preferences``, and the grid
-solver and the pricing route call it alone.  The family is inspected here
-only to choose a solver, for the annuity benchmark and in the Monte Carlo
-estimators, which score the additive family alone.
+The per-family math (death value, step, the consumption rule, and for the
+recursive and multiplicative families the step's partials) lives on the
+gain's parameter set in ``preferences``, and the grid solver, the numeric
+pricing route and the annuity benchmark call it alone.  The family is
+inspected here only to choose a solver and in the Monte Carlo estimators,
+which score the additive family alone, by ``preferences._additive_terms``.
 
 Consumption policies are rates per survivor; the cash drained from the
 fund at a grid point is ``count * rate * dt`` (or ``pi_t * rate * dt``
@@ -80,16 +81,12 @@ from .mortality import (
     survivor_bound,
 )
 from .preferences import (
-    ExpKmParams,
-    EzParams,
     GainFunction,
     LogUtility,
     PowerUtility,
     VnmParams,
+    _additive_terms,
     _gain_levels,
-    exp_km_value_of_rates,
-    ez_utility_discrete,
-    vnm_value_of_rates,
     vnm_value_on_lattice,
 )
 
@@ -114,8 +111,8 @@ class HomogeneousProblem:
     n: float
 
     def __post_init__(self) -> None:
-        if not (self.budget > 0):
-            raise ValueError("per-person budget must be positive")
+        if not (0.0 < self.budget < math.inf):
+            raise ValueError(f"per-person budget must be positive and finite, got {self.budget}")
         if not (self.n == math.inf or (float(self.n).is_integer() and self.n >= 1)):
             raise ValueError("pool size must be a positive integer or infinity")
         if self.table.grid != self.grid:
@@ -936,26 +933,18 @@ def annuity_rate(problem: HomogeneousProblem) -> float:
     return problem.budget / float(np.sum(pi) * problem.grid.dt)
 
 
-def annuity_value_for_budget(gain: GainFunction, table: MortalityTable, budget: float) -> float:
-    """Gain of the constant rate exhausting ``budget`` on the table's grid; budget may be zero."""
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    grid = table.grid
-    pi = table.pi[: grid.n_steps]
-    rate = budget / float(np.sum(pi) * grid.dt)
-    rates = np.full(grid.n_steps, rate)
-    if isinstance(gain, VnmParams):
-        return vnm_value_of_rates(gain, rates, table)
-    if isinstance(gain, ExpKmParams):
-        return exp_km_value_of_rates(gain, rates, table)
-    if isinstance(gain, EzParams):
-        return ez_utility_discrete(gain, rates, table)
-    raise TypeError(f"unsupported gain family {type(gain)!r}")
-
-
 def annuity_value(problem: HomogeneousProblem) -> float:
-    """Gain of the best constant consumption (the defined-benefit benchmark)."""
-    return annuity_value_for_budget(problem.gain, problem.table, problem.budget)
+    """Gain of the best constant consumption (the defined-benefit benchmark).
+
+    Valued by the family's own backward step on the investor's death chain;
+    raises ``ValueError`` where the value is not finite.
+    """
+    rates = [annuity_rate(problem)] * problem.grid.n_steps
+    with np.errstate(invalid="ignore", over="ignore"):  # the explicit recursive step at extreme rates
+        value = float(_gain_levels(problem.gain, rates, problem.table)[0][0][0])
+    if not math.isfinite(value):
+        raise ValueError(f"annuity value {value} is not finite")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -1010,18 +999,12 @@ def _path_score(
 
     ``weights`` is ``(..., m)`` or one ``(m,)`` row shared by every path.
     Scores in place: ``rates`` is overwritten by the terms of the sum.
-    Rates where the weight is zero are not scored; a NaN rate elsewhere
-    raises ``ValueError``.  A path scoring minus infinity makes the
-    estimate -inf and its standard error ``math.inf``.
+    Negative rates score as zero consumption, rates where the weight is
+    zero not at all, and a NaN rate elsewhere raises ``ValueError``.  A
+    path scoring minus infinity makes the estimate -inf and its standard
+    error ``math.inf``.
     """
-    scored = weights > 0
-    if np.isnan(np.min(rates, initial=np.inf, where=scored)):
-        raise ValueError("consumption rates must not be NaN")
-    terms = gain.utility(np.maximum(rates, 0.0, out=rates), out=rates)
-    # Unscored terms may be u(0) = -inf; zero them before weighting.
-    np.copyto(terms, 0.0, where=~scored)
-    terms *= weights
-    terms *= np.exp(-gain.discount * grid.points)
+    terms = _additive_terms(gain, np.maximum(rates, 0.0, out=rates), weights, np.exp(-gain.discount * grid.points))
     per_path = np.sum(terms, axis=1) * (grid.dt / n)
     trials = per_path.shape[0]
     se = float(per_path.std(ddof=1) / np.sqrt(trials)) if np.all(np.isfinite(per_path)) else math.inf
@@ -1084,20 +1067,17 @@ def transfer_infinite_to_finite(
     estimate, se = _path_score(gain, grid, counts, rates, n)
 
     # Exact value over the joint (count, gate) chain; market factor exact.
+    # Survivors share the stream's node rates while their gate is open and
+    # consume nothing once it has closed.
     chain = bound_chain(n, table, lam)
     share = np.arange(n + 1) / n
-    expected_live = chain.joint @ share
-    gated_off = chain.count @ share - expected_live
-    wp = lattice.node_weights("P")[:m]
-    # The padding above the diagonal has weight zero; 1.0 keeps its utility finite.
-    rates = np.where(np.tri(m, m + 1, dtype=bool), stack_stream(scaled), 1.0)
-    node_terms = np.sum(wp * gain.utility(rates), axis=1)
-    # Survivors whose gate has closed consume nothing; leaving out the
-    # steps with none keeps 0 * u(0) from turning into nan when u(0) = -inf.
-    u0 = float(gain.utility(np.asarray(0.0)))
-    closed_terms = np.multiply(gated_off, u0, out=np.zeros(m), where=gated_off > 0)
+    open_share = chain.joint @ share
+    closed_share = chain.count @ share - open_share
     disc = np.exp(-gain.discount * grid.points)
-    exact = np.sum(disc * dt * (expected_live * node_terms + closed_terms))
+    wp = lattice.node_weights("P")[:m]
+    open_terms = _additive_terms(gain, stack_stream(scaled), open_share[:, None] * wp, disc[:, None])
+    closed_terms = _additive_terms(gain, np.zeros(m), closed_share, disc)
+    exact = (np.sum(open_terms) + np.sum(closed_terms)) * dt
     target = vnm_value_on_lattice(gain, scaled, table, lattice)
     return TransferResult(
         n=n,

@@ -9,13 +9,15 @@ family returns ``-inf`` whenever negative consumption is received with
 positive probability, and a NaN rate raises.
 
 Each family is one backward step on an investor's chain, given alive, and
-every solver calls the same four pieces of it:
+every solver calls the same pieces of it:
 
 * ``death_value``: the value once dead (0, -1 and the adequacy value);
 * ``step(t, rate, expected, dt)``: the alive value at time ``t`` from the
   step's consumption rate and the expected next value, death included;
 * ``partials(t, rate, expected, dt)``: the step's derivatives in the rate
-  and in the expected value, for the pricing route's adjoint gradient;
+  and in the expected value, for the pricing route's adjoint gradient.
+  Only the multiplicative and recursive families have them: the additive
+  family's pricing route is in closed form;
 * ``consumption(t, expected, survival, drain, slope, dt)``: for the
   wealth-grid DP, the rate solving the step's first-order condition at
   fixed post-consumption wealth x.  A unit of rate costs ``drain * dt`` of
@@ -46,7 +48,8 @@ Node streams and deterministic rates are evaluated by one backward sweep on
 the market-lattice x own-death chain, with a lattice or without one (one
 node per level, death the only branch).  Its death value is a constant or
 one value per level, so the transformed solver in ``ez_bsde`` runs on the
-same sweep.
+same sweep.  The additive family's value is also a weighted sum of
+utilities over nodes or paths, scored by ``_additive_terms`` alone.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .mortality import MortalityTable
 # Each utility writes its values into ``out`` when one is given (an array
 # of the input's shape, which may be the input itself) and into a new
 # array otherwise, with the same values either way.  A NaN rate gives a
-# NaN utility.
+# NaN utility, and no rate a floating-point warning.
 
 
 def _output_for(c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -82,14 +85,16 @@ class PowerUtility:
     exponent: float
 
     def __post_init__(self) -> None:
-        if not (self.exponent < 1.0) or self.exponent == 0.0:
-            raise ValueError("power exponent must be < 1 and nonzero")
+        if not (-math.inf < self.exponent < 1.0) or self.exponent == 0.0:
+            raise ValueError(f"power exponent must be finite, < 1 and nonzero, got {self.exponent}")
 
     def __call__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         c = np.asarray(c, dtype=float)
         at_zero = c <= 0
         out = _output_for(c, out)
-        np.power(np.maximum(c, 1e-300, out=out), self.exponent, out=out)
+        # Below exponent -1 a small rate's power overflows to inf: u is -inf there.
+        with np.errstate(over="ignore"):
+            np.power(np.maximum(c, 1e-300, out=out), self.exponent, out=out)
         out /= self.exponent
         out[at_zero] = -np.inf if self.exponent < 0 else 0.0
         return out
@@ -128,8 +133,8 @@ class ExponentialUtility:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0):
-            raise ValueError("exponential utility rate must be positive")
+        if not (0.0 < self.rate < math.inf):
+            raise ValueError(f"exponential utility rate must be positive and finite, got {self.rate}")
 
     def __call__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         c = np.asarray(c, dtype=float)
@@ -167,14 +172,11 @@ class VnmParams:
     value_cap = math.inf
 
     def __post_init__(self) -> None:
-        if self.discount < 0:
-            raise ValueError("discount rate must be nonnegative")
+        if not (0.0 <= self.discount < math.inf):
+            raise ValueError(f"discount must be nonnegative and finite, got {self.discount}")
 
     def step(self, t, rate, expected, dt):
         return math.exp(-self.discount * t) * self.utility(rate) * dt + expected
-
-    def partials(self, t, rate, expected, dt):
-        return math.exp(-self.discount * t) * self.utility.marginal(rate) * dt, 1.0
 
     def consumption(self, t, expected, survival, drain, slope, dt):
         """The first-order condition's rate: ``exp(-b t) u'(c) = survival * drain * slope``."""
@@ -308,21 +310,21 @@ class EzParams(_Recursive):
     """
 
     def __post_init__(self) -> None:
-        if not (self.risk < 0):
-            raise ValueError("risk parameter must be negative")
+        if not (-math.inf < self.risk < 0):
+            raise ValueError(f"risk must be negative and finite, got {self.risk}")
         if not (0.0 < self.substitution < 1.0):
-            raise ValueError("substitution parameter must lie in (0, 1)")
-        if not (self.discount > 0):
-            raise ValueError("discount rate must be positive")
-        if not (self.adequacy > 0):
-            raise ValueError("adequacy level must be positive")
+            raise ValueError(f"substitution must lie in (0, 1), got {self.substitution}")
+        if not (0.0 < self.discount < math.inf):
+            raise ValueError(f"discount must be positive and finite, got {self.discount}")
+        if not (0.0 < self.adequacy < math.inf):
+            raise ValueError(f"adequacy must be positive and finite, got {self.adequacy}")
 
 
 GainFunction = Union[VnmParams, ExpKmParams, EzParams]
 
 
 # ---------------------------------------------------------------------------
-# Law-based evaluation of deterministic and node-adapted streams
+# Evaluation of node-adapted streams
 # ---------------------------------------------------------------------------
 
 
@@ -334,20 +336,6 @@ def _any_negative(rates: np.ndarray) -> bool:
     return bool(least < 0)
 
 
-def vnm_value_of_rates(gain: VnmParams, rates: np.ndarray, table: MortalityTable) -> float:
-    """Exact value of a deterministic rate stream under the mortality law."""
-    grid = table.grid
-    rates = np.broadcast_to(np.asarray(rates, dtype=float), (grid.n_steps,))
-    if _any_negative(rates):
-        return -np.inf
-    pi = table.pi[: grid.n_steps]
-    disc = np.exp(-gain.discount * grid.points)
-    vals = gain.utility(rates)
-    if np.any(np.isneginf(vals) & (pi > 0)):
-        return -np.inf
-    return float(np.sum(disc * pi * np.where(pi > 0, vals, 0.0)) * grid.dt)
-
-
 def vnm_value_on_lattice(
     gain: VnmParams, stream: Stream, table: MortalityTable, lattice: Lattice
 ) -> float:
@@ -357,26 +345,10 @@ def vnm_value_on_lattice(
         return -np.inf
     grid = lattice.grid
     m = grid.n_steps
-    pi = table.pi[:m]
-    weights = lattice.node_weights("P")[:m]
-    # Nodes that count: reachable (the padding has weight zero) at a time with survivors.
-    live = (weights > 0) & (pi > 0)[:, None]
-    vals = gain.utility(np.where(live, rates, 1.0))
-    if np.any(np.isneginf(vals) & live):
-        return -np.inf
-    disc = np.exp(-gain.discount * grid.points)
-    return float(np.sum(disc * pi * np.sum(weights * np.where(live, vals, 0.0), axis=1)) * grid.dt)
-
-
-def exp_km_value_of_rates(gain: ExpKmParams, rates: np.ndarray, table: MortalityTable) -> float:
-    """Exact value of a deterministic rate stream: enumerate death times."""
-    grid = table.grid
-    rates = np.broadcast_to(np.asarray(rates, dtype=float), (grid.n_steps,))
-    if _any_negative(rates):
-        return -np.inf
-    partial = np.cumsum(gain.utility(rates)) * grid.dt  # integral up to and incl. t
-    masses = table.p * grid.dt
-    return float(np.sum(masses * (-np.exp(-partial))))
+    # A node weighs its probability of being reached alive; the padding weighs zero.
+    weights = table.pi[:m, None] * lattice.node_weights("P")[:m]
+    terms = _additive_terms(gain, rates, weights, np.exp(-gain.discount * grid.points)[:, None])
+    return float(np.sum(terms) * grid.dt)
 
 
 def exp_km_value_on_lattice(
@@ -433,6 +405,23 @@ def _gain_levels(gain, rates: list, table: MortalityTable, lattice: Lattice | No
     """``_backward_levels`` on the gain's own step and death value, for rates given per level."""
     points, dt = table.grid.points, table.grid.dt
     return _backward_levels(lambda i, e: gain.step(points[i], rates[i], e, dt), gain.death_value, table, lattice)
+
+
+def _additive_terms(gain: VnmParams, rates: np.ndarray, weights, factors) -> np.ndarray:
+    """The additive family's terms ``weights * u(rates) * factors``, written over ``rates``.
+
+    ``weights`` and ``factors`` broadcast against ``rates``.  A term of zero
+    weight is zero whatever its rate, so u(0) = -inf is harmless there; a
+    NaN rate of positive weight raises ``ValueError``.
+    """
+    scored = weights > 0
+    if np.isnan(np.min(rates, initial=np.inf, where=scored)):
+        raise ValueError("consumption rates must not be NaN")
+    terms = gain.utility(rates, out=rates)
+    np.copyto(terms, 0.0, where=~scored)
+    terms *= weights
+    terms *= factors
+    return terms
 
 
 def _rate_levels(consumption, m: int) -> list:

@@ -83,7 +83,7 @@ def test_prob_bound_fails_matches_the_exact_value_to_rounding(quarterly10):
 @pytest.mark.parametrize("window_end", [-1.0, 7.0, None, 20.0], ids=["before-start", "interior", "default", "horizon"])
 def test_prob_bound_fails_matches_the_forward_chain_on_every_window(annual20, n, window_end):
     # The backward sweep against the independent forward chain; None is
-    # error_bound_check's default window T - T/10.
+    # error_bound_check's own window T - T/10.
     table, lattice, stream = annual20
     if window_end is None:
         window_end = 18.0

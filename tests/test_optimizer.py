@@ -17,7 +17,6 @@ from tontine.grid import TimeGrid
 from tontine.market import MarketModel, build_lattice, q_price, scale_stream
 from tontine.mortality import gompertz_makeham_table
 from tontine.optimizer import (
-    annuity_value_for_budget,
     HomogeneousProblem,
     annuity_rate,
     annuity_value,
@@ -43,6 +42,9 @@ from tontine.preferences import (
     VnmParams,
     ez_utility_discrete,
 )
+
+
+EZ_SHORT = EzParams(risk=-2.0, substitution=0.5, discount=0.03, adequacy=0.05)
 
 
 def make_problem(gain, n=math.inf, mu=0.0, rate=0.0, sigma=0.2, dt=0.25, horizon=1.0, table=None, budget=1.0):
@@ -197,16 +199,6 @@ def test_drift_breaks_annuity_optimality():
     assert gap > 1e-4
 
 
-def test_zero_budget_annuity_value_is_minus_inf_for_log():
-    grid = TimeGrid(0.25, 1.0)
-    assert np.isneginf(
-        annuity_value_for_budget(VnmParams(LogUtility()), uniform_table(grid), 0.0)
-    )
-    assert np.isneginf(
-        annuity_value_for_budget(VnmParams(PowerUtility(-1.0)), uniform_table(grid), 0.0)
-    )
-
-
 # --- dual-route agreement -----------------------------------------------------------
 
 
@@ -259,6 +251,34 @@ def test_unknown_route_is_named_not_skipped():
     problem = make_problem(VnmParams(LogUtility(), discount=0.02), mu=0.05, rate=0.01)
     with pytest.raises(ValueError, match="martingal'"):
         solve_infinite(problem, wealth_points=100, methods=("dp", "martingal"))
+
+
+NON_FINITE_INPUTS = {
+    "s0-inf": (lambda: MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(math.inf,)), "s0"),
+    "s0-nan": (lambda: MarketModel(rate=0.02, mu=(0.05,), sigma=(0.2,), s0=(math.nan,)), "s0"),
+    "rate-nan": (lambda: MarketModel(rate=math.nan, mu=(math.nan,), sigma=(0.0,), s0=(1.0,)), "rate"),
+    "mu-inf": (lambda: MarketModel(rate=0.02, mu=(math.inf,), sigma=(0.2,), s0=(1.0,)), "mu"),
+    "sigma-inf": (lambda: MarketModel(rate=0.02, mu=(0.05,), sigma=(math.inf,), s0=(1.0,)), "sigma"),
+    "vnm-discount-nan": (lambda: VnmParams(LogUtility(), discount=math.nan), "discount"),
+    "vnm-discount-inf": (lambda: VnmParams(LogUtility(), discount=math.inf), "discount"),
+    "ez-risk-inf": (lambda: dataclasses.replace(EZ_SHORT, risk=-math.inf), "risk"),
+    "ez-discount-inf": (lambda: dataclasses.replace(EZ_SHORT, discount=math.inf), "discount"),
+    "ez-adequacy-inf": (lambda: dataclasses.replace(EZ_SHORT, adequacy=math.inf), "adequacy"),
+    "power-exponent-inf": (lambda: PowerUtility(-math.inf), "exponent"),
+    "exponential-rate-inf": (lambda: ExponentialUtility(math.inf), "rate"),
+    "budget-inf": (lambda: make_problem(VnmParams(LogUtility()), budget=math.inf), "budget"),
+    "budget-nan": (lambda: make_problem(VnmParams(LogUtility()), budget=math.nan), "budget"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_non_finite_inputs_are_refused_naming_the_field(case):
+    # Each used to build: s0 = inf solved to 3.9769 for the half investor
+    # with NaN risky fractions, a NaN rate or discount surfaced as a NaN
+    # value or a later error, and an infinite budget failed inside the solver.
+    build, name = NON_FINITE_INPUTS[case]
+    with pytest.raises(ValueError, match=rf"\b{name} must"):
+        build()
 
 
 @pytest.mark.parametrize("points", [1, 2])
@@ -358,6 +378,62 @@ def test_transfer_gain_se_is_inf_when_a_path_scores_minus_inf():
                                           n=8, problem=problem, trials=2000, seed=7)
     assert np.isneginf(out.gain_estimate)
     assert out.gain_se == math.inf
+
+
+# A table whose death mass ends at mid-horizon, quarterly over two years in
+# the benchmark's market: from level 4 on nobody is alive, a case the
+# solvers skip step by step and the transfer's exact gain must leave out.
+EARLY_EXTINCTION_GAINS = {
+    "power": VnmParams(PowerUtility(-1.0), 0.02),
+    "log": VnmParams(LogUtility(), 0.02),
+    "half": VnmParams(PowerUtility(0.5), 0.02),
+    "exponential": VnmParams(ExponentialUtility(1.0), 0.02),
+    "expkm": ExpKmParams(ExponentialUtility(1.0)),
+    "ez": EZ_SHORT,
+}
+
+
+def early_extinction_problem(family):
+    problem = heavy_problem(EARLY_EXTINCTION_GAINS[family], 0.25, 2.0)
+    return dataclasses.replace(problem, table=explicit_table(problem.grid, [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("family", ["power", "log"])
+def test_early_extinction_scaling_dp_matches_the_closed_form(family):
+    res = solve_infinite(early_extinction_problem(family))
+    assert res.method == "closed_form"
+    assert res.extras["dp_value"] == pytest.approx(res.extras["martingale_value"], rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["ez", "expkm", "exponential"])
+def test_early_extinction_grid_dp_is_at_least_the_annuity(family):
+    problem = early_extinction_problem(family)
+    assert solve_infinite(problem, methods=("dp",)).value >= annuity_value(problem)
+
+
+@pytest.mark.parametrize("family", sorted(EARLY_EXTINCTION_GAINS))
+def test_early_extinction_pool_of_four_is_below_the_infinite_pool(family):
+    problem = early_extinction_problem(family)
+    assert solve_finite_dp(problem.with_n(4)).value <= solve_infinite(problem, methods=("dp",)).value
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["power", "log", "half"])
+def test_early_extinction_transfer_exact_gain(family):
+    # The exact gain used to read nan, with a RuntimeWarning, where u(0) =
+    # -inf: it weighed the extinct levels' zero rates by their zero share.
+    # A survivor whose gate closes consumes nothing, so the gain is -inf
+    # there, as on the sampled paths.
+    problem = early_extinction_problem(family)
+    res = solve_infinite(problem, methods=("martingale",))
+    out = transfer_infinite_to_finite(res.extras["stream"], res.extras["replication"], lam=0.9, n=8,
+                                      problem=problem, trials=2000, seed=1)
+    if family == "half":
+        assert math.isfinite(out.exact_gain)
+        assert abs(out.gain_estimate - out.exact_gain) <= 4 * out.gain_se
+    else:
+        assert np.isneginf(out.exact_gain)
+        assert np.isneginf(out.gain_estimate)
 
 
 # Transfer of the half investor's pricing stream at A40 into a pool of 64,
@@ -531,8 +607,6 @@ def test_golden_max_vec_returns_a_maximum_at_the_bracket_end_exactly():
     x, _ = golden_max_vec(fn, lo, hi, derivatives)
     assert np.array_equal(x, np.where(peaks < 0, lo, hi))
 
-
-EZ_SHORT = EzParams(risk=-2.0, substitution=0.5, discount=0.03, adequacy=0.05)
 
 # Value and the t = 0 policy of the endogenous-grid solver, on a quarterly
 # 2-year grid with heavy mortality.  Policy rows are the states (n, 1), or
@@ -836,28 +910,19 @@ def test_pricing_objective_gradient_pinned(case):
     assert grad.sum() == pytest.approx(total, rel=1e-12)
 
 
-def test_additive_step_sweep_matches_the_lattice_evaluator_and_central_differences():
-    # The additive family's step and partials, which only the wealth grid
-    # and no pricing route uses, against the closed sum of
-    # vnm_value_on_lattice and central differences of the sweep itself.
+def test_additive_step_sweep_matches_the_lattice_evaluator():
+    # The additive family's step, which the wealth grid and the annuity
+    # use, swept over a node stream against the closed sum of
+    # vnm_value_on_lattice.
     gain = VnmParams(ExponentialUtility(1.0), 0.02)
     problem = heavy_problem(gain, 1.0, 10.0)
     lattice = problem.lattice()
     sizes = np.arange(1, problem.grid.n_steps + 1)
     stops = np.cumsum(sizes)
-    layout = list(zip(stops - sizes, stops))
     x = annuity_rate(problem) * np.linspace(0.5, 1.5, stops[-1])
-    value, grad = _value_and_grad(gain, x, layout, problem.table, lattice)
-    stream = [x[a:b] for a, b in layout]
+    stream = [x[a:b] for a, b in zip(stops - sizes, stops)]
+    value = preferences._gain_levels(gain, stream, problem.table, lattice)[0][0][0]
     assert value == pytest.approx(preferences.vnm_value_on_lattice(gain, stream, problem.table, lattice), rel=1e-13)
-    h = 1e-6
-    for k in (0, 7, stops[-1] - 1):
-        up, down = x.copy(), x.copy()
-        up[k] += h
-        down[k] -= h
-        difference = (_value_and_grad(gain, up, layout, problem.table, lattice)[0]
-                      - _value_and_grad(gain, down, layout, problem.table, lattice)[0]) / (2 * h)
-        assert grad[k] == pytest.approx(difference, rel=1e-6)
 
 
 # The numeric pricing route, solved from its first-order conditions, on

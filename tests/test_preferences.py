@@ -19,11 +19,9 @@ from tontine.preferences import (
     PowerUtility,
     VnmParams,
     _ez_drift,
-    exp_km_value_of_rates,
     exp_km_value_on_lattice,
     ez_utility_discrete,
     ez_value_unrestricted,
-    vnm_value_of_rates,
     vnm_value_on_lattice,
 )
 from tontine.rng import substream
@@ -31,6 +29,12 @@ from tontine.rng import substream
 
 def quarter_grid():
     return TimeGrid(0.25, 1.0)
+
+
+def on_constant_streams(evaluate, gain, table):
+    """``evaluate`` (a lattice evaluator) as a function of deterministic rates, one per level."""
+    lattice = build_lattice(MarketModel(rate=0.0, mu=(0.05,), sigma=(0.2,), s0=(1.0,)), table.grid)
+    return lambda rates: evaluate(gain, constant_stream(lattice, rates), table, lattice)
 
 
 # --- utilities ---------------------------------------------------------------
@@ -41,6 +45,17 @@ def test_utility_zero_conventions():
     assert np.isneginf(PowerUtility(-1.0)(0.0))
     assert PowerUtility(0.5)(0.0) == 0.0
     assert ExponentialUtility(2.0)(0.0) == pytest.approx(-0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "exponent, rate, value",
+    [(-1.5, 0.0, -np.inf), (-1.5, 1e-120, 1e180 / -1.5), (-3.0, 0.0, -np.inf), (-3.0, 1e-120, -np.inf)],
+)
+def test_power_utility_below_exponent_minus_one_does_not_overflow(exponent, rate, value):
+    # Below exponent -1 the floored rate's power overflowed with a
+    # RuntimeWarning at zero; at 1e-120 and exponent -3 the answer is -inf.
+    assert PowerUtility(exponent)(np.array([rate]))[0] == pytest.approx(value, rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +127,7 @@ def test_power_unit_stream_matches_survival_weighted_sum():
     pi = table.pi[: grid.n_steps]
     closed = np.sum(np.exp(-b * grid.points) * pi * grid.dt) * (1.0 / alpha)
     assert value == pytest.approx(closed, rel=1e-13)
-    assert vnm_value_of_rates(gain, np.ones(grid.n_steps), table) == pytest.approx(closed, rel=1e-13)
+    assert on_constant_streams(vnm_value_on_lattice, gain, table)(1.0) == pytest.approx(closed, rel=1e-13)
 
 
 def test_negative_consumption_sentinel():
@@ -213,8 +228,10 @@ def test_exp_km_lattice_recursion_matches_rate_enumeration():
     gain = ExpKmParams(ExponentialUtility(1.0))
     rates = np.array([1.0, 0.8, 1.2, 0.6])
     via_lattice = exp_km_value_on_lattice(gain, constant_stream(lat, rates), table, lat)
-    via_law = exp_km_value_of_rates(gain, rates, table)
-    assert via_lattice == pytest.approx(via_law, rel=1e-12)
+    # Death at each grid point, with its mass, consuming up to and at it.
+    scenarios = np.tile(rates, (grid.n_steps, 1))
+    via_deaths = exp_km_utility(gain, scenarios, grid.points, table.p * grid.dt, grid.points, grid.dt)
+    assert via_lattice == pytest.approx(via_deaths, rel=1e-12)
 
 
 # --- aggregator -----------------------------------------------------------------
@@ -369,12 +386,8 @@ def monotonicity_violations(evaluate, sample_stream, trials: int, seed: int, tol
 def test_concavity_equality_for_identical_pair():
     grid = quarter_grid()
     table = uniform_table(grid)
-    gain = VnmParams(LogUtility())
     fixed = np.full(grid.n_steps, 1.3)
-
-    def evaluate(rates):
-        return vnm_value_of_rates(gain, rates, table)
-
+    evaluate = on_constant_streams(vnm_value_on_lattice, VnmParams(LogUtility()), table)
     violations = concavity_violations(evaluate, lambda gen: fixed.copy(), trials=5, seed=0)
     assert not violations
 
@@ -382,11 +395,7 @@ def test_concavity_equality_for_identical_pair():
 def test_vnm_log_concavity_property():
     grid = quarter_grid()
     table = uniform_table(grid)
-    gain = VnmParams(LogUtility(), discount=0.05)
-
-    def evaluate(rates):
-        return vnm_value_of_rates(gain, rates, table)
-
+    evaluate = on_constant_streams(vnm_value_on_lattice, VnmParams(LogUtility(), discount=0.05), table)
     violations = concavity_violations(
         evaluate, lambda gen: gen.uniform(0.05, 3.0, grid.n_steps), trials=1000, seed=1
     )
@@ -410,11 +419,7 @@ def test_ez_concavity_property():
 def test_exp_km_concavity_property():
     grid = quarter_grid()
     table = uniform_table(grid)
-    gain = ExpKmParams(ExponentialUtility(1.0))
-
-    def evaluate(rates):
-        return exp_km_value_of_rates(gain, rates, table)
-
+    evaluate = on_constant_streams(exp_km_value_on_lattice, ExpKmParams(ExponentialUtility(1.0)), table)
     violations = concavity_violations(
         evaluate, lambda gen: gen.uniform(0.0, 3.0, grid.n_steps), trials=1000, seed=3
     )
@@ -425,8 +430,8 @@ def test_monotonicity_and_non_saturation_all_families():
     grid = quarter_grid()
     table = uniform_table(grid)
     evaluators = [
-        lambda r: vnm_value_of_rates(VnmParams(PowerUtility(-0.5), 0.1), r, table),
-        lambda r: exp_km_value_of_rates(ExpKmParams(ExponentialUtility(0.8)), r, table),
+        on_constant_streams(vnm_value_on_lattice, VnmParams(PowerUtility(-0.5), 0.1), table),
+        on_constant_streams(exp_km_value_on_lattice, ExpKmParams(ExponentialUtility(0.8)), table),
         lambda r: ez_utility_discrete(
             EzParams(risk=-1.0, substitution=0.5, discount=0.1, adequacy=1.0), r, table
         ),
@@ -478,14 +483,9 @@ def test_negative_rate_on_a_lattice_gives_minus_inf_for_every_family():
     table, lattice = heavy_annual10()
     stream = constant_stream(lattice, 1.0)
     stream[3] = stream[3] - 2.0
-    rates = np.array([level[0] for level in stream])
     for utility in (ExponentialUtility(1.0), PowerUtility(0.5)):
-        gain = VnmParams(utility, 0.02)
-        assert vnm_value_of_rates(gain, rates, table) == -np.inf
-        assert vnm_value_on_lattice(gain, stream, table, lattice) == -np.inf
-    expkm = ExpKmParams(ExponentialUtility(1.0))
-    assert exp_km_value_of_rates(expkm, rates, table) == -np.inf
-    assert exp_km_value_on_lattice(expkm, stream, table, lattice) == -np.inf
+        assert vnm_value_on_lattice(VnmParams(utility, 0.02), stream, table, lattice) == -np.inf
+    assert exp_km_value_on_lattice(ExpKmParams(ExponentialUtility(1.0)), stream, table, lattice) == -np.inf
     assert ez_utility_discrete(EZ_BENCH, stream, table, lattice) == -np.inf
 
 
@@ -507,27 +507,22 @@ def test_ez_value_outside_the_recursion_domain_raises(law):
 
 
 @pytest.mark.parametrize(
-    "evaluate, gain",
+    "evaluate, gain, node",
     [
-        (vnm_value_of_rates, VnmParams(PowerUtility(0.5), 0.02)),
-        (vnm_value_on_lattice, VnmParams(PowerUtility(0.5), 0.02)),
-        (exp_km_value_of_rates, ExpKmParams(LogUtility())),
-        (exp_km_value_on_lattice, ExpKmParams(LogUtility())),
+        (vnm_value_on_lattice, VnmParams(PowerUtility(0.5), 0.02), slice(None)),
+        (vnm_value_on_lattice, VnmParams(PowerUtility(0.5), 0.02), 1),
+        (exp_km_value_on_lattice, ExpKmParams(LogUtility()), slice(None)),
+        (exp_km_value_on_lattice, ExpKmParams(LogUtility()), 1),
     ],
     ids=["vnm-rates", "vnm-lattice", "expkm-rates", "expkm-lattice"],
 )
-def test_a_nan_rate_raises(evaluate, gain):
+def test_a_nan_rate_raises(evaluate, gain, node):
     # These evaluators used to score a NaN rate as zero consumption: the
     # additive power-1/2 value of rates 0.1 with a NaN at level 3 read
-    # 4.879185043544746, its value with that rate set to zero.
+    # 4.879185043544746, its value with that rate set to zero.  The NaN is
+    # a deterministic rate (every node of level 3) or one node's rate.
     table, lattice = heavy_annual10()
-    if evaluate in (vnm_value_on_lattice, exp_km_value_on_lattice):
-        stream = constant_stream(lattice, 0.1)
-        stream[3][1] = np.nan
-        args = (stream, table, lattice)
-    else:
-        rates = np.full(10, 0.1)
-        rates[3] = np.nan
-        args = (rates, table)
+    stream = constant_stream(lattice, 0.1)
+    stream[3][node] = np.nan
     with pytest.raises(ValueError, match="NaN"):
-        evaluate(gain, *args)
+        evaluate(gain, stream, table, lattice)
