@@ -41,9 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import Lattice, Stream
+from .market import Lattice, Stream, stream_rows, validate_stream
 from .mortality import MortalityTable, binomial_transition_matrix, survivor_bound
-from .preferences import EzParams, _backward_expectation, _backward_levels, _rate_levels
+from .preferences import EzParams, _backward_expectation, _backward_levels
 
 
 class StepTooCoarseError(RuntimeError):
@@ -141,18 +141,6 @@ def _implicit_node_solve(driver, t, consumption, expected, dt):
     )
 
 
-def _checked_rates(consumption, n_steps: int, lattice: Lattice | None) -> list:
-    """Per-level rates of a consumption input; refuses one that is not finite and nonnegative."""
-    if isinstance(consumption, list) and lattice is None:
-        raise ValueError("node-adapted streams require a lattice")
-    rates = _rate_levels(consumption, n_steps)
-    if not all(np.all(np.isfinite(level)) for level in rates):
-        raise ValueError("consumption must be finite")
-    if any(np.any(level < 0) for level in rates):
-        raise ValueError("consumption must be nonnegative")
-    return rates
-
-
 def solve_truncated(
     driver: TruncatedDriver,
     consumption: Stream | np.ndarray | float,
@@ -178,7 +166,7 @@ def solve_truncated(
             raise StepTooCoarseError(
                 f"C_m * dt = {lipschitz_constant(params, driver.level) * dt:.3f} >= 1"
             )
-    rates = _checked_rates(consumption, grid.n_steps, lattice)
+    rates = stream_rows(validate_stream(consumption, grid, lattice))
     points = grid.points
     absorbed = [driver.absorption(t + dt) for t in points] + [driver.absorption(grid.horizon)]
     iterations = [0]
@@ -335,7 +323,7 @@ def error_bound_check(
     horizon = table.grid.horizon
     delta = horizon / 10.0
     if not math.isfinite(level):
-        _checked_rates(stream, table.grid.n_steps, lattice)  # a bad stream is named first
+        validate_stream(stream, table.grid, lattice)  # a bad stream is named first
         raise ValueError("the error bound needs a finite truncation level")
     driver = TruncatedDriver(params, float(level))
     pair = solve_transfer_pair(driver, stream, lam, n, table, lattice, window_end=horizon - delta)

@@ -29,10 +29,10 @@ class TimeGrid:
     n_steps: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0.0):
-            raise ValueError(f"grid step must be positive, got {self.dt}")
-        if not (self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not (0.0 < self.dt < np.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (0.0 < self.horizon < np.inf):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         ratio = self.horizon / self.dt
         m = round(ratio)
         if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, ratio):

@@ -18,6 +18,10 @@ in its first ``i + 1`` entries and zeros after them.  Node weights,
 prices and replication run as whole-array steps on these triangles; a
 public ``Stream`` is the list of their row views (``stream_rows``), and
 ``stack_stream`` turns a list back into a triangle.
+
+``validate_stream`` is the package's one check on consumption input: every
+entry point that takes rates works on the triangle it returns, and a
+malformed level or a non-finite or negative rate raises, naming the level.
 """
 
 from __future__ import annotations
@@ -184,35 +188,47 @@ def stream_rows(tri: np.ndarray) -> Stream:
     return [tri[i, : i + 1] for i in range(tri.shape[0])]
 
 
-def validate_stream(stream: Stream, lattice: Lattice) -> np.ndarray:
-    """Check an adapted nonnegative rate stream and return it stacked.
+def validate_stream(consumption, grid: TimeGrid, lattice: Lattice | None = None) -> np.ndarray:
+    """Check consumption input on ``grid`` and return its rates as one triangle.
 
-    Shapes are checked level by level, finiteness and sign once on the
-    stacked values; the first faulty level raises, a wrong shape before
-    non-finite rates before negative ones within a level.
+    ``consumption`` is a node stream (a list of levels, on ``lattice``) or
+    deterministic rates: a scalar, or one rate per grid point.  Returns the
+    ``(m, m + 1)`` triangle on a lattice and ``(m, 1)`` without one, whose
+    rows ``stream_rows`` gives as levels.  A node stream without a lattice,
+    a lattice on another grid and a wrong level count raise; otherwise the
+    first faulty level does, within a level a wrong shape
+    (``NonReplicableError``) before non-finite rates before negative ones.
     """
-    m = lattice.n_steps
-    if len(stream) != m:
-        raise NonReplicableError(f"stream has {len(stream)} levels, lattice has {m} grid points")
-    levels = [np.asarray(level, dtype=float) for level in stream]
-    shaped = next((i for i, arr in enumerate(levels) if arr.shape != (i + 1,)), m)
-    tri = stack_stream(levels[:shaped])
+    m = grid.n_steps
+    if lattice is not None and lattice.grid != grid:
+        raise ValueError(f"the lattice's grid {lattice.grid} is not the mortality table's grid {grid}")
+    if isinstance(consumption, list):
+        if lattice is None:
+            raise ValueError("node-adapted streams require a lattice")
+        if len(consumption) != m:
+            raise NonReplicableError(f"stream has {len(consumption)} levels, the grid has {m} points")
+        levels = [np.asarray(level, dtype=float) for level in consumption]
+        shaped = next((i for i, arr in enumerate(levels) if arr.shape != (i + 1,)), m)
+        tri = stack_stream(levels[:shaped])
+    else:
+        rates = np.asarray(consumption, dtype=float)
+        if rates.shape not in ((), (m,)):
+            raise NonReplicableError(f"deterministic rates have shape {rates.shape}, expected () or ({m},)")
+        shaped = m
+        width = 1 if lattice is None else m + 1
+        tri = np.where(np.tri(m, width, dtype=bool), np.broadcast_to(rates, (m,))[:, None], 0.0)
+    if shaped == m and 0.0 <= tri.min() and tri.max() < np.inf:  # NaN fails both
+        return tri
     nonfinite = np.flatnonzero(~np.all(np.isfinite(tri), axis=1))
     negative = np.flatnonzero(np.any(tri < 0, axis=1))
     first_nonfinite = nonfinite[0] if nonfinite.size else m
     first_negative = negative[0] if negative.size else m
     first = min(shaped, first_nonfinite, first_negative)
-    if first == m:
-        return tri
     if first == shaped:
         raise NonReplicableError(f"level {first} has shape {levels[first].shape}, expected ({first + 1},)")
     if first == first_nonfinite:
         raise ValueError(f"level {first} contains non-finite rates")
     raise ValueError(f"level {first} contains negative rates")
-
-
-def scale_stream(a: Stream, factor: float) -> Stream:
-    return [factor * x for x in a]
 
 
 def q_price(cashflow: Stream, lattice: Lattice) -> float:
@@ -223,7 +239,7 @@ def q_price(cashflow: Stream, lattice: Lattice) -> float:
     ``sum_t dt * exp(-r t) * E_Q[rate_t]``.  Prices are additive over
     streams; negative rates are rejected.
     """
-    tri = validate_stream(cashflow, lattice)
+    tri = validate_stream(cashflow, lattice.grid, lattice)
     grid = lattice.grid
     weights = lattice.node_weights("Q")[: grid.n_steps]
     return float(np.sum((grid.dt * np.exp(-lattice.rate * grid.points))[:, None] * weights * tri))
@@ -257,7 +273,7 @@ def replicate(cashflow: Stream, lattice: Lattice) -> ReplicatingStrategy:
     branches.  Deterministic streams therefore come out all-bond, and the
     initial wealth equals ``q_price(cashflow)`` to machine precision.
     """
-    tri = validate_stream(cashflow, lattice)
+    tri = validate_stream(cashflow, lattice.grid, lattice)
     m = lattice.n_steps
     amounts = tri * lattice.grid.dt
     disc = lattice.step_discount()

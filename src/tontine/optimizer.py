@@ -69,9 +69,9 @@ from .market import (
     build_lattice,
     replicate,
     sample_lattice_paths,
-    scale_stream,
     stack_stream,
     stream_rows,
+    validate_stream,
 )
 from .mortality import (
     MortalityTable,
@@ -586,7 +586,12 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
             first, second = interpolant(log_fgrid + np.log(gross), 2)
             return np.sum(weight * first * dz, axis=0), np.sum(weight * (second - first) * dz**2, axis=0)
 
-        frac, cont = golden_max_vec(lambda a: continuation(log_fgrid, a), lo_a, hi_a, continuation_derivatives)
+        if np.all(mixed == mixed[:, :1]):
+            # Every state's continuation is flat in wealth (the last step):
+            # any fraction gives each row's constant, so none is searched.
+            frac, cont = np.zeros(shape), np.broadcast_to(mixed[:, :1], shape)
+        else:
+            frac, cont = golden_max_vec(lambda a: continuation(log_fgrid, a), lo_a, hi_a, continuation_derivatives)
         slope_down, slope_up = interpolant(log_fgrid + log_gross(frac), 1)
         marginal = ((1.0 - p_up) * slope_down + p_up * slope_up) / fgrid
         live = (1.0 - death_prob) * marginal * fgrid > _FLAT_RTOL * np.abs(cont)
@@ -1027,7 +1032,9 @@ def transfer_infinite_to_finite(
     fund invests exactly like the scaled infinite-pool replication, which
     keeps wealth nonnegative path by path.  Returns the Monte Carlo gain
     with its standard error plus the exact chain value, for the additive
-    family; a NaN rate raises ``ValueError``.
+    family.  The stream is checked once, at entry, by
+    ``market.validate_stream``: a malformed level or a non-finite or
+    negative rate raises before any path is drawn.
 
     Beyond the sampled inputs (boolean up moves, and node indices and
     survivor counts in narrow unsigned types) the run holds only the
@@ -1048,6 +1055,7 @@ def transfer_infinite_to_finite(
     m = grid.n_steps
     dt = grid.dt
     table = problem.table
+    scaled = lam * validate_stream(stream, table.grid, lattice)
 
     paths = sample_lattice_paths(lattice, trials, seed)
     counts = simulate_survivor_counts(n, table, trials, seed, label="transfer-mortality")
@@ -1057,8 +1065,7 @@ def transfer_infinite_to_finite(
     gate = counts <= survivor_bound(n, table, lam)
     for t in range(1, m):
         gate[:, t] &= gate[:, t - 1]
-    scaled = scale_stream(stream, lam)
-    policy = _NodePolicy(scaled, replication.risky_fraction, gate)
+    policy = _NodePolicy(stream_rows(scaled), replication.risky_fraction, gate)
     traj = evolve_finite(policy, paths, counts, np.full(n, problem.budget))
     violations = int(np.count_nonzero(~traj.admissible))
     # Only the rates are scored: free the fund values and the paths first.
@@ -1075,10 +1082,10 @@ def transfer_infinite_to_finite(
     closed_share = chain.count @ share - open_share
     disc = np.exp(-gain.discount * grid.points)
     wp = lattice.node_weights("P")[:m]
-    open_terms = _additive_terms(gain, stack_stream(scaled), open_share[:, None] * wp, disc[:, None])
+    open_terms = _additive_terms(gain, scaled.copy(), open_share[:, None] * wp, disc[:, None])
     closed_terms = _additive_terms(gain, np.zeros(m), closed_share, disc)
     exact = (np.sum(open_terms) + np.sum(closed_terms)) * dt
-    target = vnm_value_on_lattice(gain, scaled, table, lattice)
+    target = vnm_value_on_lattice(gain, stream_rows(scaled), table, lattice)
     return TransferResult(
         n=n,
         lam=lam,

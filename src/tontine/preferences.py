@@ -4,9 +4,9 @@ Three families are supported: expected discounted utility with mortality
 (``VnmParams``), the exponential multiplicative family (``ExpKmParams``,
 outer ``-exp(-integral u)``), and recursive utility with separate risk and
 substitution parameters plus an adequacy level (``EzParams``).  All
-consumption arguments are rates with respect to the grid measure; every
-family returns ``-inf`` whenever negative consumption is received with
-positive probability, and a NaN rate raises.
+consumption arguments are rates with respect to the grid measure.  The
+evaluators pass every stream through ``market.validate_stream``, so a
+malformed level or a non-finite or negative rate raises ``ValueError``.
 
 Each family is one backward step on an investor's chain, given alive, and
 every solver calls the same pieces of it:
@@ -60,7 +60,7 @@ from typing import Union
 
 import numpy as np
 
-from .market import Lattice, Stream, stack_stream
+from .market import Lattice, Stream, stream_rows, validate_stream
 from .mortality import MortalityTable
 
 
@@ -328,21 +328,11 @@ GainFunction = Union[VnmParams, ExpKmParams, EzParams]
 # ---------------------------------------------------------------------------
 
 
-def _any_negative(rates: np.ndarray) -> bool:
-    """Whether some rate is negative; a NaN rate, which no comparison catches, raises."""
-    least = np.min(rates)
-    if np.isnan(least):
-        raise ValueError("consumption rates must not be NaN")
-    return bool(least < 0)
-
-
 def vnm_value_on_lattice(
     gain: VnmParams, stream: Stream, table: MortalityTable, lattice: Lattice
 ) -> float:
     """Exact value of a node-adapted rate stream (death independent of market)."""
-    rates = stack_stream(stream)
-    if _any_negative(rates):
-        return -np.inf
+    rates = validate_stream(stream, table.grid, lattice)
     grid = lattice.grid
     m = grid.n_steps
     # A node weighs its probability of being reached alive; the padding weighs zero.
@@ -355,9 +345,8 @@ def exp_km_value_on_lattice(
     gain: ExpKmParams, stream: Stream, table: MortalityTable, lattice: Lattice
 ) -> float:
     """Backward evaluation of the multiplicative family on the lattice."""
-    if _any_negative(np.concatenate(stream)):
-        return -np.inf
-    return float(_gain_levels(gain, stream, table, lattice)[0][0][0])
+    rates = stream_rows(validate_stream(stream, table.grid, lattice))
+    return float(_gain_levels(gain, rates, table, lattice)[0][0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +413,6 @@ def _additive_terms(gain: VnmParams, rates: np.ndarray, weights, factors) -> np.
     return terms
 
 
-def _rate_levels(consumption, m: int) -> list:
-    """Rates per level: a node stream as given, deterministic rates one per level."""
-    if isinstance(consumption, list):
-        return [np.asarray(level, dtype=float) for level in consumption]
-    return list(np.broadcast_to(np.asarray(consumption, dtype=float), (m,)))
-
-
 def _ez_drift(alpha: float, rho: float, b: float, consumption, value):
     """Aggregator drift f(c, v) at raw parameters, without domain checks."""
     av = alpha * value  # positive wherever v < 0
@@ -443,7 +425,7 @@ def _ez_drift(alpha: float, rho: float, b: float, consumption, value):
 
 
 def ez_utility_discrete(
-    params: EzParams,
+    params: _Recursive,
     consumption: Stream | np.ndarray | float,
     table: MortalityTable,
     lattice: Lattice | None = None,
@@ -451,6 +433,8 @@ def ez_utility_discrete(
     """Value of a consumption plan under the recursive preferences.
 
     Args:
+        params: ``EzParams``, or ``_Recursive`` for raw parameters (e.g.
+            ``substitution == risk``: discounted expected power utility).
         consumption: a scalar or per-grid-point array of deterministic
             rates, with or without a lattice, or a node-adapted stream on
             a lattice sharing the table's grid.
@@ -458,39 +442,13 @@ def ez_utility_discrete(
             horizon, which anchors the terminal condition.
 
     Returns V_0, which lies in (-inf, 0); consuming the adequacy rate
-    returns the adequacy value exactly.  Raises ``ValueError`` where the
-    explicit step leaves the domain v < 0.
+    returns the adequacy value exactly.  Raises ``ValueError`` naming the
+    first level of the sweep whose value is not finite, where the explicit
+    step leaves the domain v < 0.
     """
-    return ez_value_unrestricted(
-        params.risk, params.substitution, params.discount, params.adequacy, consumption, table, lattice
-    )
-
-
-def ez_value_unrestricted(
-    risk: float,
-    substitution: float,
-    discount: float,
-    adequacy: float,
-    consumption: Stream | np.ndarray | float,
-    table: MortalityTable,
-    lattice: Lattice | None = None,
-) -> float:
-    """Recursion evaluated at raw parameters; ``ez_utility_discrete`` runs on it.
-
-    Permits parameter combinations outside the calibrated region, e.g.
-    ``substitution == risk`` where the family degenerates to discounted
-    expected power utility (a testing hook).  Raises ``ValueError`` naming
-    the first level of the sweep whose value is not finite.
-    """
-    if lattice is None and isinstance(consumption, list):
-        raise ValueError("node-adapted streams require a lattice")
-    if lattice is not None and lattice.grid.n_steps != table.grid.n_steps:
-        raise ValueError("lattice and mortality table use different grids")
-    rates = _rate_levels(consumption, table.grid.n_steps)
-    if any(np.any(level < 0) for level in rates):
-        return -np.inf
+    rates = stream_rows(validate_stream(consumption, table.grid, lattice))
     with np.errstate(invalid="ignore", over="ignore"):
-        values, _ = _gain_levels(_Recursive(risk, substitution, discount, adequacy), rates, table, lattice)
+        values, _ = _gain_levels(params, rates, table, lattice)
     broken = [i for i, level in enumerate(values) if not np.all(np.isfinite(level))]
     if broken:
         raise ValueError(f"recursive value not finite at level {broken[-1]}: the explicit step left the domain v < 0")

@@ -143,9 +143,9 @@ def test_negative_rate_in_a_node_stream_is_rejected(level):
     table, lattice, stream = half_stream(1.0, 10.0)
     stream = [np.array(rates, dtype=float) for rates in stream]
     stream[3][1] = -0.01
-    with pytest.raises(ValueError, match="consumption must be nonnegative"):
+    with pytest.raises(ValueError, match="level 3 contains negative rates"):
         solve_truncated(TruncatedDriver(EZ, level), stream, table, lattice)
-    with pytest.raises(ValueError, match="consumption must be nonnegative"):
+    with pytest.raises(ValueError, match="level 3 contains negative rates"):
         error_bound_check(EZ, level, stream, LAM, 8, table, lattice)
 
 
@@ -157,11 +157,11 @@ def test_non_finite_rate_is_rejected(level, bad):
     table, lattice, stream = half_stream(1.0, 10.0)
     stream = [np.array(rates, dtype=float) for rates in stream]
     stream[3][1] = bad
-    with pytest.raises(ValueError, match="consumption must be finite"):
+    with pytest.raises(ValueError, match="level 3 contains non-finite rates"):
         solve_truncated(TruncatedDriver(EZ, level), stream, table, lattice)
-    with pytest.raises(ValueError, match="consumption must be finite"):
+    with pytest.raises(ValueError, match="level 3 contains non-finite rates"):
         error_bound_check(EZ, level, stream, LAM, 8, table, lattice)
-    with pytest.raises(ValueError, match="consumption must be finite"):
+    with pytest.raises(ValueError, match="level 0 contains non-finite rates"):
         solve_truncated(TruncatedDriver(EZ, level), bad, table)
 
 

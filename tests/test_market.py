@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from stream_helpers import constant_stream, level_prices, stream_from_function
 
+from tontine.ez_bsde import TruncatedDriver, convergence_in_m, error_bound_check, solve_transfer_pair, solve_truncated
 from tontine.grid import TimeGrid
 from tontine.market import (
     IncompatibleStepError,
@@ -16,8 +18,18 @@ from tontine.market import (
     sample_lattice_paths,
 )
 from tontine.mortality import gompertz_makeham_table
-from tontine.optimizer import HomogeneousProblem
-from tontine.preferences import LogUtility, VnmParams
+from tontine.optimizer import HomogeneousProblem, transfer_infinite_to_finite
+from tontine.preferences import (
+    ExpKmParams,
+    ExponentialUtility,
+    EzParams,
+    LogUtility,
+    PowerUtility,
+    VnmParams,
+    exp_km_value_on_lattice,
+    ez_utility_discrete,
+    vnm_value_on_lattice,
+)
 
 
 def one_asset(rate=0.0, mu=0.0, sigma=0.2, s0=1.0):
@@ -295,6 +307,91 @@ def test_first_faulty_level_wins(faults, error, message):
     with pytest.raises(ValueError, match=message) as excinfo:
         replicate(_faulty(lat, faults), lat)
     assert excinfo.type is error
+
+
+# --- one check on consumption input, at every entry point ------------------------
+
+
+ONE_RULE_MODEL = one_asset(rate=0.02, mu=0.05, sigma=0.2)
+ONE_RULE_EZ = EzParams(risk=-2.0, substitution=0.5, discount=0.03, adequacy=0.05)
+
+
+def _problem_a10():
+    grid = TimeGrid(1.0, 10.0)
+    table = gompertz_makeham_table(grid, 0.0, 0.01, 0.1)
+    return HomogeneousProblem(VnmParams(PowerUtility(0.5), 0.02), table, ONE_RULE_MODEL, grid, 1.0, math.inf)
+
+
+def _transfer(stream, table, lattice):
+    problem = _problem_a10()
+    replication = replicate(constant_stream(lattice, 0.05), lattice)
+    return transfer_infinite_to_finite(stream, replication, 0.9, 8, problem, trials=4, seed=1)
+
+
+# Each entry point that takes rates, called on (stream, table, lattice).
+RATE_ENTRY_POINTS = {
+    "q_price": lambda stream, table, lattice: q_price(stream, lattice),
+    "replicate": lambda stream, table, lattice: replicate(stream, lattice),
+    "vnm_value_on_lattice": lambda stream, table, lattice: vnm_value_on_lattice(
+        VnmParams(PowerUtility(0.5), 0.02), stream, table, lattice),
+    "exp_km_value_on_lattice": lambda stream, table, lattice: exp_km_value_on_lattice(
+        ExpKmParams(ExponentialUtility(1.0)), stream, table, lattice),
+    "ez_utility_discrete": lambda stream, table, lattice: ez_utility_discrete(ONE_RULE_EZ, stream, table, lattice),
+    "solve_truncated": lambda stream, table, lattice: solve_truncated(
+        TruncatedDriver(ONE_RULE_EZ, 1.0), stream, table, lattice),
+    "convergence_in_m": lambda stream, table, lattice: convergence_in_m(ONE_RULE_EZ, stream, table, (1.0,), lattice),
+    "solve_transfer_pair": lambda stream, table, lattice: solve_transfer_pair(
+        TruncatedDriver(ONE_RULE_EZ, 1.0), stream, 0.9, 8, table, lattice, 9.0),
+    "error_bound_check": lambda stream, table, lattice: error_bound_check(
+        ONE_RULE_EZ, 1.0, stream, 0.9, 8, table, lattice),
+    "transfer_infinite_to_finite": _transfer,
+}
+
+
+def _faulty_input(fault):
+    """A stream of 0.05 on A10 with one fault, its table and its lattice."""
+    table = _problem_a10().table
+    lattice = build_lattice(ONE_RULE_MODEL, table.grid)
+    if fault == "grid":  # ten steps as well, on another grid
+        lattice = build_lattice(ONE_RULE_MODEL, TimeGrid(0.5, 5.0))
+    stream = constant_stream(lattice, 0.05)
+    if fault == "shape":
+        stream[2] = np.full(1, 0.05)
+    elif fault in ("inf", "negative"):
+        stream[2][-1] = {"inf": np.inf, "negative": -0.01}[fault]
+    return stream, table, lattice
+
+
+ONE_RULE_FAULTS = {
+    "grid": "grid",
+    "shape": r"level 2 has shape \(1,\)",
+    "inf": "level 2 contains non-finite rates",
+    "negative": "level 2 contains negative rates",
+}
+# These take no table: the lattice is the stream's own, or the problem's.
+OWN_GRID = ("q_price", "replicate", "transfer_infinite_to_finite")
+
+
+@pytest.mark.parametrize(
+    "entry, fault",
+    [(entry, fault) for entry in sorted(RATE_ENTRY_POINTS) for fault in ONE_RULE_FAULTS
+     if not (fault == "grid" and entry in OWN_GRID)],
+)
+def test_every_rate_entry_point_refuses_a_faulty_stream(entry, fault):
+    # Before the entry points shared one check, the three evaluators and
+    # solve_truncated valued a lattice on another grid of the same step
+    # count, ez_utility_discrete and solve_truncated broadcast a level of
+    # shape (1,), the VnM and multiplicative evaluators valued an inf rate,
+    # the transfer scored a negative rate, and the rest raised other messages.
+    stream, table, lattice = _faulty_input(fault)
+    with pytest.raises(ValueError, match=ONE_RULE_FAULTS[fault]):
+        RATE_ENTRY_POINTS[entry](stream, table, lattice)
+
+
+def test_every_rate_entry_point_accepts_the_unfaulted_stream():
+    stream, table, lattice = _faulty_input(None)
+    for entry, call in RATE_ENTRY_POINTS.items():
+        call(stream, table, lattice)
 
 
 # --- the node-weight triangle -------------------------------------------------------

@@ -14,7 +14,7 @@ from survival_oracle import explicit_table, point_mass_table, uniform_table
 
 from tontine import ez_bsde, fund, market, mortality, optimizer, preferences
 from tontine.grid import TimeGrid
-from tontine.market import MarketModel, build_lattice, q_price, scale_stream
+from tontine.market import MarketModel, build_lattice, q_price
 from tontine.mortality import gompertz_makeham_table
 from tontine.optimizer import (
     HomogeneousProblem,
@@ -268,6 +268,8 @@ NON_FINITE_INPUTS = {
     "exponential-rate-inf": (lambda: ExponentialUtility(math.inf), "rate"),
     "budget-inf": (lambda: make_problem(VnmParams(LogUtility()), budget=math.inf), "budget"),
     "budget-nan": (lambda: make_problem(VnmParams(LogUtility()), budget=math.nan), "budget"),
+    "dt-inf": (lambda: TimeGrid(math.inf, 1.0), "dt"),
+    "horizon-inf": (lambda: TimeGrid(1.0, math.inf), "horizon"),
 }
 
 
@@ -466,7 +468,7 @@ def test_transfer_counts_each_inadmissible_path_once():
     # violations are paths, at most one per trial.
     problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
     res = solve_infinite(problem, methods=("martingale",))
-    out = transfer_infinite_to_finite(scale_stream(res.extras["stream"], 2.0), res.extras["replication"],
+    out = transfer_infinite_to_finite([2.0 * level for level in res.extras["stream"]], res.extras["replication"],
                                       lam=0.9, n=8, problem=problem, trials=2000, seed=7)
     assert 0 < out.admissibility_violations <= out.trials
 
@@ -537,7 +539,7 @@ def test_transfer_of_a_nan_rate_raises():
     res = solve_infinite(problem, methods=("martingale",))
     stream = [level.copy() for level in res.extras["stream"]]
     stream[3][:] = np.nan
-    with pytest.raises(ValueError, match="consumption rates must not be NaN"):
+    with pytest.raises(ValueError, match="level 3 contains non-finite rates"):
         transfer_infinite_to_finite(stream, res.extras["replication"], lam=0.9, n=8, problem=problem,
                                     trials=4, seed=3)
 
@@ -713,8 +715,9 @@ def test_benchmark_tracer_sees_one_portfolio_search_per_step(monkeypatch):
         optimizer.solve_infinite(problem, methods=("dp",))
     summary = tracer.summarize(log)
     steps = problem.grid.n_steps
-    assert summary["layers"]["optimizer.golden_max_vec"]["calls"] == steps
-    assert summary["counts"]["optimizer.golden_max_vec.evals"] == 24 * steps
+    # The last step's continuation is the flat death value: it runs no search.
+    assert summary["layers"]["optimizer.golden_max_vec"]["calls"] == steps - 1
+    assert summary["counts"]["optimizer.golden_max_vec.evals"] == 24 * (steps - 1)
     assert summary["counts"]["optimizer.PchipInterpolator.builds"] > 0
     assert optimizer.golden_max_vec is golden_max_vec and optimizer.PchipInterpolator is PchipInterpolator
 

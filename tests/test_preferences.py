@@ -19,9 +19,9 @@ from tontine.preferences import (
     PowerUtility,
     VnmParams,
     _ez_drift,
+    _Recursive,
     exp_km_value_on_lattice,
     ez_utility_discrete,
-    ez_value_unrestricted,
     vnm_value_on_lattice,
 )
 from tontine.rng import substream
@@ -329,16 +329,17 @@ def test_substitution_equal_risk_matches_discounted_power_utility():
         grid = TimeGrid(horizon / m, horizon)
         table = point_mass_table(grid)  # no early deaths
         rates = stream_fn(grid.points)
-        val = ez_value_unrestricted(alpha, alpha, b, adequacy, rates, table)
+        val = ez_utility_discrete(_Recursive(alpha, alpha, b, adequacy), rates, table)
         gaps.append(abs(val - oracle))
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.35)
     assert gaps[1] / gaps[2] == pytest.approx(2.0, abs=0.35)
 
 
-def test_negative_consumption_gives_minus_inf():
+def test_negative_consumption_is_refused():
     grid = quarter_grid()
     params = EzParams(risk=-1.0, substitution=0.5, discount=0.1, adequacy=1.0)
-    assert np.isneginf(ez_utility_discrete(params, np.array([1.0, -0.2, 1.0, 1.0]), uniform_table(grid)))
+    with pytest.raises(ValueError, match="level 1 contains negative rates"):
+        ez_utility_discrete(params, np.array([1.0, -0.2, 1.0, 1.0]), uniform_table(grid))
 
 
 # --- functional properties --------------------------------------------------------
@@ -470,23 +471,26 @@ def test_ez_deterministic_rates_on_a_lattice_match_the_value_without_one():
     for rates in (0.07, np.linspace(0.05, 0.1, 10)):
         without = ez_utility_discrete(EZ_BENCH, rates, table)
         assert ez_utility_discrete(EZ_BENCH, rates, table, lattice) == pytest.approx(without, rel=1e-14)
-        raw = ez_value_unrestricted(-2.0, 0.5, 0.03, 0.05, rates, table, lattice)
+        raw = ez_utility_discrete(_Recursive(-2.0, 0.5, 0.03, 0.05), rates, table, lattice)
         assert raw == pytest.approx(without, rel=1e-14)
 
 
 # --- negative consumption and values that leave the recursion's domain ----------------
 
 
-def test_negative_rate_on_a_lattice_gives_minus_inf_for_every_family():
-    # A unit stream lowered by 2 at level 3 consumes -1 with positive
-    # probability; every evaluator returns -inf, on the lattice as for rates.
+def test_negative_rate_on_a_lattice_is_refused_by_every_evaluator():
+    # A unit stream lowered by 2 at level 3 consumes -1: every evaluator
+    # used to return -inf for it, and now refuses it, naming the level.
     table, lattice = heavy_annual10()
     stream = constant_stream(lattice, 1.0)
     stream[3] = stream[3] - 2.0
     for utility in (ExponentialUtility(1.0), PowerUtility(0.5)):
-        assert vnm_value_on_lattice(VnmParams(utility, 0.02), stream, table, lattice) == -np.inf
-    assert exp_km_value_on_lattice(ExpKmParams(ExponentialUtility(1.0)), stream, table, lattice) == -np.inf
-    assert ez_utility_discrete(EZ_BENCH, stream, table, lattice) == -np.inf
+        with pytest.raises(ValueError, match="level 3 contains negative rates"):
+            vnm_value_on_lattice(VnmParams(utility, 0.02), stream, table, lattice)
+    with pytest.raises(ValueError, match="level 3 contains negative rates"):
+        exp_km_value_on_lattice(ExpKmParams(ExponentialUtility(1.0)), stream, table, lattice)
+    with pytest.raises(ValueError, match="level 3 contains negative rates"):
+        ez_utility_discrete(EZ_BENCH, stream, table, lattice)
 
 
 @pytest.mark.parametrize("law", [(0.0, 0.01, 0.1), (5e-4, 7e-5, 0.1)], ids=["heavy", "light"])
@@ -524,5 +528,5 @@ def test_a_nan_rate_raises(evaluate, gain, node):
     table, lattice = heavy_annual10()
     stream = constant_stream(lattice, 0.1)
     stream[3][node] = np.nan
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match="level 3 contains non-finite rates"):
         evaluate(gain, stream, table, lattice)
