@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .market import Lattice, Stream, stream_rows, validate_stream
-from .mortality import MortalityTable, binomial_transition_matrix, survivor_bound
+from .mortality import MortalityTable, binomial_transition_matrix, pool_size, survivor_bound
 from .preferences import EzParams, _backward_expectation, _backward_levels
 
 
@@ -55,8 +55,8 @@ def lipschitz_constant(params: EzParams, level: float) -> float:
 
     ``(1 - rho/alpha) * b * |alpha| / rho * m**(1 - rho/alpha)``.
     """
-    if level <= 0:
-        raise ValueError("truncation level must be positive")
+    if not level > 0:  # NaN fails too
+        raise ValueError(f"truncation level must be positive, got {level}")
     alpha, rho, b = params.risk, params.substitution, params.discount
     return float((1.0 - rho / alpha) * b * abs(alpha) / rho * level ** (1.0 - rho / alpha))
 
@@ -72,8 +72,8 @@ class TruncatedDriver:
     level: float
 
     def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError("truncation level must be nonnegative")
+        if not self.level >= 0:  # NaN fails too
+            raise ValueError(f"truncation level must be nonnegative, got {self.level}")
 
     def __call__(self, t: float, consumption, value):
         p = self.params
@@ -242,13 +242,16 @@ def solve_transfer_pair(
     value depends on neither count nor node: a closed gate has one value
     per level.  The same backward sweep steps the probability that the
     bound fails by ``window_end`` through the same kernel, as a sum of
-    nonnegative terms that keeps its relative accuracy when it is small.
-    Each step builds its kernel, uses it and drops it.
+    nonnegative terms that keeps its relative accuracy when it is small:
+    zero for a window before the start, the whole horizon's for one past
+    it, and a non-finite ``window_end`` raises.  Each step builds its
+    kernel, uses it and drops it.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = pool_size(n)
+    if not math.isfinite(window_end):
+        raise ValueError(f"window_end must be finite, got {window_end}")
     grid = table.grid
     m = grid.n_steps
     dt = grid.dt

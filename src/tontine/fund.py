@@ -13,9 +13,9 @@ Trajectories are never rejected: a violation of the nonnegativity
 constraints is flagged (first offending grid point recorded) so that
 optimizers can penalize rather than crash.  All evolutions accept a
 leading batch dimension of simulated paths and run through one loop,
-``_evolve``; the gated transfer of an infinite-pool stream to a finite
-pool evolves through it too, with the survivor count as its drain and a
-policy whose rate is zero once the gate has closed.
+``_evolve``; so do node streams (``NodePolicy``): the pricing route's,
+and its transfer to a finite pool, whose drain is the survivor count and
+whose rate is zero once the gate has closed.
 
 Arrays are indexed batch-first, ``(..., m)``, but the loop steps through
 time and reads one grid point of every path at a time.  The samplers
@@ -39,7 +39,7 @@ from typing import Protocol
 import numpy as np
 
 from .grid import TimeGrid
-from .market import LatticePaths
+from .market import LatticePaths, Stream
 from .mortality import MortalityTable
 
 ADMISSIBILITY_TOL = 1e-9
@@ -84,6 +84,25 @@ class TabulatedPolicy:
     def risky_fraction(self, t_idx, alive, wealth, node=None):
         j = np.clip(np.asarray(alive), 0, self.fraction.shape[1] - 1).astype(int)
         return self.fraction[t_idx, j]
+
+
+@dataclass(frozen=True)
+class NodePolicy:
+    """Per-survivor rates and risky fractions read off the lattice nodes.
+
+    Survivors consume nothing once their pool's gate has closed:
+    ``gate[..., t]`` is true while it is open at grid point ``t``.
+    """
+
+    rates: Stream
+    fractions: Stream
+    gate: np.ndarray  # (..., m) bool
+
+    def consumption_rate(self, t_idx, alive, wealth, node=None):
+        return np.where(self.gate[..., t_idx], self.rates[t_idx][node], 0.0)
+
+    def risky_fraction(self, t_idx, alive, wealth, node=None):
+        return self.fractions[t_idx][node]
 
 
 @dataclass(frozen=True)

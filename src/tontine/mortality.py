@@ -112,7 +112,11 @@ def gompertz_makeham_table(grid: TimeGrid, a: float, b: float, c: float) -> Mort
 
     Survival is matched exactly at every grid point; the mass not spent by
     the last grid point is placed there so death is certain by the horizon.
+    A non-finite hazard parameter raises, naming the parameter.
     """
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if not math.isfinite(value):
+            raise ValueError(f"hazard parameter {name} must be finite, got {value}")
     if a < 0 or b < 0 or a + b <= 0:
         raise ValueError("hazard parameters must be nonnegative with a + b > 0")
     surv = gompertz_makeham_survival(a, b, c, grid.points)
@@ -125,6 +129,13 @@ def gompertz_makeham_table(grid: TimeGrid, a: float, b: float, c: float) -> Mort
 # ---------------------------------------------------------------------------
 # Survivor simulation
 # ---------------------------------------------------------------------------
+
+
+def pool_size(n) -> int:
+    """A finite pool's size ``n`` as an int: a positive integer, or an integral float."""
+    if not (math.isfinite(n) and float(n).is_integer() and n >= 1):
+        raise ValueError(f"pool size must be an integer n >= 1, got n = {n}")
+    return int(n)
 
 
 # Table bins, the flag margin, the tail left to the first and last bins and a
@@ -245,8 +256,9 @@ def simulate_survivor_counts(
     itself, from the same stream position.  Once every pool is extinct the
     remaining rows are zero and nothing more is drawn.
     """
-    if n < 1 or trials < 1:
-        raise ValueError("need n >= 1 and trials >= 1")
+    n = pool_size(n)
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     gen = substream(seed, label)
     m = table.grid.n_steps
     s = table.step_survival
@@ -446,6 +458,7 @@ def bound_chain(n: int, table: MortalityTable, lam: float) -> BoundChain:
     The joint and unconditioned laws are stepped by one product per step
     with that step's kernel; the joint law drops the counts above the bound.
     """
+    n = pool_size(n)
     thresholds = survivor_bound(n, table, lam)
     m = table.grid.n_steps
     s = table.step_survival

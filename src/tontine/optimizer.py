@@ -39,6 +39,12 @@ Solvers
   by an ascent on the exact utility gradient, the adjoint of the family's
   backward sweep.  The route cross-checks the dynamic-programming one.
 
+Every route returns, as ``ValueResult.strategy``, a policy the fund runs
+(``fund.Strategy``): the scaling solver's tables, the wealth grid's
+``GridPolicy``, and for the pricing route a ``fund.NodePolicy`` that pays
+the stream and holds its replication.  No result carries an error
+estimate; where both routes ran, ``extras`` holds both values.
+
 The per-family math (death value, step, the consumption rule, and for the
 recursive and multiplicative families the step's partials) lives on the
 gain's parameter set in ``preferences``, and the grid solver, the numeric
@@ -60,7 +66,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fund import TabulatedPolicy, evolve_finite, evolve_infinite
+from .fund import NodePolicy, Strategy, TabulatedPolicy, evolve_finite, evolve_infinite
 from .grid import TimeGrid
 from .market import (
     Lattice,
@@ -77,6 +83,7 @@ from .mortality import (
     MortalityTable,
     binomial_transition_matrix,
     bound_chain,
+    pool_size,
     simulate_survivor_counts,
     survivor_bound,
 )
@@ -129,12 +136,11 @@ class HomogeneousProblem:
 
 @dataclass
 class ValueResult:
-    """Solver output: achieved value, the policy, and diagnostics."""
+    """Solver output: the value, a policy the fund runs on every route, and diagnostics (no error estimate)."""
 
     value: float
     method: str
-    strategy: object
-    error_estimate: float = 0.0
+    strategy: Strategy
     extras: dict = field(default_factory=dict)
 
 
@@ -513,7 +519,8 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     family's domain, and the endogenous points left out because a larger x
     gave a smaller F (a continuation that is not concave, as where the
     line search lands on different local maxima near the clamped grid
-    bottom).
+    bottom), and the grid values above the family's ``value_cap`` before
+    the cap (``capped_points``).
     """
     if n_points < 3:
         raise ValueError("need wealth_points >= 3")
@@ -547,7 +554,7 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     lo_a, hi_a = np.full(shape, a_lo), np.full(shape, a_hi)
     kappa_pol = np.zeros((m, rows[-1] + 1, fgrid.size))
     frac_pol = np.zeros((m, rows[-1] + 1, fgrid.size))
-    counts = dict.fromkeys(("flat_continuation_points", "no_root_points", "non_monotone_points"), 0)
+    counts = dict.fromkeys(("flat_continuation_points", "no_root_points", "non_monotone_points", "capped_points"), 0)
 
     def log_gross(frac):
         return np.log(np.stack(_portfolio_gross(lattice, frac)))
@@ -619,6 +626,7 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
         kappa = 1.0 - post / fgrid
         with np.errstate(invalid="ignore", over="ignore"):  # the explicit recursive step at extreme rates
             values = gain.step(t_now, kappa * fgrid / (dm * dt), expected(continuation(np.log(post), frac)), dt)
+        counts["capped_points"] += int(np.count_nonzero(values > gain.value_cap))
         values = np.minimum(values, gain.value_cap)
         kappa_pol[t, rows] = kappa
         frac_pol[t, rows] = frac
@@ -661,7 +669,7 @@ def solve_infinite(
     wealth_points: int = 400,
     methods: Sequence[str] | None = None,
 ) -> ValueResult:
-    """Value of the infinite pool, cross-checked between two routes.
+    """Value of the infinite pool, a finite problem's included, cross-checked between two routes.
 
     The dynamic-programming route works on per-person wealth with the
     deterministic survival drain.  The pricing route maximizes the gain
@@ -673,46 +681,38 @@ def solve_infinite(
     stops once each node's ratio ``dJ/dc / (nu * price)`` is within 1e-10
     of one (at most 1 + 1e-10 where the rate sits at its floor);
     ``extras["converged"]`` reports whether that test was met, and the
-    stream costs the budget whether or not it was.  The reported value
-    comes from the pricing route when it is in closed form, otherwise
-    from the DP; the cross-method gap is the error estimate.  By default
-    every route the family has runs: the additive family has a pricing
-    route for power and log utility only.
+    stream costs the budget whether or not it was.  Every route's
+    strategy is a policy the fund runs: the pricing route's pays the
+    stream and holds its replication (``fund.NodePolicy``).  With both
+    routes the value comes from the pricing route when it is in closed
+    form, otherwise from the DP, and ``extras`` holds both values; there
+    is no error estimate.  By default every route the family has runs.
     """
     if problem.n != math.inf:
         problem = problem.with_n(math.inf)
-    gain = problem.gain
-    alpha = _scaling_exponent(gain)
-    additive_without_pricing = isinstance(gain, VnmParams) and alpha is None
+    alpha = _scaling_exponent(problem.gain)
+    # The routes by name, None where the family has none: the additive
+    # family has a pricing route for power and log utility only.
+    routes = {"dp": lambda: _solve_dp(problem, wealth_points), "martingale": None}
+    if alpha is not None:
+        routes["martingale"] = lambda: _martingale_closed_form(problem, alpha)
+    elif not isinstance(problem.gain, VnmParams):
+        routes["martingale"] = lambda: _martingale_numeric(problem)
     if methods is None:
-        methods = ("dp",) if additive_without_pricing else ("dp", "martingale")
-    elif unknown := set(methods) - {"dp", "martingale"}:
-        raise ValueError(f"unknown solution routes {sorted(unknown)}; the routes are 'dp' and 'martingale'")
-    elif additive_without_pricing and "martingale" in methods:
-        raise TypeError("the additive family has a pricing route for power and log utility only")
-    dp_result = None
-    mart_result = None
-    if "dp" in methods:
-        dp_result = _solve_dp(problem, wealth_points)
-    if "martingale" in methods:
-        mart_result = _martingale_numeric(problem) if alpha is None else _martingale_closed_form(problem, alpha)
-    if dp_result is None and mart_result is None:
+        methods = [name for name, solve in routes.items() if solve]
+    elif not methods:
         raise ValueError("no solution method selected")
-    if mart_result is not None and dp_result is not None:
-        gap = abs(mart_result.value - dp_result.value)
-        primary = mart_result if mart_result.method == "closed_form" else dp_result
-        primary.error_estimate = gap
-        primary.extras.update(
-            {
-                "dp_value": dp_result.value,
-                "martingale_value": mart_result.value,
-                "dp_strategy": dp_result.strategy,
-                "stream": mart_result.extras.get("stream"),
-                "replication": mart_result.extras.get("replication"),
-            }
-        )
-        return primary
-    return dp_result or mart_result
+    elif unknown := set(methods) - set(routes):
+        raise ValueError(f"unknown solution routes {sorted(unknown)}; the routes are {' and '.join(map(repr, routes))}")
+    elif not all(routes[name] for name in methods):
+        raise TypeError("the additive family has a pricing route for power and log utility only")
+    dp, mart = (solve() if name in methods else None for name, solve in routes.items())
+    if not (dp and mart):
+        return dp or mart
+    primary = mart if mart.method == "closed_form" else dp
+    primary.extras.update(dp_value=dp.value, martingale_value=mart.value, dp_strategy=dp.strategy,
+                          stream=mart.extras["stream"], replication=mart.extras["replication"])
+    return primary
 
 
 # ---------------------------------------------------------------------------
@@ -728,10 +728,12 @@ def _stream_price_coefficients(lattice: Lattice, table: MortalityTable) -> np.nd
     return (grid.dt * np.exp(-lattice.rate * grid.points) * pi)[:, None] * wq
 
 
-def _replication_of(stream: Stream, lattice: Lattice, table: MortalityTable):
-    """Replicate the per-person drain of a per-survivor rate stream."""
-    pi = table.pi[: lattice.grid.n_steps]
-    return replicate(stream_rows(pi[:, None] * stack_stream(stream)), lattice)
+def _pricing_result(problem: HomogeneousProblem, lattice: Lattice, stream: Stream, value, method, **extras):
+    """A pricing route's result, whose policy pays ``stream`` and holds the replication of its drain ``pi_t * c``."""
+    m = problem.grid.n_steps
+    rep = replicate(stream_rows(problem.table.pi[:m, None] * stack_stream(stream)), lattice)
+    policy = NodePolicy(stream, rep.risky_fraction, np.ones(m, dtype=bool))  # the gate open at every step
+    return ValueResult(float(value), method, policy, {"stream": stream, "replication": rep, **extras})
 
 
 def _martingale_closed_form(problem: HomogeneousProblem, alpha: float) -> ValueResult:
@@ -755,10 +757,7 @@ def _martingale_closed_form(problem: HomogeneousProblem, alpha: float) -> ValueR
     cost = np.sum(_stream_price_coefficients(lattice, problem.table) * raw)
     stream = stream_rows(raw * (problem.budget / cost))
     value = vnm_value_on_lattice(gain, stream, problem.table, lattice)
-    rep = _replication_of(stream, lattice, problem.table)
-    return ValueResult(
-        value=float(value), method="closed_form", strategy=rep, extras={"stream": stream, "replication": rep}
-    )
+    return _pricing_result(problem, lattice, stream, value, "closed_form")
 
 
 def _value_and_grad(gain: GainFunction, stream_flat, layout, table, lattice):
@@ -918,13 +917,7 @@ def _martingale_numeric(problem: HomogeneousProblem) -> ValueResult:
     floor = 1e-10 * annuity
     res = optimize.minimize(value_and_grad, coordinate, coeffs, problem.budget, floor, np.full(start, annuity))
     stream = [res.x[a:b2] for (a, b2) in layout]
-    rep = _replication_of(stream, lattice, table)
-    return ValueResult(
-        value=float(res.value),
-        method="martingale",
-        strategy=rep,
-        extras={"stream": stream, "replication": rep, "converged": res.success},
-    )
+    return _pricing_result(problem, lattice, stream, res.value, "martingale", converged=res.success)
 
 
 # ---------------------------------------------------------------------------
@@ -978,25 +971,6 @@ class TransferResult:
     trials: int
 
 
-@dataclass(frozen=True)
-class _NodePolicy:
-    """Per-survivor rates and risky fractions read off the lattice nodes.
-
-    Survivors consume nothing once their pool's gate has closed:
-    ``gate[..., t]`` is true while it is open at grid point ``t``.
-    """
-
-    rates: Stream
-    fractions: Stream
-    gate: np.ndarray  # (..., m) bool
-
-    def consumption_rate(self, t_idx, alive, wealth, node=None):
-        return np.where(self.gate[..., t_idx], self.rates[t_idx][node], 0.0)
-
-    def risky_fraction(self, t_idx, alive, wealth, node=None):
-        return self.fractions[t_idx][node]
-
-
 def _path_score(
     gain: VnmParams, grid: TimeGrid, weights: np.ndarray, rates: np.ndarray, n: float
 ) -> tuple[float, float]:
@@ -1045,6 +1019,7 @@ def transfer_infinite_to_finite(
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
+    n = pool_size(n)
     if trials < 2:
         raise ValueError("need trials >= 2")
     gain = problem.gain
@@ -1065,7 +1040,7 @@ def transfer_infinite_to_finite(
     gate = counts <= survivor_bound(n, table, lam)
     for t in range(1, m):
         gate[:, t] &= gate[:, t - 1]
-    policy = _NodePolicy(stream_rows(scaled), replication.risky_fraction, gate)
+    policy = NodePolicy(stream_rows(scaled), replication.risky_fraction, gate)
     traj = evolve_finite(policy, paths, counts, np.full(n, problem.budget))
     violations = int(np.count_nonzero(~traj.admissible))
     # Only the rates are scored: free the fund values and the paths first.

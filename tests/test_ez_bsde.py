@@ -120,6 +120,50 @@ def test_transfer_pair_rejects_pools_below_one(annual20, n):
         solve_transfer_pair(TruncatedDriver(EZ, 1.0), stream, LAM, n, table, lattice, table.grid.points[-1])
 
 
+@pytest.mark.parametrize("window_end", [math.nan, math.inf, -math.inf])
+def test_transfer_pair_refuses_a_non_finite_window(annual20, window_end):
+    # A NaN window used to read as the whole horizon: on Q10 heavy at level 4
+    # with n = 128, prob_bound_fails was 6.755e-4 for NaN, as for 100.0,
+    # against 2.834e-4 for 9.0.
+    table, lattice, stream = annual20
+    with pytest.raises(ValueError, match="window_end must be finite"):
+        solve_transfer_pair(TruncatedDriver(EZ, 1.0), stream, LAM, 8, table, lattice, window_end)
+
+
+def test_nan_truncation_level_is_refused_and_inf_stays_untruncated():
+    # NaN passed `level < 0`: solve_truncated then skipped both the
+    # contraction check and the truncation, and at rate 0.12 on Q10 heavy
+    # returned 251.29372108542233, the untruncated value (level 4: 1250.411).
+    with pytest.raises(ValueError, match="truncation level must be nonnegative, got nan"):
+        TruncatedDriver(EZ, math.nan)
+    with pytest.raises(ValueError, match="truncation level must be positive, got nan"):
+        lipschitz_constant(EZ, math.nan)
+    assert lipschitz_constant(EZ, math.inf) == math.inf
+    table = gompertz_makeham_table(TimeGrid(0.25, 10.0), *HEAVY)
+    untruncated = solve_truncated(TruncatedDriver(EZ, math.inf), 0.12, table)
+    assert untruncated.initial == pytest.approx(251.29372108542233, rel=1e-12)
+
+
+EZ_BSDE_FAULTS = {
+    "lipschitz-level-0": (lambda table, lattice, stream: lipschitz_constant(EZ, 0.0), "must be positive"),
+    "lipschitz-level-negative": (lambda table, lattice, stream: lipschitz_constant(EZ, -1.0), "must be positive"),
+    "driver-level-negative": (lambda table, lattice, stream: TruncatedDriver(EZ, -1.0), "must be nonnegative"),
+    "pair-lam-0": (lambda table, lattice, stream: solve_transfer_pair(
+        TruncatedDriver(EZ, 1.0), stream, 0.0, 8, table, lattice, 9.0), r"lam must lie in \(0, 1\)"),
+    "pair-lam-1": (lambda table, lattice, stream: solve_transfer_pair(
+        TruncatedDriver(EZ, 1.0), stream, 1.0, 8, table, lattice, 9.0), r"lam must lie in \(0, 1\)"),
+    "pair-n-fraction": (lambda table, lattice, stream: solve_transfer_pair(
+        TruncatedDriver(EZ, 1.0), stream, LAM, 2.5, table, lattice, 9.0), "n = 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EZ_BSDE_FAULTS))
+def test_ez_bsde_refuses_bad_inputs_naming_them(annual20, case):
+    call, message = EZ_BSDE_FAULTS[case]
+    with pytest.raises(ValueError, match=message):
+        call(*annual20)
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_error_bound_holds_where_the_gate_binds(annual20, n):
     table, lattice, stream = annual20

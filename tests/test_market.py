@@ -16,6 +16,7 @@ from tontine.market import (
     q_price,
     replicate,
     sample_lattice_paths,
+    validate_stream,
 )
 from tontine.mortality import gompertz_makeham_table
 from tontine.optimizer import HomogeneousProblem, transfer_infinite_to_finite
@@ -110,6 +111,27 @@ def test_model_validation():
         MarketModel(rate=0.0, mu=(), sigma=(), s0=())
     with pytest.raises(ValueError):
         MarketModel(rate=0.0, mu=(0.0,), sigma=(0.2, 0.2), s0=(1.0,))
+
+
+GRID_AND_STREAM_FAULTS = {
+    "grid-off-multiple": (lambda: TimeGrid(0.3, 1.0), ValueError, "1.0 is not an integer multiple of dt 0.3"),
+    "stream-without-lattice": (lambda: validate_stream(constant_stream(build_lattice(one_asset(), TimeGrid(0.5, 2.0)),
+                                                                       1.0), TimeGrid(0.5, 2.0)),
+                               ValueError, "node-adapted streams require a lattice"),
+    "stream-level-count": (lambda: validate_stream([np.ones(1), np.ones(2), np.ones(3)], TimeGrid(0.5, 2.0),
+                                                   build_lattice(one_asset(), TimeGrid(0.5, 2.0))),
+                           NonReplicableError, "stream has 3 levels, the grid has 4 points"),
+    "rates-shape": (lambda: validate_stream(np.ones(3), TimeGrid(0.5, 2.0)),
+                    NonReplicableError, r"deterministic rates have shape \(3,\), expected \(\) or \(4,\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_AND_STREAM_FAULTS))
+def test_grid_and_stream_faults_are_named(case):
+    build, error, message = GRID_AND_STREAM_FAULTS[case]
+    with pytest.raises(ValueError, match=message) as excinfo:
+        build()
+    assert excinfo.type is error
 
 
 # --- simulation ---------------------------------------------------------------

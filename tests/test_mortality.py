@@ -110,6 +110,45 @@ def test_non_finite_masses_rejected(bad):
         MortalityTable(TimeGrid(1.0, 4.0), [bad, 0.5, 0.25, 0.25])
 
 
+HEAVY_A10 = (TimeGrid(1.0, 10.0), 0.0, 0.01, 0.1)
+
+MORTALITY_FAULTS = {
+    "masses-shape": (lambda: MortalityTable(TimeGrid(1.0, 4.0), [0.25, 0.25, 0.5]), r"shape \(3,\), expected \(4,\)"),
+    "masses-total": (lambda: MortalityTable(TimeGrid(1.0, 4.0), [0.25, 0.25, 0.25, 0.5]), "integrate to 1.25"),
+    "hazard-negative": (lambda: gompertz_makeham_table(TimeGrid(1.0, 10.0), -0.01, 0.01, 0.1),
+                        "hazard parameters must be nonnegative"),
+    "survivors-n-0": (lambda: simulate_survivor_counts(0, gompertz_makeham_table(*HEAVY_A10), 4, 1), "n = 0"),
+    "survivors-n-fraction": (lambda: simulate_survivor_counts(2.5, gompertz_makeham_table(*HEAVY_A10), 4, 1),
+                             "n = 2.5"),
+    "survivors-n-inf": (lambda: simulate_survivor_counts(math.inf, gompertz_makeham_table(*HEAVY_A10), 4, 1),
+                        "n = inf"),
+    "survivors-trials-0": (lambda: simulate_survivor_counts(8, gompertz_makeham_table(*HEAVY_A10), 0, 1),
+                           "trials >= 1"),
+    # bound_chain raised IndexError at n = -1, "'float' object cannot be
+    # interpreted as an integer" at 2.5, and returned a one-state chain at 0.
+    "chain-n-negative": (lambda: bound_chain(-1, gompertz_makeham_table(*HEAVY_A10), 0.9), "n = -1"),
+    "chain-n-fraction": (lambda: bound_chain(2.5, gompertz_makeham_table(*HEAVY_A10), 0.9), "n = 2.5"),
+    "chain-n-0": (lambda: bound_chain(0, gompertz_makeham_table(*HEAVY_A10), 0.9), "n = 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MORTALITY_FAULTS))
+def test_mortality_refuses_bad_inputs_naming_them(case):
+    build, message = MORTALITY_FAULTS[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_an_integral_float_pool_size_is_the_integer_one():
+    table = gompertz_makeham_table(*HEAVY_A10)
+    counts = simulate_survivor_counts(8.0, table, 50, 3)
+    assert counts.dtype == np.uint8
+    np.testing.assert_array_equal(counts, simulate_survivor_counts(8, table, 50, 3))
+    chain = bound_chain(8.0, table, 0.9)
+    np.testing.assert_array_equal(chain.joint, bound_chain(8, table, 0.9).joint)
+    assert chain.n == 8 and isinstance(chain.n, int)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=4, max_size=4))
 def test_table_invariants_on_random_masses(masses):

@@ -270,6 +270,12 @@ NON_FINITE_INPUTS = {
     "budget-nan": (lambda: make_problem(VnmParams(LogUtility()), budget=math.nan), "budget"),
     "dt-inf": (lambda: TimeGrid(math.inf, 1.0), "dt"),
     "horizon-inf": (lambda: TimeGrid(1.0, math.inf), "horizon"),
+    # Each of these warned "invalid value encountered in multiply" before
+    # refusing the masses; b = nan named the masses, not the parameter.
+    "hazard-a-inf": (lambda: gompertz_makeham_table(TimeGrid(1.0, 10.0), math.inf, 0.01, 0.1), "a"),
+    "hazard-b-inf": (lambda: gompertz_makeham_table(TimeGrid(1.0, 10.0), 0.0, math.inf, 0.1), "b"),
+    "hazard-b-nan": (lambda: gompertz_makeham_table(TimeGrid(1.0, 10.0), 0.0, math.nan, 0.1), "b"),
+    "hazard-c-inf": (lambda: gompertz_makeham_table(TimeGrid(1.0, 10.0), 0.0, 0.01, math.inf), "c"),
 }
 
 
@@ -695,8 +701,17 @@ def test_ez_grid_value_is_the_exact_value_of_its_policy(dt, horizon, rtol):
     res = solve_infinite(problem, methods=("dp",))
     assert abs(res.value - exact_policy_value(problem, res.strategy)) <= rtol * abs(res.value)
     # The last step's continuation is the constant adequacy value: flat everywhere.
-    assert set(res.extras) == {"flat_continuation_points", "no_root_points", "non_monotone_points"}
+    assert set(res.extras) == {"flat_continuation_points", "no_root_points", "non_monotone_points", "capped_points"}
     assert res.extras["flat_continuation_points"] >= res.strategy.fgrid.size
+
+
+@pytest.mark.parametrize("gain, capped", [(EZ_SHORT, 400), (ExpKmParams(ExponentialUtility(1.0)), 0)],
+                         ids=["ez", "expkm"])
+def test_grid_counts_the_values_the_cap_lowers(gain, capped):
+    # EZ heavy A10: the cap binds at 400 of the 4,000 grid values; the
+    # multiplicative family has no cap.
+    res = solve_infinite(heavy_problem(gain, 1.0, 10.0), methods=("dp",))
+    assert res.extras["capped_points"] == capped
 
 
 def test_benchmark_tracer_sees_one_portfolio_search_per_step(monkeypatch):
@@ -1109,6 +1124,99 @@ def test_resimulated_policy_reproduces_reported_value_infinite():
     res = solve_infinite(problem)
     est, se = simulate_policy_value(problem, res.extras["dp_strategy"], trials=40_000, seed=5)
     assert abs(est - res.value) <= 3 * se
+
+
+@pytest.mark.parametrize("gain", [VnmParams(PowerUtility(-1.0), 0.02), VnmParams(LogUtility(), 0.02),
+                                  VnmParams(PowerUtility(0.5), 0.02)], ids=["power-1", "log", "half"])
+def test_default_solve_runs_its_own_strategy_to_its_value(gain):
+    # The closed-form route's strategy was its ReplicatingStrategy, which
+    # the fund cannot run: simulate_policy_value raised AttributeError.
+    problem = heavy_problem(gain, 1.0, 40.0)
+    res = solve_infinite(problem)
+    assert res.method == "closed_form"
+    assert isinstance(res.strategy, fund.NodePolicy)
+    assert res.strategy.fractions is res.extras["replication"].risky_fraction
+    est, se = simulate_policy_value(problem, res.strategy, trials=20_000, seed=1)
+    assert abs(est - res.value) <= 4 * se
+
+
+def test_numeric_pricing_strategy_runs_admissibly_in_the_fund():
+    problem = heavy_problem(EZ_SHORT, 1.0, 10.0)
+    res = solve_infinite(problem, methods=("martingale",))
+    paths = market.sample_lattice_paths(problem.lattice(), 2000, seed=4)
+    traj = fund.evolve_infinite(res.strategy, paths, problem.table, problem.budget)
+    assert np.all(traj.admissible)
+    # The fund pays the stream's node rates while anyone is alive.
+    m = problem.grid.n_steps
+    expected = np.stack([res.extras["stream"][t][paths.node_idx[:, t]] for t in range(m)], axis=1)
+    np.testing.assert_array_equal(traj.rate, expected)
+
+
+def test_infinite_solve_of_a_finite_problem_solves_its_infinite_pool():
+    problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
+    for methods in (("dp",), ("martingale",)):
+        finite = solve_infinite(problem.with_n(8), methods=methods)
+        assert finite.value == solve_infinite(problem, methods=methods).value
+
+
+def _tiny_grid_policy():
+    fgrid = np.array([1.0, 2.0, 4.0])
+    return optimizer.GridPolicy(TimeGrid(1.0, 1.0), fgrid, np.zeros((1, 1, 3)), np.zeros((1, 1, 3)))
+
+
+OPTIMIZER_FAULTS = {
+    "problem-n-fraction": (lambda: heavy_problem(VnmParams(LogUtility()), 1.0, 10.0).with_n(2.5), ValueError,
+                           "pool size must be a positive integer or infinity"),
+    "problem-n-0": (lambda: heavy_problem(VnmParams(LogUtility()), 1.0, 10.0).with_n(0), ValueError,
+                    "pool size must be a positive integer or infinity"),
+    "grid-policy-beyond-top": (lambda: _tiny_grid_policy().consumption_rate(0, np.ones(1), np.array([17.0])),
+                               optimizer.WealthGridExceeded, "far beyond the solved grid top"),
+    "finite-dp-infinite-pool": (lambda: solve_finite_dp(heavy_problem(VnmParams(LogUtility()), 1.0, 10.0)),
+                                ValueError, "use solve_infinite"),
+    "no-route": (lambda: solve_infinite(heavy_problem(VnmParams(LogUtility()), 1.0, 10.0), methods=()),
+                 ValueError, "no solution method selected"),
+    # Log inner utility at a budget of 1e-30 overflows the multiplicative step.
+    "annuity-not-finite": (lambda: annuity_value(dataclasses.replace(
+        heavy_problem(ExpKmParams(LogUtility()), 1.0, 10.0), budget=1e-30)), ValueError,
+        "annuity value -inf is not finite"),
+    "simulate-ez": (lambda: simulate_policy_value(heavy_problem(EZ_SHORT, 1.0, 10.0), ConstantRateStrategy(0.1),
+                                                  trials=4, seed=3),
+                    TypeError, "re-simulation consistency is defined for the additive family"),
+    "transfer-ez": (lambda: transfer_infinite_to_finite(0.1, None, 0.9, 8, heavy_problem(EZ_SHORT, 1.0, 10.0),
+                                                        trials=4, seed=3),
+                    TypeError, "Monte Carlo transfer gains are defined for the additive family"),
+    "transfer-lam-0": (lambda: transfer_infinite_to_finite(0.1, None, 0.0, 8, heavy_problem(
+        VnmParams(LogUtility()), 1.0, 10.0), trials=4, seed=3), ValueError, r"lam must lie in \(0, 1\)"),
+    "transfer-lam-1": (lambda: transfer_infinite_to_finite(0.1, None, 1.0, 8, heavy_problem(
+        VnmParams(LogUtility()), 1.0, 10.0), trials=4, seed=3), ValueError, r"lam must lie in \(0, 1\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPTIMIZER_FAULTS))
+def test_optimizer_refuses_bad_inputs_naming_them(case):
+    call, error, message = OPTIMIZER_FAULTS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("n", [2.5, math.inf, 0])
+def test_transfer_refuses_a_pool_size_that_is_not_a_positive_integer(n, monkeypatch):
+    # A float pool size failed inside simulate_survivor_counts, casting
+    # float16 to int64; no path may be drawn before n is checked.
+    problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
+    res = solve_infinite(problem, methods=("martingale",))
+    monkeypatch.setattr(optimizer, "sample_lattice_paths", None)
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        transfer_infinite_to_finite(res.extras["stream"], res.extras["replication"], lam=0.9, n=n, problem=problem,
+                                    trials=100, seed=3)
+
+
+def test_transfer_takes_an_integral_float_pool_size_as_the_integer():
+    problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
+    res = solve_infinite(problem, methods=("martingale",))
+    runs = [transfer_infinite_to_finite(res.extras["stream"], res.extras["replication"], lam=0.9, n=n,
+                                        problem=problem, trials=200, seed=3) for n in (64, 64.0)]
+    assert runs[0] == runs[1]
 
 
 def test_pool_size_caps():
