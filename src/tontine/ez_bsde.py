@@ -22,15 +22,15 @@ level; with that convention the back-transformed solution is a
 consistent discretization of the same utility as the preference module's
 explicit scheme, and the two agree to first order in the step.
 
-The gated finite-pool version adds the survivor count and the bound flag
-to the state.  While the gate is open the state is (survivor count,
-node), and each time step solves all of them at once: the counts are
-mixed by one product with the step's survivor kernel, the lattice x death
-expectation is taken once for the whole array, and one fixed-point solve
-iterates each count until its own stopping test passes.  A closed gate
-stops the stream, so it has one value per level.  The probability that
-the bound fails is stepped backward in the same sweep, through the same
-kernel, which each step builds and drops.
+The transfer pair solves the scaled stream and its survivor-bound-gated
+finite-pool version in one backward sweep over (state row, lattice node),
+where a row is only the rate it is paid: ``n`` open-gate rows, one per
+survivor count, mixed by one product with the step's survivor kernel; a
+closed-gate row, paid nothing; and the infinite pool's row, neither mixed
+nor gated.  Each step takes one lattice x death expectation and one
+fixed-point solve for all rows, each row iterating until its own stopping
+test passes.  The probability that the bound fails is stepped backward in
+the same sweep, through the same kernel, which each step builds and drops.
 """
 
 from __future__ import annotations
@@ -141,6 +141,14 @@ def _implicit_node_solve(driver, t, consumption, expected, dt):
     )
 
 
+def _check_contraction(driver: TruncatedDriver, dt: float) -> None:
+    """Raise ``StepTooCoarseError`` unless ``C_m * dt < 1`` at a finite positive level."""
+    if math.isfinite(driver.level) and driver.level > 0:
+        contraction = lipschitz_constant(driver.params, driver.level) * dt
+        if contraction >= 1.0:
+            raise StepTooCoarseError(f"C_m * dt = {contraction:.3f} >= 1")
+
+
 def solve_truncated(
     driver: TruncatedDriver,
     consumption: Stream | np.ndarray | float,
@@ -160,12 +168,7 @@ def solve_truncated(
     """
     grid = table.grid
     dt = grid.dt
-    params = driver.params
-    if math.isfinite(driver.level) and driver.level > 0:
-        if lipschitz_constant(params, driver.level) * dt >= 1.0:
-            raise StepTooCoarseError(
-                f"C_m * dt = {lipschitz_constant(params, driver.level) * dt:.3f} >= 1"
-            )
+    _check_contraction(driver, dt)
     rates = stream_rows(validate_stream(consumption, grid, lattice))
     points = grid.points
     absorbed = [driver.absorption(t + dt) for t in points] + [driver.absorption(grid.horizon)]
@@ -233,19 +236,21 @@ def solve_transfer_pair(
 
     The finite-pool consumption is ``lam * stream`` while the pool's
     survivor count stays within ``1/lam`` of its mean and zero afterwards;
-    the reference solution replaces the gate by 1.  While the gate is open
-    the state is (survivor count, market node), and each time step solves
-    all of them at once: one product with the step's survivor kernel mixes
-    the counts, one lattice expectation covers the whole array, and one
-    implicit solve iterates each count to its own stopping test.  Once the
-    gate closes the stream pays nothing, so the driver vanishes and the
-    value depends on neither count nor node: a closed gate has one value
-    per level.  The same backward sweep steps the probability that the
-    bound fails by ``window_end`` through the same kernel, as a sum of
-    nonnegative terms that keeps its relative accuracy when it is small:
-    zero for a window before the start, the whole horizon's for one past
-    it, and a non-finite ``window_end`` raises.  Each step builds its
-    kernel, uses it and drops it.
+    the reference solution replaces the gate by 1.  Both are rows of one
+    backward sweep over (state, market node), where a state is only the
+    rate it is paid: rows ``0 .. n-1`` are the open gate with ``row + 1``
+    survivors, mixed by the top-left block of the step's survivor kernel;
+    row ``n`` is the closed gate, paid nothing, which an open row enters
+    when its next count leaves the bound; row ``n + 1`` is the infinite
+    pool, neither mixed nor gated.  Each step takes one lattice expectation
+    and one implicit solve of all rows, each to its own stopping test, so
+    the last row is ``solve_truncated``'s solution.  The same sweep steps
+    the probability that the bound fails by ``window_end`` through the
+    same kernel, as a sum of nonnegative terms that keeps its relative
+    accuracy when small: zero for a window before the start, the whole
+    horizon's for one past it; a non-finite ``window_end`` raises.  Each
+    step builds its kernel, uses it and drops it.  The stream is checked
+    once, at entry.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
@@ -257,37 +262,32 @@ def solve_transfer_pair(
     dt = grid.dt
     s = table.step_survival
     points = grid.points
-
-    scaled = [lam * np.asarray(level, dtype=float) for level in stream]
-    inf_sol = solve_truncated(driver, scaled, table, lattice)
-
+    scaled = stream_rows(lam * validate_stream(stream, grid, lattice))
+    _check_contraction(driver, dt)
     thresholds = survivor_bound(n, table, lam)
     counts = np.arange(1, n + 1)  # survivors including oneself
     pool = np.arange(n + 1)
+    paid = (np.arange(n + 2) != n)[:, None]  # every row but the closed gate's
     window = int(np.searchsorted(points, window_end + 1e-12) - 1)
-    # values[j - 1, x]: alive with j survivors and the gate open, at lattice
-    # node x; closed: alive with the gate closed, at any count and node.
-    # fails[j]: P(the bound fails after this level and by the window | j in
-    # the pool).
-    closed = driver.absorption(grid.horizon)
-    values = np.full((n, m + 1), closed)
+    # values[row, x]: alive in state ``row`` at lattice node x.  fails[j]:
+    # P(the bound fails after this level and by the window | j in the pool).
+    values = np.full((n + 2, m + 1), driver.absorption(grid.horizon))
     fails = np.zeros(n + 1)
     for i in range(m - 1, -1, -1):
         # Row j - 1 of the kernel's top-left n x n block: k of the j - 1
         # others survive (zero for k >= j), leaving 1 + k.  The gate stays
         # open only while the next count is within the bound.
         kernel = binomial_transition_matrix(n, s[i])
-        absorbed = driver.absorption(points[i] + dt)
         within = counts <= (thresholds[i + 1] if i + 1 < m else n)
-        gated = np.where(within[:, None], values, closed)
-        expected = _backward_expectation(kernel[:n, :n] @ gated, lattice.p_up, s[i], absorbed)
-        values, _ = _implicit_node_solve(driver, points[i], scaled[i], expected, dt)
-        closed = _backward_expectation(closed, None, s[i], absorbed)
+        gated = np.where(within[:, None], values[:n], values[n])
+        mixed = np.concatenate((kernel[:n, :n] @ gated, values[n:]))
+        expected = _backward_expectation(mixed, lattice.p_up, s[i], driver.absorption(points[i] + dt))
+        values, _ = _implicit_node_solve(driver, points[i], np.where(paid, scaled[i], 0.0), expected, dt)
         if i < window:
             fails = kernel @ np.where(pool > thresholds[i + 1], 1.0, fails)
 
     return TransferSolutions(
-        tilde_v_infinite=float(inf_sol.initial),
+        tilde_v_infinite=float(values[n + 1, 0]),
         tilde_v_finite=float(values[n - 1, 0]),  # the gate is open at the start
         prob_bound_fails=float(fails[n]),
     )

@@ -11,11 +11,12 @@ copy; they are only compared, used as indices or multiplied into floats.
 
 Trajectories are never rejected: a violation of the nonnegativity
 constraints is flagged (first offending grid point recorded) so that
-optimizers can penalize rather than crash.  All evolutions accept a
-leading batch dimension of simulated paths and run through one loop,
-``_evolve``; so do node streams (``NodePolicy``): the pricing route's,
-and its transfer to a finite pool, whose drain is the survivor count and
-whose rate is zero once the gate has closed.
+optimizers can penalize rather than crash; the re-simulation
+(``optimizer.simulate_policy_value``) refuses to score a flagged one.
+All evolutions accept a leading batch dimension of simulated paths and
+run through one loop, ``_evolve``; so do node streams (``NodePolicy``):
+the pricing route's, and its transfer to a finite pool, whose drain is
+the survivor count and whose rate is zero once the gate has closed.
 
 Arrays are indexed batch-first, ``(..., m)``, but the loop steps through
 time and reads one grid point of every path at a time.  The samplers
@@ -28,7 +29,8 @@ holds per path and step only what needs the width: the up moves as
 booleans (each step's risky return is looked up from them), node
 indices and survivor counts in the samplers' narrow unsigned types, and
 the pre-payment fund values and the rates as floats.  Post-payment
-wealth is one scratch row, recomputed on demand (``post_value``).
+wealth is one scratch row, not stored: it is
+``pre_value[..., :-1] - alive * rate * dt``.
 """
 
 from __future__ import annotations
@@ -109,10 +111,11 @@ class NodePolicy:
 class FundTrajectory:
     """Realized fund values; ``pre_value`` includes the terminal time.
 
-    ``post_value[..., t] = pre_value[..., t] - drain_t`` and compounds to
-    ``pre_value[..., t+1]`` with zero leakage.  ``alive`` is the survivor
-    count (or fraction) as the caller passed it, dtype included: integer
-    counts stay integers.  ``rate`` is the per-survivor consumption rate.
+    The post-payment wealth ``pre_value[..., t] - alive[..., t] *
+    rate[..., t] * dt`` compounds to ``pre_value[..., t+1]`` with zero
+    leakage.  ``alive`` is the survivor count (or fraction) as the caller
+    passed it, dtype included: integer counts stay integers.  ``rate`` is
+    the per-survivor consumption rate.
     """
 
     grid: TimeGrid
@@ -121,12 +124,6 @@ class FundTrajectory:
     rate: np.ndarray  # (..., m)
     admissible: np.ndarray  # (...,) bool
     first_violation: np.ndarray  # (...,) int, -1 if none
-
-    @property
-    def post_value(self) -> np.ndarray:
-        """Fund values after each step's payments, ``(..., m)``, computed
-        on each access with the evolution's own expression (same bits)."""
-        return self.pre_value[..., :-1] - self.alive * self.rate * self.grid.dt
 
 
 def _evolve(

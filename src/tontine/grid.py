@@ -19,9 +19,7 @@ class TimeGrid:
     """Grid with step ``dt`` covering ``[0, horizon)``.
 
     ``horizon`` must be an integer multiple of ``dt``.  ``n_steps`` is the
-    number of grid points; ``points`` excludes the terminal time while
-    ``times`` includes it (useful for asset paths, which extend to the
-    horizon).
+    number of grid points; ``points`` excludes the terminal time.
     """
 
     dt: float
@@ -45,8 +43,3 @@ class TimeGrid:
     def points(self) -> np.ndarray:
         """Grid points {0, dt, ..., horizon - dt}."""
         return np.arange(self.n_steps) * self.dt
-
-    @property
-    def times(self) -> np.ndarray:
-        """Grid points plus the terminal time."""
-        return np.arange(self.n_steps + 1) * self.dt

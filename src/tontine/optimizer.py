@@ -1008,7 +1008,8 @@ def transfer_infinite_to_finite(
     with its standard error plus the exact chain value, for the additive
     family.  The stream is checked once, at entry, by
     ``market.validate_stream``: a malformed level or a non-finite or
-    negative rate raises before any path is drawn.
+    negative rate raises before any path is drawn, as does a replication
+    on another grid than the problem's.
 
     Beyond the sampled inputs (boolean up moves, and node indices and
     survivor counts in narrow unsigned types) the run holds only the
@@ -1031,6 +1032,8 @@ def transfer_infinite_to_finite(
     dt = grid.dt
     table = problem.table
     scaled = lam * validate_stream(stream, table.grid, lattice)
+    if replication.lattice.grid != grid:
+        raise ValueError(f"the replication is on {replication.lattice.grid}, the problem on {grid}")
 
     paths = sample_lattice_paths(lattice, trials, seed)
     counts = simulate_survivor_counts(n, table, trials, seed, label="transfer-mortality")
@@ -1078,6 +1081,25 @@ def transfer_infinite_to_finite(
 # ---------------------------------------------------------------------------
 
 
+def _check_policy_fits(policy, problem: HomogeneousProblem) -> None:
+    """Refuse a table policy solved on another grid or for another pool size.
+
+    A pool of n needs the survivor-count columns 0..n, the infinite pool
+    one column.  A ``NodePolicy`` carries no grid and passes unchecked.
+    """
+    if isinstance(policy, TabulatedPolicy):
+        columns = policy.consumption_fraction.shape[1]
+    elif isinstance(policy, GridPolicy):
+        columns = policy.kappa.shape[1]
+    else:
+        return
+    if policy.grid != problem.grid:
+        raise ValueError(f"the policy was solved on {policy.grid}, the problem is on {problem.grid}")
+    if columns != (problem.n + 1 if math.isfinite(problem.n) else 1):
+        solved = columns - 1 if columns > 1 else math.inf
+        raise ValueError(f"the policy was solved for a pool of {solved}, the problem's pool is {problem.n}")
+
+
 def simulate_policy_value(
     problem: HomogeneousProblem,
     policy,
@@ -1091,7 +1113,12 @@ def simulate_policy_value(
     ``sum_t exp(-b t) (alive_t / n) u(rate_t) dt``; for the infinite pool
     the weight is the survival fraction.  Returns (estimate, standard
     error); the error is ``math.inf`` when a path scores minus infinity.
-    A NaN rate where the weight is positive raises ``ValueError``.
+    A NaN rate where the weight is positive raises ``ValueError``, and so
+    do paths on which the fund's wealth went negative, naming how many:
+    the fund only flags them, but they consumed what it could not pay.  A
+    table policy solved on another grid or for another pool size is
+    refused before any path is drawn; a ``NodePolicy`` carries no grid
+    and is not checked.
 
     Beyond the sampled inputs (boolean up moves, and node indices and
     survivor counts in narrow unsigned types) the run holds only the
@@ -1103,6 +1130,7 @@ def simulate_policy_value(
     gain = problem.gain
     if not isinstance(gain, VnmParams):
         raise TypeError("re-simulation consistency is defined for the additive family")
+    _check_policy_fits(policy, problem)
     lattice = problem.lattice()
     grid = problem.grid
     m = grid.n_steps
@@ -1110,11 +1138,15 @@ def simulate_policy_value(
     if math.isfinite(problem.n):
         n = int(problem.n)
         weights = simulate_survivor_counts(n, problem.table, trials, seed, label="resim-mortality")
-        rates = evolve_finite(policy, paths, weights, np.full(n, problem.budget)).rate
+        traj = evolve_finite(policy, paths, weights, np.full(n, problem.budget))
     else:
         n = 1
         weights = problem.table.pi[:m]
-        rates = evolve_infinite(policy, paths, problem.table, problem.budget).rate
-    # Only the rates are scored: free the paths first.
-    del paths
+        traj = evolve_infinite(policy, paths, problem.table, problem.budget)
+    inadmissible = int(np.count_nonzero(~traj.admissible))
+    if inadmissible:
+        raise ValueError(f"{inadmissible} of {trials} sampled paths were inadmissible: the fund went negative")
+    # Only the rates are scored: free the fund values and the paths first.
+    rates = traj.rate
+    del traj, paths
     return _path_score(gain, grid, weights, rates, n)

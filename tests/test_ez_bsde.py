@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tontine import ez_bsde
 from tontine.ez_bsde import (
     StepTooCoarseError,
     TruncatedDriver,
@@ -68,6 +69,22 @@ def test_transfer_pair_matches_per_count_solver(case, request):
     assert pair.tilde_v_infinite == pytest.approx(v_inf, rel=1e-12, abs=0)
     assert pair.tilde_v_finite == pytest.approx(v_fin, rel=1e-12, abs=0)
     assert pair.prob_bound_fails == pytest.approx(p_fail, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("case", ["a20-n8", "q10-n128"])
+def test_transfer_pair_infinite_row_is_the_truncated_solve_exactly(case, request, monkeypatch):
+    # The infinite pool is one row of the pair's sweep, solved to its own
+    # stopping test, so it is solve_truncated's value bit for bit; the pair
+    # no longer runs that solver, or the generic sweep, a second time.
+    setting, level, n = PAIR_PINS[case][:3]
+    table, lattice, stream = request.getfixturevalue(setting)
+    driver = TruncatedDriver(EZ, level)
+    scaled = [LAM * np.asarray(rates) for rates in stream]
+    alone = solve_truncated(driver, scaled, table, lattice).initial
+    for name in ("solve_truncated", "_backward_levels"):
+        monkeypatch.setattr(ez_bsde, name, lambda *args, **kwargs: pytest.fail("the pair ran a second sweep"))
+    pair = solve_transfer_pair(driver, stream, LAM, n, table, lattice, table.grid.points[-1])
+    assert pair.tilde_v_infinite == alone
 
 
 def test_prob_bound_fails_matches_the_exact_value_to_rounding(quarterly10):

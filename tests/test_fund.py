@@ -26,6 +26,11 @@ def lattice_paths(grid, n_paths=32, seed=0, mu=0.05, sigma=0.2, rate=0.01):
     return lat, sample_lattice_paths(lat, n_paths, seed)
 
 
+def post_value(traj):
+    """Fund values after each step's payments, by the evolution's own expression (the same bits)."""
+    return traj.pre_value[..., :-1] - traj.alive * traj.rate * traj.grid.dt
+
+
 # --- finite pools -----------------------------------------------------------------
 
 
@@ -53,7 +58,7 @@ def test_equal_drawdown_exhausts_fund_exactly():
 
     counts = np.full((1, m), n)
     traj = evolve_finite(Drawdown(), flat_paths(grid), counts, np.ones(n))
-    assert traj.post_value[0, -1] == pytest.approx(0.0, abs=1e-12)
+    assert post_value(traj)[0, -1] == pytest.approx(0.0, abs=1e-12)
     assert traj.pre_value[0, -1] == pytest.approx(0.0, abs=1e-12)
     assert traj.admissible.all()
     # Budget identity at r=0: total consumption + terminal = initial.
@@ -75,9 +80,9 @@ def test_self_financing_identity_on_lattice_paths():
     counts = simulate_survivor_counts(10, uniform_table(grid), trials=64, seed=5)
     traj = evolve_finite(ConstantRateStrategy(0.02, fraction=0.4), paths, counts, np.ones(10))
     gross = 0.4 * np.where(paths.ups, lat.up, lat.down) + 0.6 * paths.bond_gross()
-    assert np.allclose(traj.pre_value[:, 1:], traj.post_value * gross, rtol=1e-13)
+    assert np.allclose(traj.pre_value[:, 1:], post_value(traj) * gross, rtol=1e-13)
     drains = counts * traj.rate * grid.dt
-    assert np.allclose(traj.post_value, traj.pre_value[:, :-1] - drains, rtol=1e-13)
+    assert np.allclose(post_value(traj), traj.pre_value[:, :-1] - drains, rtol=1e-13)
 
 
 def test_sampled_arrays_are_time_major_and_evolve_the_same_either_way():
@@ -92,7 +97,7 @@ def test_sampled_arrays_are_time_major_and_evolve_the_same_either_way():
     c_ordered = replace(paths, ups=np.ascontiguousarray(paths.ups), node_idx=np.ascontiguousarray(paths.node_idx))
     a = evolve_finite(strategy, paths, counts, np.ones(10))
     b = evolve_finite(strategy, c_ordered, np.ascontiguousarray(counts), np.ones(10))
-    for field in ("pre_value", "post_value", "alive", "rate", "admissible", "first_violation"):
+    for field in ("pre_value", "alive", "rate", "admissible", "first_violation"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
@@ -126,7 +131,7 @@ def test_narrow_counts_and_nodes_evolve_as_their_int64_copies():
     wide = replace(narrow, node_idx=narrow.node_idx.astype(np.int64))
     a = evolve_finite(policy, narrow, counts, np.ones(n))
     b = evolve_finite(policy, wide, counts.astype(np.int64), np.ones(n))
-    for field in ("pre_value", "post_value", "rate", "admissible", "first_violation"):
+    for field in ("pre_value", "rate", "admissible", "first_violation"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert a.alive.dtype == np.uint8 and np.array_equal(a.alive, b.alive)
 
@@ -143,8 +148,7 @@ def test_post_value_is_the_wealth_the_evolution_compounded():
     node_fraction = gen.uniform(0.0, 1.0, (m, m + 1))
     policy = NodeAndCountPolicy(TabulatedPolicy(grid, kappa, np.zeros((m, n + 1))), node_fraction)
     traj = evolve_finite(policy, paths, counts, np.ones(n))
-    post = traj.post_value
-    assert np.array_equal(post, traj.pre_value[..., :-1] - traj.alive * traj.rate * grid.dt)
+    post = post_value(traj)
     frac = node_fraction[np.arange(m), paths.node_idx[:, :-1]]
     gross = frac * np.where(paths.ups, lat.up, lat.down) + (1.0 - frac) * paths.bond_gross()
     assert np.array_equal(traj.pre_value[:, 1:], post * gross)
@@ -188,7 +192,7 @@ def test_annuity_rate_exhausts_budget_against_expected_survival():
     x0 = 1.0
     rate = x0 / (np.sum(table.pi[: grid.n_steps]) * grid.dt)
     traj = evolve_infinite(ConstantRateStrategy(rate), flat_paths(grid), table, x0)
-    assert traj.post_value[0, -1] == pytest.approx(0.0, abs=1e-12)
+    assert post_value(traj)[0, -1] == pytest.approx(0.0, abs=1e-12)
     assert traj.admissible.all()
 
 

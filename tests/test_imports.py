@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -72,24 +73,32 @@ def _definitions(path: Path):
                     yield f"{node.name}.{member.name}", member.name, member
 
 
-def _without_lines(text: str, node) -> str:
-    lines = text.splitlines()
-    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
-    return "\n".join(lines[: first - 1] + lines[node.end_lineno :])
+def _code_tokens(path: Path):
+    """(line, previous token, token) for each code token of ``path``: strings and comments dropped."""
+    with path.open("rb") as f:
+        tokens = [(tok.start[0], tok.string) for tok in tokenize.tokenize(f.readline)
+                  if tok.type not in (tokenize.STRING, tokenize.COMMENT)]
+    return [(line, prev, word) for (_, prev), (line, word) in zip([(0, "")] + tokens, tokens)]
 
 
 def test_every_public_name_has_a_caller_in_the_library_or_the_benchmark():
-    # A word-boundary reference outside the name's own definition, in src/
-    # or benchmarks/, counts as a caller; the tests do not count.  Private
-    # module-level names are held to the same rule: a helper that only the
-    # tests call is uncalled code.
+    # A code token naming it outside its own definition, in src/ or
+    # benchmarks/, counts as a caller; docstrings, comments and the tests
+    # do not count.  A method or property counts only as an attribute
+    # reference (``.name``), so a local variable of the same word is no
+    # caller.  Private module-level names are held to the same rule: a
+    # helper that only the tests call is uncalled code.
     files = sorted(SRC.rglob("*.py")) + sorted((SRC.parent / "benchmarks").rglob("*.py"))
-    sources = {path: path.read_text() for path in files}
+    tokens = {path: _code_tokens(path) for path in files}
     uncalled = []
     for path in sorted((SRC / "tontine").glob("*.py")):
         for qualified, name, node in _definitions(path):
-            pattern = re.compile(rf"\b{re.escape(name)}\b")
-            texts = (_without_lines(text, node) if other == path else text for other, text in sources.items())
-            if not any(pattern.search(text) for text in texts):
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+            own = range(first, node.end_lineno + 1)
+            references = [
+                (other, line) for other, words in tokens.items() for line, prev, word in words
+                if word == name and (prev == "." or "." not in qualified)
+            ]
+            if all(other == path and line in own for other, line in references):
                 uncalled.append(f"{path.stem}.{qualified}")
     assert not uncalled, "names with no caller in src/ or benchmarks/: " + ", ".join(uncalled)

@@ -443,7 +443,8 @@ def test_bound_probability_increases_with_n():
 
 def almost_sure_death_time(table):
     """Earliest time by which death is certain."""
-    return float(table.grid.times[np.nonzero(table.pi <= 0.0)[0][0]])
+    times = np.arange(table.grid.n_steps + 1) * table.grid.dt  # grid points and the horizon
+    return float(times[np.nonzero(table.pi <= 0.0)[0][0]])
 
 
 def finite_time_points(table, t0: float, eps: float) -> np.ndarray:

@@ -1152,6 +1152,83 @@ def test_numeric_pricing_strategy_runs_admissibly_in_the_fund():
     np.testing.assert_array_equal(traj.rate, expected)
 
 
+HALF_INVESTOR = VnmParams(PowerUtility(0.5), 0.02)
+EXPONENTIAL_INVESTOR = VnmParams(ExponentialUtility(1.0), 0.02)
+
+
+def _dp_solve(problem):
+    return solve_finite_dp(problem) if math.isfinite(problem.n) else solve_infinite(problem, methods=("dp",))
+
+
+@pytest.mark.parametrize("n", [4, math.inf])
+def test_resimulated_wealth_grid_policy_reproduces_its_value(n):
+    # Runs the wealth grid's interpolated policy through the fund; at these
+    # paths the estimates read z = -0.15 (n = 4) and +0.22 (infinite pool).
+    problem = heavy_problem(EXPONENTIAL_INVESTOR, 1.0, 10.0).with_n(n)
+    res = _dp_solve(problem)
+    assert isinstance(res.strategy, optimizer.GridPolicy)
+    est, se = simulate_policy_value(problem, res.strategy, trials=20_000, seed=3)
+    assert abs(est - res.value) <= 4 * se
+
+
+@pytest.mark.parametrize("n, overdrawn", [(8, 10_092), (64, 10_028)])
+def test_resimulation_refuses_paths_the_fund_could_not_pay(n, overdrawn):
+    # The infinite pool's pricing stream overdraws a finite pool's fund on
+    # half the paths.  Scoring their consumption anyway read 9.3002 +- 0.0309
+    # at n = 8 and 9.3132 +- 0.0286 at n = 64, above the pools' optima
+    # V8 = 9.1098 and V64 = 9.2587.
+    problem = heavy_problem(HALF_INVESTOR, 1.0, 40.0)
+    policy = solve_infinite(problem, methods=("martingale",)).strategy
+    with pytest.raises(ValueError, match=f"{overdrawn} of 20000 sampled paths were inadmissible"):
+        simulate_policy_value(problem.with_n(n), policy, trials=20_000, seed=3)
+
+
+def _simulate_elsewhere(gain, solved_for, run_in):
+    """Re-simulate the DP policy solved for (dt, horizon, n) ``solved_for`` in the problem ``run_in``."""
+    solved, run = (heavy_problem(gain, dt, horizon).with_n(n) for dt, horizon, n in (solved_for, run_in))
+    return simulate_policy_value(run, _dp_solve(solved).strategy, trials=4000, seed=1)
+
+
+def _transfer_replicating_on(dt, horizon):
+    """Transfer the A40 pricing stream with the replication solved on (dt, horizon)."""
+    problem = heavy_problem(HALF_INVESTOR, 1.0, 40.0)
+    stream = solve_infinite(problem, methods=("martingale",)).extras["stream"]
+    replication = solve_infinite(heavy_problem(HALF_INVESTOR, dt, horizon), methods=("martingale",)).extras["replication"]
+    return transfer_infinite_to_finite(stream, replication, 0.9, 8, problem, trials=100, seed=1)
+
+
+A40 = r"TimeGrid\(dt=1.0, horizon=40.0, n_steps=40\)"
+Q10 = r"TimeGrid\(dt=0.25, horizon=10.0, n_steps=40\)"
+# Each ran silently or failed deep inside: the Q10 policy on A40 (both 40
+# steps) read 8.6672 +- 0.0473 against the A40 policy's 9.1703 +- 0.0622
+# (n = 8, 4000 paths); the n = 8 policy in the infinite pool read
+# 0.5008 +- 0.0, its survival fraction indexing count columns 0 and 1; the
+# A10 replication raised IndexError inside the fund evolution, and the Q10
+# one was accepted.
+MISMATCHED_INPUTS = {
+    "table-policy-grid": (lambda: _simulate_elsewhere(HALF_INVESTOR, (0.25, 10.0, 8), (1.0, 40.0, 8)),
+                          f"the policy was solved on {Q10}, the problem is on {A40}"),
+    "table-policy-finite-in-infinite": (lambda: _simulate_elsewhere(HALF_INVESTOR, (1.0, 40.0, 8), (1.0, 40.0, math.inf)),
+                                        "the policy was solved for a pool of 8, the problem's pool is inf"),
+    "table-policy-infinite-in-finite": (lambda: _simulate_elsewhere(HALF_INVESTOR, (1.0, 40.0, math.inf), (1.0, 40.0, 8)),
+                                        "the policy was solved for a pool of inf, the problem's pool is 8"),
+    "grid-policy-grid": (lambda: _simulate_elsewhere(EXPONENTIAL_INVESTOR, (0.5, 5.0, 4), (1.0, 10.0, 4)),
+                         r"the policy was solved on TimeGrid\(dt=0.5, horizon=5.0, n_steps=10\)"),
+    "grid-policy-pool": (lambda: _simulate_elsewhere(EXPONENTIAL_INVESTOR, (1.0, 10.0, 4), (1.0, 10.0, 8)),
+                         "the policy was solved for a pool of 4, the problem's pool is 8"),
+    "replication-a10": (lambda: _transfer_replicating_on(1.0, 10.0),
+                        rf"the replication is on TimeGrid\(dt=1.0, horizon=10.0, n_steps=10\), the problem on {A40}"),
+    "replication-q10": (lambda: _transfer_replicating_on(0.25, 10.0), f"the replication is on {Q10}, the problem on {A40}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_INPUTS))
+def test_policies_and_replications_for_another_problem_are_refused(case):
+    call, message = MISMATCHED_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_infinite_solve_of_a_finite_problem_solves_its_infinite_pool():
     problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
     for methods in (("dp",), ("martingale",)):
