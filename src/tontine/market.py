@@ -19,6 +19,11 @@ prices and replication run as whole-array steps on these triangles; a
 public ``Stream`` is the list of their row views (``stream_rows``), and
 ``stack_stream`` turns a list back into a triangle.
 
+A lattice is a pure function of its model and grid, so ``build_lattice``
+keeps the most recently used ones: every solve, transfer and
+re-simulation on the same (model, grid) shares one ``Lattice`` and its
+node weights, built once per process.
+
 ``validate_stream`` is the package's one check on consumption input: every
 entry point that takes rates works on the triangle it returns, and a
 malformed level or a non-finite or negative rate raises, naming the level.
@@ -27,7 +32,7 @@ malformed level or a non-finite or negative rate raises, naming the level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +40,10 @@ from .grid import TimeGrid
 from .rng import substream
 
 Stream = list[np.ndarray]
+
+# Lattices ``build_lattice`` keeps; a quarterly 40-year one holds 0.4 MB of
+# node weights once both measures are built.
+_LATTICE_CACHE_SIZE = 8
 
 
 class IncompatibleStepError(ValueError):
@@ -49,7 +58,9 @@ class NonReplicableError(ValueError):
 class MarketModel:
     """Constant-coefficient market with one bond and one risky asset.
 
-    The asset's parameters are one-entry tuples.
+    The asset's parameters are one-entry tuples; a list or an array is
+    stored as the tuple of its Python floats, so equal models compare
+    and hash equal whatever sequence built them.
 
     Args:
         rate: risk-free short rate (per year).
@@ -65,6 +76,8 @@ class MarketModel:
     s0: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for name in ("mu", "sigma", "s0"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         if not (len(self.mu) == len(self.sigma) == len(self.s0) == 1):
             raise ValueError("the market has exactly one risky asset: mu, sigma, s0 take one entry each")
         for name in ("rate", "mu", "sigma", "s0"):
@@ -95,8 +108,11 @@ class Lattice:
     exactly.
 
     Node quantities are lower-triangular arrays with ``n_steps + 1``
-    columns, one row per level (see the module docstring); node weights
-    are built once per lattice and measure and then shared read-only.
+    columns, one row per level (see the module docstring).  Node weights
+    are built once per lattice and measure and then shared read-only;
+    since ``build_lattice`` returns the same lattice for an equal model
+    and grid while it stays among the ``_LATTICE_CACHE_SIZE`` most recently
+    used, that is once per (model, grid) in a process.
     """
 
     model: MarketModel
@@ -143,8 +159,12 @@ class Lattice:
         return self._weights[measure]
 
 
+@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def build_lattice(model: MarketModel, grid: TimeGrid) -> Lattice:
-    """Build the binomial lattice.
+    """The binomial lattice of ``model`` on ``grid``, one object per (model, grid).
+
+    An equal model and grid give the same lattice, node weights included,
+    while it is among the ``_LATTICE_CACHE_SIZE`` most recently used.
 
     Raises:
         IncompatibleStepError: if the step is so coarse that a branch
@@ -270,8 +290,11 @@ def replicate(cashflow: Stream, lattice: Lattice) -> ReplicatingStrategy:
 
     Backward induction gives the pre-payment wealth at every node; the
     risky position is the unique one delivering next-level wealth on both
-    branches.  Deterministic streams therefore come out all-bond, and the
-    initial wealth equals ``q_price(cashflow)`` to machine precision.
+    branches.  As a fraction of post-payment wealth it is
+    ``(W_up - W_down) / ((up - down) * post)``: the node's price cancels.
+    Deterministic streams therefore come out all-bond, as does every
+    stream on a zero-volatility lattice, and the initial wealth equals
+    ``q_price(cashflow)`` to machine precision.
     """
     tri = validate_stream(cashflow, lattice.grid, lattice)
     m = lattice.n_steps
@@ -285,12 +308,8 @@ def replicate(cashflow: Stream, lattice: Lattice) -> ReplicatingStrategy:
         wealth[i, : i + 1] = amounts[i, : i + 1] + disc * (q * nxt[1:] + (1.0 - q) * nxt[:-1])
     up_next, down_next = wealth[1:, 1:], wealth[1:, :-1]
     post = np.where(np.tri(m, m + 1, dtype=bool), disc * (q * up_next + (1.0 - q) * down_next), 0.0)
-    levels, ups = np.arange(m)[:, None], np.arange(m + 1)
-    prices = lattice.model.s0[0] * lattice.up**ups * lattice.down ** np.maximum(levels - ups, 0)
-    spread = prices * (lattice.up - lattice.down)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shares = np.where(spread > 0, (up_next - down_next) / np.where(spread > 0, spread, 1.0), 0.0)
-        frac = np.where(post > 0, shares * prices / np.where(post > 0, post, 1.0), 0.0)
+    spread = lattice.up - lattice.down
+    frac = np.divide(up_next - down_next, spread * post, out=np.zeros_like(post), where=(post > 0) & (spread > 0))
     return ReplicatingStrategy(lattice, stream_rows(tri), stream_rows(wealth), stream_rows(frac))
 
 

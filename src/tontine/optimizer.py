@@ -128,6 +128,7 @@ class HomogeneousProblem:
             raise ValueError(f"mortality table grid {self.table.grid} differs from the problem grid {self.grid}")
 
     def lattice(self) -> Lattice:
+        """The problem's lattice: the one every problem on this model and grid shares (``build_lattice``)."""
         return build_lattice(self.model, self.grid)
 
     def with_n(self, n) -> "HomogeneousProblem":

@@ -19,7 +19,7 @@ from tontine.market import (
     validate_stream,
 )
 from tontine.mortality import gompertz_makeham_table
-from tontine.optimizer import HomogeneousProblem, transfer_infinite_to_finite
+from tontine.optimizer import HomogeneousProblem, solve_infinite, transfer_infinite_to_finite
 from tontine.preferences import (
     ExpKmParams,
     ExponentialUtility,
@@ -241,6 +241,17 @@ def test_deterministic_stream_replicates_all_bond():
     assert strat.initial_budget == pytest.approx(q_price(constant_stream(lat, 1.0), lat), rel=1e-14)
 
 
+def test_bond_clone_replicates_all_bond():
+    # up == down: the fraction's denominator (up - down) * post is zero at
+    # every node, and the all-bond answer is kept without dividing by it.
+    lat = build_lattice(one_asset(rate=0.03, mu=0.03, sigma=0.0), TimeGrid(0.25, 5.0))
+    stream = constant_stream(lat, 1.0)
+    strat = replicate(stream, lat)
+    for frac in strat.risky_fraction:
+        assert np.array_equal(frac, np.zeros_like(frac))
+    assert strat.initial_budget == pytest.approx(q_price(stream, lat), rel=0, abs=1e-14)
+
+
 def test_zero_cashflow_zero_budget_zero_positions():
     lat = build_lattice(one_asset(sigma=0.2), TimeGrid(0.5, 2.0))
     strat = replicate(constant_stream(lat, 0.0), lat)
@@ -451,14 +462,41 @@ def test_node_weights_triangle_is_a_read_only_distribution(measure):
         weights[1, 0] = 0.5
 
 
-def test_each_problem_lattice_has_its_own_weights():
+def test_equal_market_and_grid_share_one_lattice():
     grid = TimeGrid(0.25, 40.0)
     problem = HomogeneousProblem(
         VnmParams(LogUtility(), 0.02), gompertz_makeham_table(grid, 0.0, 0.01, 0.1), q40_lattice().model,
         grid, 1.0, np.inf,
     )
-    first, second = problem.lattice(), problem.lattice()
-    assert first is not second
-    weights = first.node_weights("P")
-    assert second.node_weights("P") is not weights
-    assert np.array_equal(second.node_weights("P"), weights)
+    first = problem.lattice()
+    assert problem.lattice() is first
+    assert build_lattice(one_asset(rate=0.02, mu=0.05, sigma=0.2), TimeGrid(0.25, 40.0)) is first
+    for measure, pu in (("P", first.p_up), ("Q", first.q_up)):
+        weights = first.node_weights(measure)
+        assert problem.lattice().node_weights(measure) is weights
+        fresh = np.zeros_like(weights)
+        fresh[0, 0] = 1.0
+        for i in range(first.n_steps):
+            fresh[i + 1, : i + 1] = fresh[i, : i + 1] * (1.0 - pu)
+            fresh[i + 1, 1 : i + 2] += fresh[i, : i + 1] * pu
+        assert np.array_equal(weights, fresh)
+        with pytest.raises(ValueError):
+            weights[1, 0] = 0.5
+    assert build_lattice(first.model, TimeGrid(1.0, 40.0)) is not first
+    assert build_lattice(one_asset(rate=0.02, mu=0.05, sigma=0.25), grid) is not first
+
+
+@pytest.mark.parametrize("sequence", [list, np.array])
+def test_model_from_any_sequence_is_its_tuple_twin(sequence):
+    # Built from lists, the model used to keep them: it passed validation
+    # but compared unequal to its tuple twin and could not be hashed.
+    twin = one_asset(rate=0.02, mu=0.05, sigma=0.2)
+    model = MarketModel(rate=0.02, mu=sequence([0.05]), sigma=sequence([0.2]), s0=sequence([1.0]))
+    assert model == twin
+    assert hash(model) == hash(twin)
+    assert model.mu == (0.05,) and type(model.mu[0]) is float
+    grid = TimeGrid(1.0, 10.0)
+    assert build_lattice(model, grid) is build_lattice(twin, grid)
+    problem = HomogeneousProblem(VnmParams(LogUtility(), 0.02), gompertz_makeham_table(grid, 0.0, 0.01, 0.1),
+                                 model, grid, 1.0, np.inf)
+    assert np.isfinite(solve_infinite(problem).value)

@@ -896,6 +896,31 @@ def test_closed_form_replication_pinned(case):
     assert [level.shape for level in rep.risky_fraction] == [(i + 1,) for i in range(160)]
 
 
+MERTON_CASES = {
+    "q40-heavy": lambda gain: heavy_problem(gain, 0.25, 40.0),
+    "a40-heavy": lambda gain: pricing_problem(gain, 40.0, "heavy"),
+    "a40-light": lambda gain: pricing_problem(gain, 40.0, "light"),
+}
+
+
+@pytest.mark.parametrize("utility", [PowerUtility(-1.0), LogUtility(), PowerUtility(0.5)], ids=["power", "log", "half"])
+@pytest.mark.parametrize("case", sorted(MERTON_CASES))
+def test_pricing_replication_holds_the_dp_merton_fraction(case, utility):
+    # The two infinite routes agree on the policy as well as the value: the
+    # replication of the closed-form stream holds the scaling DP's one risky
+    # fraction at every node where wealth is carried to the next level.
+    problem = MERTON_CASES[case](VnmParams(utility, 0.02))
+    alpha = 0.0 if isinstance(utility, LogUtility) else utility.exponent
+    merton = best_power_growth(problem.lattice(), alpha)[0]
+    rep = solve_infinite(problem, methods=("martingale",)).extras["replication"]
+    m = problem.grid.n_steps
+    for i in range(m - 1):
+        post = rep.wealth[i] - rep.cashflow[i] * problem.grid.dt
+        live = post > 0
+        assert live.any()
+        assert np.max(np.abs(rep.risky_fraction[i][live] - merton)) <= 1e-13
+
+
 # Value and gradient of the pricing route's objective at the annuity
 # stream, on an annual 10-year grid with heavy mortality: value, first
 # and last entries and sum of the gradient, pinned from the hand-written
