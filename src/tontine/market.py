@@ -109,10 +109,8 @@ class Lattice:
 
     Node quantities are lower-triangular arrays with ``n_steps + 1``
     columns, one row per level (see the module docstring).  Node weights
-    are built once per lattice and measure and then shared read-only;
-    since ``build_lattice`` returns the same lattice for an equal model
-    and grid while it stays among the ``_LATTICE_CACHE_SIZE`` most recently
-    used, that is once per (model, grid) in a process.
+    are built once per lattice and measure, so once per (model, grid)
+    while ``build_lattice`` keeps the lattice, and then shared read-only.
     """
 
     model: MarketModel
