@@ -25,7 +25,7 @@ explicit scheme, and the two agree to first order in the step.
 The transfer pair solves the scaled stream and its survivor-bound-gated
 finite-pool version in one backward sweep over (state row, lattice node),
 where a row is only the rate it is paid: ``n`` open-gate rows, one per
-survivor count, mixed by one product with the step's survivor kernel; a
+survivor count, mixed by the step's banded survivor kernel; a
 closed-gate row, paid nothing; and the infinite pool's row, neither mixed
 nor gated.  Each step takes one lattice x death expectation and one
 fixed-point solve for all rows, each row iterating until its own stopping
@@ -239,10 +239,11 @@ def solve_transfer_pair(
     the reference solution replaces the gate by 1.  Both are rows of one
     backward sweep over (state, market node), where a state is only the
     rate it is paid: rows ``0 .. n-1`` are the open gate with ``row + 1``
-    survivors, mixed by the top-left block of the step's survivor kernel;
-    row ``n`` is the closed gate, paid nothing, which an open row enters
-    when its next count leaves the bound; row ``n + 1`` is the infinite
-    pool, neither mixed nor gated.  Each step takes one lattice expectation
+    survivors, mixed by the kernel's top-left n x n block (its ``mix`` of
+    n rows, read from the band without a dense matrix); row ``n`` is the
+    closed gate, paid nothing, which an open row enters when its next
+    count leaves the bound; row ``n + 1`` is the infinite pool, neither
+    mixed nor gated.  Each step takes one lattice expectation
     and one implicit solve of all rows, each to its own stopping test, so
     the last row is ``solve_truncated``'s solution.  The same sweep steps
     the probability that the bound fails by ``window_end`` through the
@@ -280,11 +281,11 @@ def solve_transfer_pair(
         kernel = binomial_transition_matrix(n, s[i])
         within = counts <= (thresholds[i + 1] if i + 1 < m else n)
         gated = np.where(within[:, None], values[:n], values[n])
-        mixed = np.concatenate((kernel[:n, :n] @ gated, values[n:]))
+        mixed = np.concatenate((kernel.mix(gated), values[n:]))
         expected = _backward_expectation(mixed, lattice.p_up, s[i], driver.absorption(points[i] + dt))
         values, _ = _implicit_node_solve(driver, points[i], np.where(paid, scaled[i], 0.0), expected, dt)
         if i < window:
-            fails = kernel @ np.where(pool > thresholds[i + 1], 1.0, fails)
+            fails = kernel.mix(np.where(pool > thresholds[i + 1], 1.0, fails))
 
     return TransferSolutions(
         tilde_v_infinite=float(values[n + 1, 0]),

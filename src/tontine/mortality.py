@@ -23,16 +23,20 @@ value is flagged, and its draws are counted against the CDF or, that close
 to a value, run numpy's loop in Python floats.
 
 Exact count chains step the law of the survivor count by the binomial
-kernel ``binomial_transition_matrix``.  It is built with numpy alone along
-lines of the rarer outcome (deaths while a step's death probability is at
-most 1/2, survivors otherwise).  Each line is held in units of its row
-scale ``stay**j`` and a unit of its own, so Pascal's step along a line is
-one ``np.add.accumulate`` of the line before; each row stops where a ratio
-bound proves its remaining exact mass below 2**-60.  Kept entries are
-within about 1e-15 of the exact binomial law, and a row does not depend on
-the kernel's size.  ``bound_chain`` steps the count's law forward by one
-kernel per step, alone and jointly with the event that the survivor bound
-has held so far.
+kernel ``binomial_transition_matrix``, which is held as its band: the lines
+of the rarer outcome (deaths while a step's death probability is at most
+1/2, survivors otherwise), one ``(lines, max_count + 1)`` array, never a
+dense (n+1)**2 matrix.  Each line is held in units of its row scale
+``stay**j`` and a unit of its own, so Pascal's step along a line is one
+``np.add.accumulate`` of the line before; one vectorised pass over the
+finished band stops each row where a ratio bound proves its remaining exact
+mass below 2**-60.  Kept entries are within about 1e-15 of the exact
+binomial law, and a row does not depend on the kernel's size.  The kernel's
+two products read the band directly: ``mix`` (the kernel's top-left block
+times values, a backward sweep's expectation over the next count) and
+``push`` (a law times the kernel, a forward step of the count's law).
+``bound_chain`` pushes the count's law forward by one kernel per step,
+alone and jointly with the event that the survivor bound has held so far.
 """
 
 from __future__ import annotations
@@ -301,14 +305,93 @@ _KERNEL_TAIL = 2.0**-60
 # most the number of rows.  Kernels of up to 600 rows need no blocks.
 _SCALE_LOG = 600.0 * math.log(2.0)
 _UNIT_FLOOR = 2.0**-360
-# Lines are written into the matrix this many at a time, so the scratch
-# holds no more: at n = 2047, p = 1/2 the kernel took 75 ms when all of
-# its lines were held and copied at once, 40 ms in copies of 64.
-_CHUNK = 64
+# Band entries tested for their row's stop at a time, so that the test's
+# scratch stays small beside the band.
+_TEST_BLOCK = 2**13
 
 
-def binomial_transition_matrix(max_count: int, survive_prob: float) -> np.ndarray:
-    """Matrix T[j, k] = P(Binomial(j, survive_prob) = k), j,k <= max_count.
+def _line_capacity(top: int, move: float) -> int:
+    """Lines allocated before a band grows: the last row's mean rarer count, ten root means and 12.
+
+    The 2**-60 tail lies about nine standard deviations past the mean; a
+    band that needs more lines grows.
+    """
+    mean = top * move
+    return min(top + 1, int(mean + 10.0 * math.sqrt(mean)) + 12)
+
+
+@dataclass(frozen=True)
+class BinomialKernel:
+    """One step's survivor kernel K[j, k] = P(Binomial(j, p) = k), held as its band.
+
+    ``band[i, j]`` is row j's entry on line i: K[j, j - i], i deaths, when
+    ``deaths`` (q = 1 - p <= 1/2), else K[j, i], i survivors.  It is zero
+    where j < i and past the line where row j stops; every entry of K off
+    the band is zero.  The band has ``max_count + 1`` columns and as many
+    lines as the last row keeps.  ``mix`` and ``push`` are the kernel's
+    products, read from the band without a dense (n+1)**2 matrix.
+    """
+
+    band: np.ndarray
+    deaths: bool
+
+    def mix(self, values: np.ndarray) -> np.ndarray:
+        """``K[:r, :r] @ values`` with ``r = len(values)``, for 1-D or 2-D ``values``.
+
+        On survivor lines this is one product with the band's transpose.  On
+        death lines row j reads values[j - i] on line i, a view of the values
+        shifted once per line, summed by one ``einsum``.  A 2-D ``values``
+        with ``cols`` columns goes through the dense block instead, built for
+        the one product, where ``r * (cols + 20) < 16 * lines * cols``: BLAS
+        multiplies and adds about 16 times faster than the shifted product,
+        and building the block costs about 20 of its multiply-adds per entry.
+        """
+        r = len(values)
+        band = self.band[:r, :r]  # lines past r - 1 reach rows past r - 1 only
+        lines = len(band)
+        if not self.deaths:
+            return band.T @ values[:lines]
+        if values.ndim == 2 and r * (values.shape[1] + 20) < 16 * lines * values.shape[1]:
+            # Line i lands on column j - i of row j, shifted right by lines - 1
+            # so that the view holds no negative offset.
+            width = r + lines - 1
+            dense = np.zeros((r, width))
+            np.ndarray((lines, r), float, dense, (lines - 1) * 8, (-8, (width + 1) * 8))[...] = band
+            return dense[:, lines - 1 :] @ values
+        pad = np.zeros((lines + r,) + values.shape[1:])
+        pad[lines:] = values
+        row = pad.strides[0]
+        shifted = np.ndarray((lines,) + values.shape, float, pad, lines * row, (-row,) + pad.strides)
+        return np.einsum("ij,ij...->j...", band, shifted)
+
+    def push(self, law: np.ndarray) -> np.ndarray:
+        """``law @ K`` for a law over the counts 0 .. max_count, or one such law per row.
+
+        On survivor lines this is one product with the band.  On death lines
+        count k sums line i's entry at row k + i times law[k + i], one
+        ``einsum`` over the band's diagonals and windows of the law.  The law
+        is padded with zeros past its last count, where a diagonal runs on
+        into the next line; the last line, which has no next line, is added
+        on its own.
+        """
+        band = self.band
+        lines, size = band.shape
+        if not self.deaths:
+            out = np.zeros(law.shape)
+            out[..., :lines] = law @ band.T
+            return out
+        pad = np.zeros(law.shape[:-1] + (size + lines - 1,))
+        pad[..., :size] = law
+        step = pad.strides[-1]
+        windows = np.ndarray(law.shape[:-1] + (lines - 1, size), float, pad, 0, pad.strides[:-1] + (step, step))
+        diagonals = np.ndarray((lines - 1, size), float, band, 0, (band.strides[0] + band.strides[1], band.strides[1]))
+        out = np.einsum("ik,...ik->...k", diagonals, windows)
+        out[..., : size - lines + 1] += band[-1, lines - 1 :] * law[..., lines - 1 :]
+        return out
+
+
+def binomial_transition_matrix(max_count: int, survive_prob: float) -> BinomialKernel:
+    """Kernel T[j, k] = P(Binomial(j, survive_prob) = k), j,k <= max_count, as its band.
 
     Built along lines of the rarer outcome: line i holds the entries with
     i deaths (k = j - i) when q = 1 - p <= 1/2, else those with i
@@ -320,122 +403,122 @@ def binomial_transition_matrix(max_count: int, survive_prob: float) -> np.ndarra
     and of a unit ``u`` of its own, ``v[j] = y[j] / (stay**j * u)``.  Line
     0 is 1 with unit 1, and line i's unit is ``ratio = move / stay`` times
     the unit of line i - 1, so the step reads ``v[j] = v[j-1] + vprev[j-1]``
-    and each line is one ``np.add.accumulate`` of the line before.  A unit
-    that falls below 2**-360 is multiplied into its line and reset to 1.
-    Where ``stay**-j`` would pass 2**600 (p near 1/2 beyond 600 rows) the
-    rows are cut into blocks, each scaled by ``stay**(j - b)`` from its
-    first row b, and the running sum enters the next block times
-    ``stay**width``.  Lines are multiplied by their row scales and units
-    and written into the matrix 64 at a time, one copy per batch.
+    and each line is one ``np.add.accumulate`` of the line before, over
+    rows i and up.  A unit that falls below 2**-360 is multiplied into its
+    line and reset to 1.  Where ``stay**-j`` would pass 2**600 (p near 1/2
+    beyond 600 rows) the rows are cut into blocks, each scaled by
+    ``stay**(j - b)`` from its first row b, and the running sum enters the
+    next block times ``stay**width``.  Once every line is built the band is
+    multiplied by its row scales and units.
 
     From line i to line i + 1 row j changes by the ratio
     ``r = (j - i) / (i + 1) * move / stay``, which falls with i, so once
     r < 1 the row's exact mass beyond line i is at most ``T * r / (1 - r)``
-    for its exact entry T.  Rows stop in order, each line starting at the
-    first row still open, so row j depends on rows below it only and not
-    on ``max_count``.  A kept entry falls short of its exact value by at
-    most the largest entry dropped below it, which lies in a stopped row's
-    tail, so T is at most the kept entry plus eps = 2**-60.  A row stops
-    at the first line where ``(entry + eps) * r / (1 - r)`` is below eps
-    and is zero beyond it.  Each row thus drops at most 2**-60 of its
-    exact mass, and its kept entries are within about 1e-15 of the exact
-    binomial law; the kernel is exact at p = 0 and p = 1.
+    for its exact entry T.  A row stops at the first line where
+    ``(T + eps) * r / (1 - r)`` is below eps = 2**-60, that is
+    ``(T + 2 eps) * r < eps``, and is zero beyond it, so each row drops at
+    most 2**-60 of its exact mass.  Lines are added until the last row
+    stops; along a line's tail T and r rise with the row, so every row has
+    stopped by then.  The test runs once over the finished band, a block of
+    lines at a time, and zeroes each row past the line where it passed.
+    No entry is dropped while the lines are built, so kept entries are
+    within about 1e-15 of the exact binomial law, a row depends on rows
+    below it only and so not on ``max_count``, and the kernel is exact at
+    p = 0 and p = 1.
 
     Below p = 1/2 the float q can differ from 1 - p in its last bit; entry
     (j, k) carries that bias as a factor (q/(1-p))^(j-k), which is divided
     out at the end so that entries near one stay correct when p is tiny.
+    A ``max_count`` that is not a nonnegative integer raises.
     """
     p = float(survive_prob)
     if not 0.0 <= p <= 1.0:
         raise ValueError("survive_prob must lie in [0, 1]")
-    if max_count < 0:
-        raise ValueError("max_count must be nonnegative")
+    if not (math.isfinite(max_count) and float(max_count).is_integer() and max_count >= 0):
+        raise ValueError(f"max_count must be an integer >= 0, got max_count = {max_count}")
+    size = int(max_count) + 1
+    top = size - 1
     q = 1.0 - p
-    size = max_count + 1
-    if q <= 0.5:
-        stay, move, sign = p, q, -1  # death lines: row j's entry on line i is T[j, j - i]
-    else:
-        stay, move, sign = q, p, 1  # survivor lines: T[j, i]
+    deaths = q <= 0.5
+    stay, move = (p, q) if deaths else (q, p)
     ratio = move / stay  # stay >= 1/2
     span = -math.log(stay)
     width = int(_SCALE_LOG / span) if span > 0.0 else size  # rows per block
     scale = np.full(min(width, size), stay)
     scale[0] = 1.0
     np.multiply.accumulate(scale, out=scale)
-    trans = np.zeros((size, size))
-    trans[0, 0] = 1.0
-    step = size + 1 if sign < 0 else size  # row j >= 1 on line i sits at flat index j * step + sign * i
-
-    def write(rows: np.ndarray, first: int, units: list[float]) -> None:
-        # Lines first, first + 1, ... held in rows, into the matrix.  Rows
-        # below a line's first open row hold 0; those below the line's own
-        # index land on the matrix's upper triangle, which stays 0.  For
-        # lines below size the view stays inside trans and no two of its
-        # entries share an address.
-        rows *= scale
-        rows *= np.array(units)[:, None]
-        where = np.ndarray((len(rows), size - 1), float, trans, (step + sign * first) * 8, (sign * 8, step * 8))
-        where[...] = rows[:, 1:]
-
-    # chunk[r, j]: row j's entry on line base + r in units of its row scale
-    # and of unit[r]; rows that have stopped hold 0.
-    chunk = np.zeros((min(_CHUNK, size) + 1, size))  # a kernel has at most size lines
+    # band[i, j]: row j's entry on line i in units of its row scale and of
+    # units[i]; rows below the line hold 0, and so does a spare line past
+    # the last, which the test's diagonal view reads.
+    band = np.zeros((_line_capacity(top, move) + 1, size))
     if width >= size:
-        chunk[0] = 1.0
+        band[0] = 1.0
         block_starts: range | tuple = ()
     else:
         carry = stay**width
         scale = np.resize(scale, size)
-        chunk[0] = carry ** (np.arange(size) // width)
+        band[0] = carry ** (np.arange(size) // width)
         block_starts = range(width, size, width)
-    row_scale = scale.tolist()
-    unit = [1.0]
+    top_scale = scale.item(top)
+    units = [1.0]
+    u = 1.0
     eps2 = 2.0 * _KERNEL_TAIL
-    start = i = base = 0
-    while True:
-        # (T + 2 eps) * r < eps holds iff r < 1 and (T + eps) * r / (1 - r) < eps.
-        limit = _KERNEL_TAIL * stay * (i + 1)
-        entry, u = chunk[i - base].item, unit[i - base]
-        while start < size and (entry(start) * row_scale[start] * u + eps2) * ((start - i) * move) < limit:
-            start += 1
-        if start == size:
-            break
-        i += 1  # every row below start has stopped, so start >= i
-        if i - base > _CHUNK:
-            # Write out all lines but the last, which the next line reads.
-            last = chunk[_CHUNK].copy()
-            write(chunk[:_CHUNK], base, unit[:_CHUNK])
-            chunk[0] = last
-            chunk[1:] = 0.0
-            unit = unit[_CHUNK:]
-            base += _CHUNK
-        prev, cur = chunk[i - base - 1, start - 1 : -1], chunk[i - base, start:]
+    accumulate = np.add.accumulate
+    # The test needs r < 1/2, so the last row cannot stop below this line.
+    earliest = int((2.0 * top * move - stay) / (2.0 * move + stay))
+    i = 0
+    cur = band[0]
+    while i < earliest or (cur.item(-1) * top_scale * u + eps2) * ((top - i) * move) >= _KERNEL_TAIL * stay * (i + 1):
+        i += 1  # the last row has not stopped, so i <= top
+        if i + 1 == len(band):
+            band = np.concatenate((band, np.zeros((min(i, size - i), size))))
+        prev, cur = cur[:-1], band[i, i:]
         if not block_starts:
-            np.add.accumulate(prev, out=cur)
+            accumulate(prev, out=cur)
         else:
             cur[...] = prev
-            lo = 0  # cur[k] is row start + k
+            lo = 0  # cur[k] is row i + k
             for b in block_starts:
-                if b >= start:
-                    k = b - start
-                    np.add.accumulate(cur[lo:k], out=cur[lo:k])
-                    # Row start - 1 has stopped, so its entry on this line is 0.
+                if b >= i:
+                    k = b - i
+                    accumulate(cur[lo:k], out=cur[lo:k])
+                    # Row i - 1 lies below line i, so its entry there is 0.
                     cur[k] = carry * ((cur.item(k - 1) if k else 0.0) + cur.item(k))
                     lo = k
-            np.add.accumulate(cur[lo:], out=cur[lo:])
+            accumulate(cur[lo:], out=cur[lo:])
         u *= ratio
         if u < _UNIT_FLOOR:
             cur *= u
             u = 1.0
-        unit.append(u)
-    if size > 1:
-        write(chunk[: i - base + 1], base, unit)
+        units.append(u)
+    lines = i + 1
+    band[:lines] *= scale
+    band[:lines] *= np.array(units)[:, None]
+    # diagonal[i, c] is row i + c's entry on line i, so its ratio's factor
+    # (j - i) * move is c * move in every line; past the last row it reads
+    # the zeros below the next line.  Each block of lines is tested before
+    # any of its entries is zeroed: from the last block down, a block
+    # zeroes the entries just above those that passed.  A row fails where
+    # r >= 1/2, from c = stay * (i + 1) / (2 * move) on, so no block tests
+    # past that column.
+    diagonal = np.ndarray((lines, size), float, band, 0, ((size + 1) * 8, 8))
+    gap = np.arange(size) * move
+    limit = (_KERNEL_TAIL * stay) * np.arange(1.0, lines + 1.0)[:, None]
+    block = max(1, _TEST_BLOCK // size)
+    for lo in range((lines - 1) // block * block, -1, -block):
+        hi = min(lo + block, lines)
+        cols = min(size - lo, int(hi / (2.0 * ratio)) + 2 if ratio else size)
+        test = diagonal[lo:hi, :cols] + eps2
+        test *= gap[:cols]
+        passed = test < limit[lo:hi]
+        above = diagonal[lo + 1 : hi + 1, : cols - 1]
+        np.copyto(above, 0.0, where=passed[: len(above), 1:])
+    band = band[:lines]
     q_error = (1.0 - q) - p  # exact: (1 - p) - q
     if q_error:
-        log_bias = np.log1p(q_error / q) * np.arange(size)
-        trans *= np.exp(log_bias)[:, None]
-        trans *= np.exp(-log_bias)[None, :]
-    return trans
+        j_minus_k = np.arange(lines)[:, None] if deaths else np.arange(size) - np.arange(lines)[:, None]
+        band *= np.exp(np.log1p(q_error / q) * j_minus_k)
+    return BinomialKernel(band, deaths)
 
 
 @dataclass(frozen=True)
@@ -455,8 +538,9 @@ class BoundChain:
 def bound_chain(n: int, table: MortalityTable, lam: float) -> BoundChain:
     """Evolve the exact joint law of count and running bound flag.
 
-    The joint and unconditioned laws are stepped by one product per step
-    with that step's kernel; the joint law drops the counts above the bound.
+    The joint and unconditioned laws are stepped together by one ``push``
+    per step through that step's banded kernel; the joint law drops the
+    counts above the bound.
     """
     n = pool_size(n)
     thresholds = survivor_bound(n, table, lam)
@@ -465,6 +549,6 @@ def bound_chain(n: int, table: MortalityTable, lam: float) -> BoundChain:
     laws = np.zeros((m, 2, n + 1))  # laws[t, 0] is the joint law, laws[t, 1] the count's
     laws[0, :, n] = 1.0  # the bound floor(n / lam) is at least n at the start
     for t in range(m - 1):
-        laws[t + 1] = laws[t] @ binomial_transition_matrix(n, s[t])
+        laws[t + 1] = binomial_transition_matrix(n, s[t]).push(laws[t])
         laws[t + 1, 0, thresholds[t + 1] + 1 :] = 0.0
     return BoundChain(n=n, lam=lam, joint=laws[:, 0], count=laws[:, 1])

@@ -297,10 +297,14 @@ def _solve_scaling(problem: HomogeneousProblem, alpha: float) -> ValueResult:
     ``(F**alpha / alpha) * theta`` for power and ``a * log(F) + c`` for log
     utility, with coefficients that depend on time and the drain state
     alone.  Every state consumes a closed-form fraction of wealth and holds
-    the same risky fraction.  The infinite pool, one state, stays on Python
-    floats: on 1-element arrays a quarterly 40-year solve took 1.8 ms
-    (power) and 3.7 ms (log) against 0.46 and 0.56 ms (2-core Xeon), and
-    the benchmark's ``scaling-desk`` makes 40 infinite-pool solves per pass.
+    the same risky fraction.  A finite pool mixes one coefficient per step,
+    theta or c, by the product ``mix`` of the step's banded kernel; log's a
+    is the same at every count, so it steps as a scalar, and log's fraction
+    is the infinite pool's at every count.  The infinite pool, one state,
+    stays on Python floats: on 1-element arrays a quarterly 40-year solve
+    took 1.8 ms (power) and 3.7 ms (log) against 0.46 and 0.56 ms (2-core
+    Xeon), and the benchmark's ``scaling-desk`` makes 40 infinite-pool
+    solves per pass.
     """
     lattice = problem.lattice()
     grid = problem.grid
@@ -314,45 +318,49 @@ def _solve_scaling(problem: HomogeneousProblem, alpha: float) -> ValueResult:
     # The infinite pool is one state holding one person's wealth.
     n = int(problem.n) if finite else 1
     counts = np.arange(1, n + 1)
-    log = np.log if finite else math.log
-    # Value coefficients, (theta,) or (a, c), and consumed fractions:
-    # arrays over the survivor counts 1..n, or scalars in the infinite pool.
-    coefs = [np.zeros(n) if finite else 0.0 for _ in range(1 if alpha else 2)]
+    # Value coefficients, (theta,) or (a, c), and consumed fractions.  The
+    # last coefficient is an array over the survivor counts 1..n, mixed by
+    # the step's kernel, or a scalar in the infinite pool.  Log's a is the
+    # same at every count, since each kernel row sums to 1, so it steps as
+    # the infinite pool's scalar in both pools, and so does its fraction.
+    coefs = [0.0] * (1 if alpha else 2)
+    if finite:
+        coefs[-1] = np.zeros(n)
     fractions = [0.0] * m
     # The drain's term in the utility of the per-survivor rate k F / (drain dt):
     # drain ** (-alpha) for power, log(drain * dt) for log.  The finite pool
     # drains at its survivor counts, the same at every step.
     dt_term = dt ** (1.0 - alpha)
     if finite:
-        count_term = counts ** (-alpha) if alpha else log(counts * dt)
+        count_term = counts ** (-alpha) if alpha else np.log(counts * dt)
 
     for t in range(m - 1, -1, -1):
         if finite:
-            others = binomial_transition_matrix(n - 1, survival[t])
-            drain_term, mixed = count_term, [survival[t] * (others @ v) for v in coefs]
+            drain_term = count_term
+            mixed = survival[t] * binomial_transition_matrix(n - 1, survival[t]).mix(coefs[-1])
         elif pi[t] > 0:
-            drain_term = pi[t] ** (-alpha) if alpha else log(pi[t] * dt)
-            mixed = [survival[t] * v for v in coefs]
+            drain_term = pi[t] ** (-alpha) if alpha else math.log(pi[t] * dt)
+            mixed = survival[t] * coefs[-1]
         else:
             continue  # pi only falls, so these are the last steps: value and policy stay zero
         if alpha:
             a_coef = disc[t] * drain_term * dt_term
-            k, theta = _power_split(a_coef, growth * mixed[0], alpha)
+            k, theta = _power_split(a_coef, growth * mixed, alpha)
             new = [theta]
         else:
-            a_next, c_next = mixed
+            a_next, c_next = survival[t] * coefs[0], mixed
             w = disc[t] * dt
             # k = w / (w + a) is 1 where a = 0 (no continuation); log(1)
             # then stands in for log(1 - k) and the continuation term is 0.
             k = w / (w + a_next)
-            cont = a_next * (log(1.0 - k + (a_next <= 0)) + growth)
-            new = [w + a_next, w * (log(k) - drain_term) + cont + c_next]
+            cont = a_next * (math.log(1.0 - k + (a_next <= 0)) + growth)
+            new = [w + a_next, w * (math.log(k) - drain_term) + cont + c_next]
         fractions[t], coefs = k, new
 
     # Policy columns are counts, so count 0 keeps a zero column.
     kappa = np.zeros((m, n + 1 if finite else 1))
-    kappa[:, -n:] = np.reshape(fractions, (m, n))
-    initial = [v[-1] for v in coefs] if finite else coefs
+    kappa[:, -n:] = np.reshape(fractions, (m, -1))
+    initial = [np.ravel(v)[-1] for v in coefs]
     f0 = n * problem.budget
     value = (f0**alpha / alpha) * initial[0] if alpha else initial[0] * math.log(f0) + initial[1]
     policy = TabulatedPolicy(grid, kappa, np.full(kappa.shape, a_star))
@@ -491,8 +499,10 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     """Backward induction on the wealth grid, finite or infinite pool.
 
     Each time step handles every drain state at once, values being one
-    (states x wealth) array mixed by one product with the step's kernel,
-    by the endogenous grid method (Carroll 2006) on post-consumption
+    (states x wealth) array mixed by the step's banded kernel (``mix``,
+    which runs the one product through a dense block where the many wealth
+    columns make that faster), by the endogenous grid method (Carroll
+    2006) on post-consumption
     wealth x, taken on the grid itself:
 
     1. one search over the risky fraction a maximizes the continuation
@@ -569,7 +579,7 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     for t in range(m - 1, -1, -1):
         if not np.all(drain[t] > 0):
             continue  # the infinite pool once pi_t is zero: value and policy stay
-        mixed = binomial_transition_matrix(n - 1, s[t]) @ values if finite else values
+        mixed = binomial_transition_matrix(n - 1, s[t]).mix(values) if finite else values
         interpolant = PchipInterpolator(log_fgrid, mixed)
 
         def continuation(log_post, frac):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -632,10 +633,15 @@ def test_bound_chain_joint_below_marginal():
 # --- transition-matrix kernel -------------------------------------------------------
 
 
+def kernel_matrix(max_count, survive_prob):
+    """The kernel's band read densely, as its mix of the identity."""
+    return binomial_transition_matrix(max_count, survive_prob).mix(np.eye(max_count + 1))
+
+
 @pytest.mark.parametrize("max_count", [0, 1, 8, 64, 512])
 @pytest.mark.parametrize("survive_prob", [0.0, 1e-12, 0.3, 0.987, 1.0 - 1e-12, 1.0])
 def test_transition_matrix_matches_scipy_binomial(max_count, survive_prob):
-    trans = binomial_transition_matrix(max_count, survive_prob)
+    trans = kernel_matrix(max_count, survive_prob)
     j = np.arange(max_count + 1)[:, None]
     k = np.arange(max_count + 1)[None, :]
     reference = stats.binom.pmf(k, j, survive_prob)
@@ -648,8 +654,8 @@ def test_transition_matrix_matches_scipy_binomial(max_count, survive_prob):
 def test_transition_matrix_exact_at_certain_death_and_survival():
     all_die = np.zeros((17, 17))
     all_die[:, 0] = 1.0
-    assert np.array_equal(binomial_transition_matrix(16, 0.0), all_die)
-    assert np.array_equal(binomial_transition_matrix(16, 1.0), np.eye(17))
+    assert np.array_equal(kernel_matrix(16, 0.0), all_die)
+    assert np.array_equal(kernel_matrix(16, 1.0), np.eye(17))
     for bad in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
             binomial_transition_matrix(4, bad)
@@ -657,8 +663,8 @@ def test_transition_matrix_exact_at_certain_death_and_survival():
 
 @pytest.mark.parametrize("survive_prob", [1e-9, 0.3, 0.987])
 def test_transition_matrix_rows_do_not_depend_on_max_count(survive_prob):
-    small = binomial_transition_matrix(8, survive_prob)
-    large = binomial_transition_matrix(64, survive_prob)
+    small = kernel_matrix(8, survive_prob)
+    large = kernel_matrix(64, survive_prob)
     assert np.array_equal(large[:9, :9], small)
 
 
@@ -666,7 +672,7 @@ def test_transition_matrix_rows_do_not_depend_on_max_count(survive_prob):
 # at max_count = 1100, 0.5**j underflows in the last rows.
 @pytest.mark.parametrize("survive_prob", [0.5, 0.5 - 1e-12, 0.5 + 1e-12, 0.61])
 def test_transition_matrix_matches_scipy_binomial_near_one_half_and_past_underflow(survive_prob):
-    trans = binomial_transition_matrix(1100, survive_prob)
+    trans = kernel_matrix(1100, survive_prob)
     j = np.arange(1101)[:, None]
     reference = stats.binom.pmf(np.arange(1101)[None, :], j, survive_prob)
     assert np.max(np.abs(trans - reference)) <= 1e-14
@@ -677,7 +683,7 @@ def test_transition_matrix_matches_scipy_binomial_near_one_half_and_past_underfl
 @pytest.mark.parametrize("survive_prob", [1e-9, 0.3, 0.5, 0.61, 0.987])
 def test_transition_matrix_rows_match_exact_law_and_drop_at_most_their_tail(survive_prob):
     mpmath = pytest.importorskip("mpmath")
-    trans = binomial_transition_matrix(512, survive_prob)
+    trans = kernel_matrix(512, survive_prob)
     with mpmath.workdps(40):
         p = mpmath.mpf(survive_prob)
         for j in (0, 1, 256, 512):
@@ -695,7 +701,7 @@ def test_transition_matrix_rows_match_exact_law_and_drop_at_most_their_tail(surv
 @pytest.mark.parametrize("survive_prob", [0.5, 0.9, 0.99])
 def test_transition_matrix_rows_match_exact_law_past_the_scaled_range(survive_prob):
     mpmath = pytest.importorskip("mpmath")
-    trans = binomial_transition_matrix(2048, survive_prob)
+    trans = kernel_matrix(2048, survive_prob)
     with mpmath.workdps(40):
         p = mpmath.mpf(survive_prob)
         for j in (1024, 2048):
@@ -708,8 +714,76 @@ def test_transition_matrix_rows_match_exact_law_past_the_scaled_range(survive_pr
 
 
 def test_transition_matrix_rejects_a_negative_size():
-    with pytest.raises(ValueError):
-        binomial_transition_matrix(-1, 0.5)
+    # A non-integral size too, as pool_size does for n.
+    for max_count in (-1, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="max_count"):
+            binomial_transition_matrix(max_count, 0.5)
+
+
+def band_matrix(kernel):
+    """The dense kernel scattered from the band, line by line."""
+    lines, size = kernel.band.shape
+    trans = np.zeros((size, size))
+    for i in range(lines):
+        rows = np.arange(i, size)
+        trans[rows, rows - i if kernel.deaths else i] = kernel.band[i, i:]
+    return trans
+
+
+# Death lines for p = 0.5 and 0.5 + 1e-12 and 0.987, survivor lines for 0.3
+# and 0.5 - 1e-12; 2048 rows at p = 0.5 run in row blocks.
+@pytest.mark.parametrize(
+    "max_count, survive_prob",
+    [(size, p) for size in (0, 1, 8, 64, 512, 1100) for p in (0.3, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.987)]
+    + [(2048, 0.5)],
+)
+def test_kernel_products_match_the_band_read_densely(max_count, survive_prob):
+    kernel = binomial_transition_matrix(max_count, survive_prob)
+    assert kernel.deaths == (survive_prob >= 0.5)
+    trans = kernel_matrix(max_count, survive_prob)
+    assert np.array_equal(trans, band_matrix(kernel))
+    rng = np.random.default_rng(max_count)
+    size = max_count + 1
+    for r in {size, max(size - 1, 1), size // 2 + 1}:
+        for values in (rng.random(r), rng.random((r, 3)), rng.random((r, 400))):
+            np.testing.assert_allclose(kernel.mix(values), trans[:r, :r] @ values, rtol=1e-13, atol=1e-300)
+    for law in (rng.random(size), rng.random((2, size))):
+        np.testing.assert_allclose(kernel.push(law), law @ trans, rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("survive_prob", [1e-9, 0.3, 0.5, 0.61, 0.987])
+def test_every_kernel_row_stops_where_its_dropped_mass_is_below_its_tail(survive_prob):
+    # Each row's dropped mass, from scipy's binomial tails, is below 2**-60,
+    # every row included: the lines end where the last row stops.
+    trans = kernel_matrix(1100, survive_prob)
+    j = np.arange(1101)
+    kept = trans != 0.0
+    lowest, highest = kept.argmax(axis=1), 1100 - kept[:, ::-1].argmax(axis=1)
+    dropped = stats.binom.cdf(lowest - 1, j, survive_prob) + stats.binom.sf(highest, j, survive_prob)
+    assert np.all(dropped <= 2.0**-60 * (1.0 + 1e-9))
+    assert np.all(kept.sum(axis=1) == highest - lowest + 1)  # each row keeps one run of counts
+
+
+def test_kernel_band_grows_past_its_first_allocation(monkeypatch):
+    kernel = binomial_transition_matrix(512, 0.9)
+    monkeypatch.setattr(mortality, "_line_capacity", lambda top, move: 1)
+    grown = binomial_transition_matrix(512, 0.9)
+    assert np.array_equal(grown.band, kernel.band) and grown.deaths == kernel.deaths
+
+
+def test_a_kernel_of_the_heavy_quarterly_table_allocates_no_dense_matrix():
+    # The widest band of the table's steps at n = 511 keeps 138 of 512
+    # lines (565 KB); a dense kernel alone took 2 MiB.
+    table = gompertz_makeham_table(TimeGrid(0.25, 40.0), 0.0, 0.01, 0.1)
+    peaks = []
+    for p in table.step_survival[:-1]:
+        tracemalloc.start()
+        try:
+            binomial_transition_matrix(511, p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2**20
 
 
 # Value and consumed fractions of the scaling recursion at n = 64 on an

@@ -785,6 +785,18 @@ def test_finite_scaling_dp_pinned(case):
     np.testing.assert_allclose(res.strategy.consumption_fraction, fractions, rtol=0, atol=1e-14)
 
 
+# Log utility's value coefficient of log wealth is the same at every survivor
+# count, since each kernel row sums to 1, so the finite pool consumes the
+# infinite pool's fraction of wealth at every count and step, bit for bit.
+@pytest.mark.parametrize("dt", [0.25, 1.0], ids=["Q40", "A40"])
+def test_log_pools_consume_the_infinite_pools_fraction_at_every_count(dt):
+    problem = heavy_problem(VnmParams(LogUtility(), 0.02), dt, 40.0)
+    infinite = solve_infinite(problem, methods=("dp",)).strategy.consumption_fraction
+    for n in (8, 64, 512):
+        finite = solve_finite_dp(problem.with_n(n)).strategy.consumption_fraction
+        assert np.array_equal(finite[:, 1:], np.broadcast_to(infinite, (len(infinite), n)))
+
+
 # Pool-size ordering on a quarterly 40-year grid with heavy mortality, at
 # the benchmark's pool sizes up to the scaling cap: a larger pool shares
 # mortality risk better, and no finite pool beats the infinite one.
