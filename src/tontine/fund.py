@@ -41,7 +41,7 @@ from typing import Protocol
 import numpy as np
 
 from .grid import TimeGrid
-from .market import LatticePaths, Stream
+from .market import Lattice, LatticePaths, Stream
 from .mortality import MortalityTable
 
 ADMISSIBILITY_TOL = 1e-9
@@ -90,12 +90,13 @@ class TabulatedPolicy:
 
 @dataclass(frozen=True)
 class NodePolicy:
-    """Per-survivor rates and risky fractions read off the lattice nodes.
+    """Per-survivor rates and risky fractions read off the nodes of ``lattice``.
 
     Survivors consume nothing once their pool's gate has closed:
     ``gate[..., t]`` is true while it is open at grid point ``t``.
     """
 
+    lattice: Lattice
     rates: Stream
     fractions: Stream
     gate: np.ndarray  # (..., m) bool

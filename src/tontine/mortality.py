@@ -19,8 +19,8 @@ mean.  That loop's rounding and the table's stay below 2**-44, so where ``U``
 lies farther than 2**-36 from every CDF value, ``k`` is the number of CDF
 values below ``U``.  A guide table per row (Chen & Asau 1974; Devroye 1986,
 III.2) reads it from one of 1024 bins of ``U``; a bin within 2**-36 of a CDF
-value is flagged, and its draws are counted against the CDF or, that close
-to a value, run numpy's loop in Python floats.
+value is flagged, and its draws are counted against the CDF.  A row with a
+draw that close to a value is left to numpy.
 
 Exact count chains step the law of the survivor count by the binomial
 kernel ``binomial_transition_matrix``, which is held as its band: the lines
@@ -142,36 +142,19 @@ def pool_size(n) -> int:
     return int(n)
 
 
-# Table bins, the flag margin, the tail left to the first and last bins and a
-# lookup's chunk.  numpy's loop takes a step per draw and one per event drawn;
-# a table beats it from about 8000 such steps and 2000 draws per row.
+# Table bins, the flag margin and the tail left to the first and last bins.
 _BINS = 1024
 _GAP = 2.0**-36
 _TAIL = 2.0**-11
-_ROW_CHUNK = 8192
-_TABLE_MIN_STEPS = 8000
-_TABLE_MIN_DRAWS = 2000
-
-
-def _inversion_draw(u: float, c: int, rare: float) -> int | None:
-    """numpy's inversion loop for count ``c`` and uniform ``u``; None where numpy draws again."""
-    q, mean = 1.0 - rare, c * rare
-    bound = int(min(c, mean + 10.0 * math.sqrt(mean * q + 1.0)))
-    x, px = 0, math.exp(c * math.log(q))
-    while u > px:
-        x += 1
-        if x > bound:
-            return None
-        u -= px
-        px = (c - x + 1) * rare * px / (x * q)
-    return x
 
 
 def _invert(u: np.ndarray, counts: np.ndarray, rare: float) -> np.ndarray | None:
     """numpy's inversion draws of Binomial(counts, rare) from uniforms ``u``.
 
-    Needs ``counts * rare <= 30``.  None where numpy would draw again, or
-    where a count's CDF at numpy's bound falls short of 1 - _TAIL.
+    Needs ``counts * rare <= 30``.  None where numpy would draw again, where
+    a count's CDF at numpy's bound falls short of 1 - _TAIL, or where a
+    uniform lies within _GAP of a CDF value, too close for the table to tell
+    which side numpy's loop rounds it to.
     """
     lo = int(counts.min())
     sizes = np.arange(lo, counts.max() + 1.0)
@@ -200,20 +183,15 @@ def _invert(u: np.ndarray, counts: np.ndarray, rare: float) -> np.ndarray | None
     values = np.full(2 * (last - first) + 3, 255, np.uint8)
     values[1::2] = np.arange(first, last + 1)
     table = np.repeat(np.tile(values, sizes.size), np.diff(ends, axis=0).T.ravel())
-    x = np.empty(counts.size, np.uint8)
-    for i in range(0, counts.size, _ROW_CHUNK):  # short-lived index arrays
-        at = np.multiply(counts[i : i + _ROW_CHUNK] - lo, _BINS, dtype=np.intp)
-        at += (u[i : i + _ROW_CHUNK] * _BINS).astype(np.intp)
-        table.take(at, out=x[i : i + _ROW_CHUNK])
+    at = np.multiply(counts - lo, _BINS, dtype=np.intp)
+    at += (u * _BINS).astype(np.intp)
+    x = table.take(at)
     flagged = np.flatnonzero(x == 255)
     if flagged.size:
         size, v = counts[flagged] - lo, u[flagged]
         gap = cdf[:, size].T - v[:, None]
         drawn = np.count_nonzero(gap < 0.0, axis=1)
-        for j in np.flatnonzero(np.any(np.abs(gap) <= _GAP, axis=1)):
-            exact = _inversion_draw(float(v[j]), lo + int(size[j]), rare)
-            drawn[j] = top + 1 if exact is None else exact
-        if np.any(drawn > bound[size]):
+        if np.any(drawn > bound[size]) or np.any(np.abs(gap) <= _GAP):
             return None
         x[flagged] = drawn
     return x
@@ -222,11 +200,9 @@ def _invert(u: np.ndarray, counts: np.ndarray, rare: float) -> np.ndarray | None
 def _draw_row(gen: np.random.Generator, counts: np.ndarray, p: float, out: np.ndarray) -> bool:
     """Draw Binomial(counts, p) into ``out`` as ``gen.binomial`` would; False leaves it the row."""
     rare = p if p <= 0.5 else 1.0 - p
+    if not 0.0 < p <= 1.0 or counts.max() * rare > 30.0:
+        return False
     live = np.count_nonzero(counts)
-    if not 0.0 < p <= 1.0 or live < _TABLE_MIN_DRAWS or counts.max() * rare > 30.0:
-        return False
-    if live + rare * counts.sum() < _TABLE_MIN_STEPS:
-        return False
     state = gen.bit_generator.state
     alive = counts != 0 if live < counts.size else slice(None)  # a zero count draws nothing
     x = _invert(gen.random(live), counts[alive], rare)
@@ -253,12 +229,11 @@ def simulate_survivor_counts(
     Each row holds ``gen.binomial(counts[t], s[t])``'s draws bit for bit.
     A row that numpy draws by inversion alone takes one uniform per nonzero
     count and reads each draw from its table (see the module docstring).
-    Rows with a count numpy draws by BTPE (``c * min(p, 1 - p) > 30``), rows
-    too small for a table to pay (fewer than 2000 nonzero counts, or fewer
-    than 8000 steps of numpy's loop, one per draw and one per event), and
-    rows with a uniform that numpy draws again go to ``gen.binomial``
-    itself, from the same stream position.  Once every pool is extinct the
-    remaining rows are zero and nothing more is drawn.
+    Rows the table cannot answer exactly go to ``gen.binomial`` itself, from
+    the same stream position: those with a count numpy draws by BTPE
+    (``c * min(p, 1 - p) > 30``) and those with a uniform that numpy draws
+    again or that lies within 2**-36 of a CDF value.  Once every pool is
+    extinct the remaining rows are zero and nothing more is drawn.
     """
     n = pool_size(n)
     if trials < 1:

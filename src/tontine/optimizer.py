@@ -743,7 +743,7 @@ def _pricing_result(problem: HomogeneousProblem, lattice: Lattice, stream: Strea
     """A pricing route's result, whose policy pays ``stream`` and holds the replication of its drain ``pi_t * c``."""
     m = problem.grid.n_steps
     rep = replicate(stream_rows(problem.table.pi[:m, None] * stack_stream(stream)), lattice)
-    policy = NodePolicy(stream, rep.risky_fraction, np.ones(m, dtype=bool))  # the gate open at every step
+    policy = NodePolicy(lattice, stream, rep.risky_fraction, np.ones(m, dtype=bool))  # the gate open at every step
     return ValueResult(float(value), method, policy, {"stream": stream, "replication": rep, **extras})
 
 
@@ -937,16 +937,23 @@ def _martingale_numeric(problem: HomogeneousProblem) -> ValueResult:
 
 
 def annuity_rate(problem: HomogeneousProblem) -> float:
-    """Constant rate exhausting the budget against expected survival."""
+    """Constant rate whose expected drain, undiscounted, is the budget: ``budget / (sum_t pi_t * dt)``.
+
+    The market's rate does not enter, so where it is positive the drain
+    costs less than the budget: 0.80 of it on the heavy annual 40-year table
+    at r = 0.02, and 0.92 on the 10-year one.
+    """
     pi = problem.table.pi[: problem.grid.n_steps]
     return problem.budget / float(np.sum(pi) * problem.grid.dt)
 
 
 def annuity_value(problem: HomogeneousProblem) -> float:
-    """Gain of the best constant consumption (the defined-benefit benchmark).
+    """Gain of consuming ``annuity_rate`` throughout (the defined-benefit benchmark).
 
-    Valued by the family's own backward step on the investor's death chain;
-    raises ``ValueError`` where the value is not finite.
+    Not the best affordable constant consumption where the market's rate is
+    positive: that rate leaves part of the budget unspent.  Valued by the
+    family's own backward step on the investor's death chain; raises
+    ``ValueError`` where the value is not finite.
     """
     rates = [annuity_rate(problem)] * problem.grid.n_steps
     with np.errstate(invalid="ignore", over="ignore"):  # the explicit recursive step at extreme rates
@@ -1020,7 +1027,7 @@ def transfer_infinite_to_finite(
     family.  The stream is checked once, at entry, by
     ``market.validate_stream``: a malformed level or a non-finite or
     negative rate raises before any path is drawn, as does a replication
-    on another grid than the problem's.
+    on another lattice than the problem's: another grid or market.
 
     Beyond the sampled inputs (boolean up moves, and node indices and
     survivor counts in narrow unsigned types) the run holds only the
@@ -1045,6 +1052,8 @@ def transfer_infinite_to_finite(
     scaled = lam * validate_stream(stream, table.grid, lattice)
     if replication.lattice.grid != grid:
         raise ValueError(f"the replication is on {replication.lattice.grid}, the problem on {grid}")
+    if replication.lattice != lattice:
+        raise ValueError(f"the replication is for {replication.lattice.model}, the problem for {problem.model}")
 
     paths = sample_lattice_paths(lattice, trials, seed)
     counts = simulate_survivor_counts(n, table, trials, seed, label="transfer-mortality")
@@ -1054,7 +1063,7 @@ def transfer_infinite_to_finite(
     gate = counts <= survivor_bound(n, table, lam)
     for t in range(1, m):
         gate[:, t] &= gate[:, t - 1]
-    policy = NodePolicy(stream_rows(scaled), replication.risky_fraction, gate)
+    policy = NodePolicy(lattice, stream_rows(scaled), replication.risky_fraction, gate)
     traj = evolve_finite(policy, paths, counts, np.full(n, problem.budget))
     violations = int(np.count_nonzero(~traj.admissible))
     # Only the rates are scored: free the fund values and the paths first.
@@ -1093,20 +1102,25 @@ def transfer_infinite_to_finite(
 
 
 def _check_policy_fits(policy, problem: HomogeneousProblem) -> None:
-    """Refuse a table policy solved on another grid or for another pool size.
+    """Refuse a policy solved on another grid or market, or a table policy for another pool size.
 
     A pool of n needs the survivor-count columns 0..n, the infinite pool
-    one column.  A ``NodePolicy`` carries no grid and passes unchecked.
+    one column.  A ``NodePolicy`` reads its lattice's nodes in a pool of any size.
     """
-    if isinstance(policy, TabulatedPolicy):
-        columns = policy.consumption_fraction.shape[1]
+    if isinstance(policy, NodePolicy):
+        grid, columns = policy.lattice.grid, None
+    elif isinstance(policy, TabulatedPolicy):
+        grid, columns = policy.grid, policy.consumption_fraction.shape[1]
     elif isinstance(policy, GridPolicy):
-        columns = policy.kappa.shape[1]
+        grid, columns = policy.grid, policy.kappa.shape[1]
     else:
         return
-    if policy.grid != problem.grid:
-        raise ValueError(f"the policy was solved on {policy.grid}, the problem is on {problem.grid}")
-    if columns != (problem.n + 1 if math.isfinite(problem.n) else 1):
+    if grid != problem.grid:
+        raise ValueError(f"the policy was solved on {grid}, the problem is on {problem.grid}")
+    if columns is None:  # a NodePolicy on the problem's grid: only the market can differ
+        if policy.lattice != problem.lattice():
+            raise ValueError(f"the policy was solved for {policy.lattice.model}, the problem is for {problem.model}")
+    elif columns != (problem.n + 1 if math.isfinite(problem.n) else 1):
         solved = columns - 1 if columns > 1 else math.inf
         raise ValueError(f"the policy was solved for a pool of {solved}, the problem's pool is {problem.n}")
 
@@ -1127,9 +1141,8 @@ def simulate_policy_value(
     A NaN rate where the weight is positive raises ``ValueError``, and so
     do paths on which the fund's wealth went negative, naming how many:
     the fund only flags them, but they consumed what it could not pay.  A
-    table policy solved on another grid or for another pool size is
-    refused before any path is drawn; a ``NodePolicy`` carries no grid
-    and is not checked.
+    policy solved on another grid or market, or a table policy solved for
+    another pool size, is refused before any path is drawn.
 
     Beyond the sampled inputs (boolean up moves, and node indices and
     survivor counts in narrow unsigned types) the run holds only the

@@ -207,7 +207,9 @@ def test_survivor_count_stream_is_pinned():
 
 def test_survivor_simulation_stops_drawing_once_every_pool_is_extinct(monkeypatch):
     # Everyone dies at t = 0.5, the third grid point: the draws into the
-    # first three rows are the only ones made, and the rest read zero.
+    # first three rows are the only ones made, and the rest read zero.  The
+    # two rows of certain survival read the table, one uniform per pool;
+    # the row of certain death goes to numpy.
     calls = []
 
     class CountedGenerator:
@@ -218,13 +220,17 @@ def test_survivor_simulation_stops_drawing_once_every_pool_is_extinct(monkeypatc
             return getattr(self._gen, name)
 
         def binomial(self, counts, p):
-            calls.append(int(np.max(counts)))
+            calls.append(("binomial", int(np.max(counts))))
             return self._gen.binomial(counts, p)
+
+        def random(self, size):
+            calls.append(("random", size))
+            return self._gen.random(size)
 
     monkeypatch.setattr(mortality, "substream", lambda *args: CountedGenerator(substream(*args)))
     table = point_mass_table(TimeGrid(0.25, 2.0), at=0.5)
     counts = simulate_survivor_counts(20, table, 5, seed=3)
-    assert calls == [20, 20, 20]
+    assert calls == [("random", 5), ("random", 5), ("binomial", 20)]
     assert np.all(counts[:, :3] == 20) and np.all(counts[:, 3:] == 0)
 
 
@@ -336,24 +342,32 @@ def numpy_inversion_thresholds(c, rare):
     "c, rare", [(1, 0.3), (2, 0.048), (8, 0.3), (64, 0.05), (255, 0.1), (2000, 0.012)]
 )
 def test_inversion_table_matches_numpy_loop_at_its_thresholds(c, rare):
-    # The table's margin of 2**-36 around each CDF value must cover the
-    # loop's rounding: at each threshold of the loop and one ulp either
-    # side, the table returns the loop's draw, or None where the loop draws
-    # again.  The thresholds sit within 2**-44 of the exact CDF.
+    # The thresholds of numpy's loop sit within 2**-44 of the exact CDF.  At
+    # each threshold and one ulp either side, the table returns the loop's
+    # draw or refuses the row, never another value, and refuses it where
+    # the loop draws again.  The table's margin of 2**-36 must cover the
+    # loop's rounding and no more: 2**-35 either side of a threshold,
+    # wherever no exact CDF value lies within 2**-36, it returns the loop's
+    # draw, or None where the loop draws again.
     ulp = 2.0**-53
     cuts = numpy_inversion_thresholds(c, rare)
     exact = stats.binom.cdf(np.arange(len(cuts)), c, rare)
     finite = [k for k, cdf in zip(cuts, exact) if cdf < 1.0 - 2.0**-44]
     assert np.all(np.abs(np.array(finite) * ulp - exact[: len(finite)]) < 2.0**-44)
+    every_cdf = stats.binom.cdf(np.arange(c + 1), c, rare)
+    clear = 0
     for cut in cuts:
-        for k in (cut - 1, cut, min(cut + 1, 2**53 - 1)):
-            u = k * ulp
+        near = [k * ulp for k in (cut - 1, cut, min(cut + 1, 2**53 - 1))]
+        beside = [u for u in (cut * ulp - 2.0**-35, cut * ulp + 2.0**-35) if 0.0 <= u < 1.0]
+        for u in near + beside:
             x = mortality._invert(np.array([0.5, u]), np.array([c, c]), rare)
             expected = numpy_inversion(u, c, rare)
-            if expected is None:
-                assert x is None
+            if u in beside and np.all(np.abs(every_cdf - u) > 2.0**-36):
+                clear += 1
+                assert (x is None) if expected is None else (x is not None and x[1] == expected), (u, x, expected)
             else:
-                assert x is not None and x[1] == expected, (k, x, expected)
+                assert x is None or (expected is not None and x[1] == expected), (u, x, expected)
+    assert clear >= len(cuts)
 
 
 def test_a_uniform_past_the_bounds_cdf_sends_the_row_to_numpy(monkeypatch):
@@ -370,6 +384,25 @@ def test_a_uniform_past_the_bounds_cdf_sends_the_row_to_numpy(monkeypatch):
     counts = simulate_survivor_counts(64, table, 10000, seed=3)
     np.testing.assert_array_equal(counts, binomial_loop_counts(64, table, 10000, seed=3))
     assert len(refused) == 9
+
+
+def test_a_row_with_a_uniform_near_a_cdf_value_goes_to_numpy(monkeypatch):
+    # With the flag margin widened to 2**-16, 18 of the 39 rows hold a
+    # uniform that close to a CDF value: each is refused, rewinds and goes
+    # to numpy, between rows the table draws.
+    monkeypatch.setattr(mortality, "_GAP", 2.0**-16)
+    invert, refused = mortality._invert, []
+
+    def counted(u, counts, rare):
+        x = invert(u, counts, rare)
+        refused.append(x is None)
+        return x
+
+    monkeypatch.setattr(mortality, "_invert", counted)
+    table = gompertz_makeham_table(TimeGrid(1.0, 40.0), 0.0, 0.01, 0.1)
+    counts = simulate_survivor_counts(64, table, 2000, seed=5)
+    np.testing.assert_array_equal(counts, binomial_loop_counts(64, table, 2000, seed=5))
+    assert 0 < sum(refused) < len(refused)
 
 
 def test_death_times_consistent_with_counts():

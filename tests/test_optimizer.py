@@ -1266,6 +1266,50 @@ def test_policies_and_replications_for_another_problem_are_refused(case):
         call()
 
 
+SIGMA_20 = r"MarketModel\(rate=0.02, mu=\(0.05,\), sigma=\(0.2,\), s0=\(1.0,\)\)"
+SIGMA_35 = r"MarketModel\(rate=0.02, mu=\(0.05,\), sigma=\(0.35,\), s0=\(1.0,\)\)"
+
+
+def _pricing_solve(dt, horizon, sigma=0.2):
+    """The half investor's pricing solve on heavy (dt, horizon) in a market of volatility ``sigma``."""
+    model = MarketModel(rate=0.02, mu=(0.05,), sigma=(sigma,), s0=(1.0,))
+    return solve_infinite(dataclasses.replace(heavy_problem(HALF_INVESTOR, dt, horizon), model=model))
+
+
+def _run_in_a40(policy_dt, policy_horizon, sigma):
+    """Re-simulate the pricing strategy solved on (dt, horizon, sigma) in the A40 pool of 64."""
+    policy = _pricing_solve(policy_dt, policy_horizon, sigma).strategy
+    return simulate_policy_value(heavy_problem(HALF_INVESTOR, 1.0, 40.0).with_n(64), policy, trials=4000, seed=1)
+
+
+def _transfer_in_a40_with_sigma_35():
+    """Transfer the A40 pricing stream with the replication solved at sigma = 0.35."""
+    stream = _pricing_solve(1.0, 40.0).extras["stream"]
+    replication = _pricing_solve(1.0, 40.0, sigma=0.35).extras["replication"]
+    problem = heavy_problem(HALF_INVESTOR, 1.0, 40.0)
+    return transfer_infinite_to_finite(stream, replication, 0.9, 64, problem, trials=4000, seed=1)
+
+
+# Each was drawn first: the transfer with the sigma = 0.35 replication
+# returned a result (estimate 7.56, target 8.80) with 1146 of 4000 paths
+# inadmissible, and the Q10 and sigma = 0.35 pricing strategies failed
+# only after simulating, on 3937 and 3611 of 4000 paths inadmissible.
+OTHER_LATTICE_INPUTS = {
+    "replication-sigma": (_transfer_in_a40_with_sigma_35, f"the replication is for {SIGMA_35}, the problem for {SIGMA_20}"),
+    "node-policy-q10": (lambda: _run_in_a40(0.25, 10.0, 0.2), f"the policy was solved on {Q10}, the problem is on {A40}"),
+    "node-policy-sigma": (lambda: _run_in_a40(1.0, 40.0, 0.35),
+                          f"the policy was solved for {SIGMA_35}, the problem is for {SIGMA_20}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_LATTICE_INPUTS))
+def test_node_policies_and_replications_on_another_lattice_are_refused_before_drawing(case, monkeypatch):
+    call, message = OTHER_LATTICE_INPUTS[case]
+    monkeypatch.setattr(optimizer, "sample_lattice_paths", lambda *args: pytest.fail("paths were drawn"))
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_infinite_solve_of_a_finite_problem_solves_its_infinite_pool():
     problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
     for methods in (("dp",), ("martingale",)):
