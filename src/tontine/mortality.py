@@ -35,8 +35,10 @@ binomial law, and a row does not depend on the kernel's size.  The kernel's
 two products read the band directly: ``mix`` (the kernel's top-left block
 times values, a backward sweep's expectation over the next count) and
 ``push`` (a law times the kernel, a forward step of the count's law).
-``bound_chain`` pushes the count's law forward by one kernel per step,
-alone and jointly with the event that the survivor bound has held so far.
+``bound_chain`` pushes the joint law of the count and the event that the
+survivor bound has held so far forward by one kernel per step.  That law
+is zero above the bound, so each step's kernel stops at the bound, not at
+the pool size.  The count alone is Binomial(n, pi_t), taken in closed form.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeGrid
-from .rng import substream
+from .rng import sample_size, substream
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,7 @@ def simulate_survivor_counts(
     extinct the remaining rows are zero and nothing more is drawn.
     """
     n = pool_size(n)
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    trials = sample_size(trials, "trials", 1)
     gen = substream(seed, label)
     m = table.grid.n_steps
     s = table.step_survival
@@ -501,7 +502,7 @@ class BoundChain:
     """Exact law of (survivor count, bound-still-holds flag) over time.
 
     ``joint[t, j]`` is P(n_t = j and the 1/lam bound held at all s <= t);
-    ``count[t, j]`` is the unconditioned P(n_t = j).
+    ``count[t, j]`` is the unconditioned P(n_t = j), Binomial(n, pi_t).
     """
 
     n: int
@@ -510,20 +511,38 @@ class BoundChain:
     count: np.ndarray
 
 
-def bound_chain(n: int, table: MortalityTable, lam: float) -> BoundChain:
-    """Evolve the exact joint law of count and running bound flag.
+def binomial_law(n: int, probs: np.ndarray) -> np.ndarray:
+    """P(Binomial(n, p) = k) for k = 0 .. n, one row per success probability in ``probs``.
 
-    The joint and unconditioned laws are stepped together by one ``push``
-    per step through that step's banded kernel; the joint law drops the
-    counts above the bound.
+    Summed in log space, so no binomial coefficient or power overflows or
+    underflows on its own at any ``n``; p = 0 and p = 1 give the point
+    masses at 0 and n.
+    """
+    k = np.arange(n + 1)
+    p = probs[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 is -inf, and 0 * log 0 counts as 0
+        log_law = np.where(k > 0, k * np.log(p), 0.0) + np.where(k < n, (n - k) * np.log1p(-p), 0.0)
+    log_law[:, 1:] += np.cumsum(np.log((n - k[:-1]) / k[1:]))  # log C(n, k)
+    return np.exp(log_law)
+
+
+def bound_chain(n: int, table: MortalityTable, lam: float) -> BoundChain:
+    """Exact law of the survivor count, alone and jointly with the running bound flag.
+
+    The joint law is zero above the cap ``b_t = min(survivor_bound[t], n)``,
+    so step t pushes its first ``b_t + 1`` counts through that step's
+    banded kernel of size ``b_t``, then drops the counts above the next
+    cap.  A kernel row does not depend on the kernel's size, so this is
+    the law a full-size kernel gives, bit for bit.  The count alone is
+    Binomial(n, pi_t) in closed form (``binomial_law``).
     """
     n = pool_size(n)
-    thresholds = survivor_bound(n, table, lam)
+    caps = np.minimum(survivor_bound(n, table, lam), n)
     m = table.grid.n_steps
     s = table.step_survival
-    laws = np.zeros((m, 2, n + 1))  # laws[t, 0] is the joint law, laws[t, 1] the count's
-    laws[0, :, n] = 1.0  # the bound floor(n / lam) is at least n at the start
-    for t in range(m - 1):
-        laws[t + 1] = binomial_transition_matrix(n, s[t]).push(laws[t])
-        laws[t + 1, 0, thresholds[t + 1] + 1 :] = 0.0
-    return BoundChain(n=n, lam=lam, joint=laws[:, 0], count=laws[:, 1])
+    joint = np.zeros((m, n + 1))
+    joint[0, n] = 1.0  # the bound floor(n / lam) is at least n at the start
+    for t, cap in enumerate(caps[:-1]):
+        joint[t + 1, : cap + 1] = binomial_transition_matrix(cap, s[t]).push(joint[t, : cap + 1])
+        joint[t + 1, caps[t + 1] + 1 :] = 0.0
+    return BoundChain(n=n, lam=lam, joint=joint, count=binomial_law(n, table.pi[:m]))

@@ -96,6 +96,7 @@ from .preferences import (
     _gain_levels,
     vnm_value_on_lattice,
 )
+from .rng import sample_size
 
 
 class WealthGridExceeded(RuntimeError):
@@ -1023,8 +1024,11 @@ def transfer_infinite_to_finite(
     count stays within ``1/lam`` of its mean, and nothing afterwards; the
     fund invests exactly like the scaled infinite-pool replication, which
     keeps wealth nonnegative path by path.  Returns the Monte Carlo gain
-    with its standard error plus the exact chain value, for the additive
-    family.  The stream is checked once, at entry, by
+    with its standard error plus the exact value, for the additive
+    family.  The exact value reads the expected surviving share with the
+    gate open, ``E[count_t; open] / n``, from ``bound_chain``'s joint law;
+    the closed share is ``pi_t`` less that, since ``E[count_t] / n = pi_t``.
+    The stream is checked once, at entry, by
     ``market.validate_stream``: a malformed level or a non-finite or
     negative rate raises before any path is drawn, as does a replication
     on another lattice than the problem's: another grid or market.
@@ -1039,8 +1043,7 @@ def transfer_infinite_to_finite(
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
     n = pool_size(n)
-    if trials < 2:
-        raise ValueError("need trials >= 2")
+    trials = sample_size(trials, "trials", 2)
     gain = problem.gain
     if not isinstance(gain, VnmParams):
         raise TypeError("Monte Carlo transfer gains are defined for the additive family")
@@ -1077,7 +1080,7 @@ def transfer_infinite_to_finite(
     chain = bound_chain(n, table, lam)
     share = np.arange(n + 1) / n
     open_share = chain.joint @ share
-    closed_share = chain.count @ share - open_share
+    closed_share = table.pi[:m] - open_share
     disc = np.exp(-gain.discount * grid.points)
     wp = lattice.node_weights("P")[:m]
     open_terms = _additive_terms(gain, scaled.copy(), open_share[:, None] * wp, disc[:, None])
@@ -1149,8 +1152,7 @@ def simulate_policy_value(
     fund values and rates as (trials, m) float arrays; the rates are
     scored in place once the fund values and the paths are released.
     """
-    if trials < 2:
-        raise ValueError("need trials >= 2")
+    trials = sample_size(trials, "trials", 2)
     gain = problem.gain
     if not isinstance(gain, VnmParams):
         raise TypeError("re-simulation consistency is defined for the additive family")

@@ -176,6 +176,21 @@ def test_lattice_path_sampling_rejects_an_empty_batch():
         sample_lattice_paths(lat, 0, 1)
 
 
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+def test_lattice_path_sampling_refuses_a_count_that_is_not_an_integer(bad):
+    # Each raised numpy's TypeError "'float' object cannot be interpreted as an integer".
+    lat = build_lattice(one_asset(), TimeGrid(0.5, 2.0))
+    with pytest.raises(ValueError, match=f"n_paths = {bad}"):
+        sample_lattice_paths(lat, bad, 1)
+
+
+def test_lattice_path_sampling_takes_an_integral_float_count():
+    lat = build_lattice(one_asset(), TimeGrid(0.5, 2.0))
+    paths, expected = sample_lattice_paths(lat, 20.0, 1), sample_lattice_paths(lat, 20, 1)
+    np.testing.assert_array_equal(paths.ups, expected.ups)
+    np.testing.assert_array_equal(paths.node_idx, expected.node_idx)
+
+
 def test_lattice_path_sampling_matches_branch_probabilities():
     lat = build_lattice(one_asset(rate=0.0, mu=0.05, sigma=0.2), TimeGrid(0.5, 5.0))
     paths = sample_lattice_paths(lat, 50_000, seed=3)

@@ -125,6 +125,14 @@ MORTALITY_FAULTS = {
                         "n = inf"),
     "survivors-trials-0": (lambda: simulate_survivor_counts(8, gompertz_makeham_table(*HEAVY_A10), 0, 1),
                            "trials >= 1"),
+    # A trial count that is not an integer raised numpy's TypeError "'float'
+    # object cannot be interpreted as an integer".
+    "survivors-trials-fraction": (lambda: simulate_survivor_counts(8, gompertz_makeham_table(*HEAVY_A10), 2.5, 1),
+                                  "trials = 2.5"),
+    "survivors-trials-nan": (lambda: simulate_survivor_counts(8, gompertz_makeham_table(*HEAVY_A10), math.nan, 1),
+                             "trials = nan"),
+    "survivors-trials-inf": (lambda: simulate_survivor_counts(8, gompertz_makeham_table(*HEAVY_A10), math.inf, 1),
+                             "trials = inf"),
     # bound_chain raised IndexError at n = -1, "'float' object cannot be
     # interpreted as an integer" at 2.5, and returned a one-state chain at 0.
     "chain-n-negative": (lambda: bound_chain(-1, gompertz_makeham_table(*HEAVY_A10), 0.9), "n = -1"),
@@ -148,6 +156,12 @@ def test_an_integral_float_pool_size_is_the_integer_one():
     chain = bound_chain(8.0, table, 0.9)
     np.testing.assert_array_equal(chain.joint, bound_chain(8, table, 0.9).joint)
     assert chain.n == 8 and isinstance(chain.n, int)
+
+
+def test_an_integral_float_trial_count_is_the_integer_one():
+    # This raised numpy's TypeError, although an integral float pool size was accepted.
+    table = gompertz_makeham_table(*HEAVY_A10)
+    np.testing.assert_array_equal(simulate_survivor_counts(8, table, 50.0, 3), simulate_survivor_counts(8, table, 50, 3))
 
 
 @settings(max_examples=50, deadline=None)
@@ -653,6 +667,47 @@ def test_bound_chain_count_marginal_matches_binomial():
     for t in range(grid.n_steps):
         exact = stats.binom.pmf(np.arange(9), 8, pi[t])
         assert np.allclose(chain.count[t], exact, atol=1e-12)
+
+
+def full_size_chain(n, table, lam):
+    """The joint and count laws stepped together by kernels of size n: the reference for ``bound_chain``."""
+    cap, s = survivor_bound(n, table, lam), table.step_survival
+    laws = np.zeros((table.grid.n_steps, 2, n + 1))  # laws[t, 0] is the joint law, laws[t, 1] the count's
+    laws[0, :, n] = 1.0
+    for t in range(table.grid.n_steps - 1):
+        laws[t + 1] = binomial_transition_matrix(n, s[t]).push(laws[t])
+        laws[t + 1, 0, cap[t + 1] + 1 :] = 0.0
+    return laws[:, 0], laws[:, 1]
+
+
+CHAIN_TABLES = {
+    "A40": (TimeGrid(1.0, 40.0), 0.0, 0.01, 0.1),
+    "Q40": (TimeGrid(0.25, 40.0), 0.0, 0.01, 0.1),
+    "A40-light": (TimeGrid(1.0, 40.0), 5e-4, 7e-5, 0.1),
+    "Q40-light": (TimeGrid(0.25, 40.0), 5e-4, 7e-5, 0.1),
+}
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.9])
+@pytest.mark.parametrize("n", [8, 64, 512])
+@pytest.mark.parametrize("name", sorted(CHAIN_TABLES))
+def test_bound_chain_cut_at_the_bound_is_the_full_size_chain(name, n, lam):
+    table = gompertz_makeham_table(*CHAIN_TABLES[name])
+    chain = bound_chain(n, table, lam)
+    joint, count = full_size_chain(n, table, lam)
+    np.testing.assert_array_equal(chain.joint, joint)
+    np.testing.assert_allclose(chain.count, count, rtol=0, atol=1e-12)
+    pi = table.pi[: table.grid.n_steps, None]
+    np.testing.assert_allclose(chain.count, stats.binom.pmf(np.arange(n + 1), n, pi), rtol=0, atol=1e-12)
+
+
+def test_bound_chain_builds_no_kernel_past_the_bound(monkeypatch):
+    table = gompertz_makeham_table(*CHAIN_TABLES["A40"])
+    sizes = []
+    build = mortality.binomial_transition_matrix
+    monkeypatch.setattr(mortality, "binomial_transition_matrix", lambda size, p: sizes.append(size) or build(size, p))
+    bound_chain(64, table, 0.9)
+    np.testing.assert_array_equal(sizes, np.minimum(survivor_bound(64, table, 0.9), 64)[:-1])
 
 
 def test_bound_chain_joint_below_marginal():

@@ -512,6 +512,33 @@ def test_monte_carlo_entry_points_need_two_trials(trials):
                                     problem=problem, trials=trials, seed=3)
 
 
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+def test_monte_carlo_entry_points_refuse_a_trial_count_that_is_not_an_integer(bad):
+    # Each raised numpy's TypeError "'float' object cannot be interpreted as an integer".
+    problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
+    res = solve_infinite(problem, methods=("martingale",))
+    with pytest.raises(ValueError, match=f"trials = {bad}"):
+        simulate_policy_value(problem, res.strategy, trials=bad, seed=3)
+    with pytest.raises(ValueError, match=f"trials = {bad}"):
+        simulate_policy_value(problem.with_n(8), ConstantRateStrategy(0.1), trials=bad, seed=3)
+    with pytest.raises(ValueError, match=f"trials = {bad}"):
+        transfer_infinite_to_finite(res.extras["stream"], res.extras["replication"], lam=0.9, n=8,
+                                    problem=problem, trials=bad, seed=3)
+
+
+def test_monte_carlo_entry_points_take_an_integral_float_trial_count():
+    problem = heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0)
+    res = solve_infinite(problem, methods=("martingale",))
+    policy = ConstantRateStrategy(0.1)
+    assert simulate_policy_value(problem.with_n(8), policy, trials=200.0, seed=3) == simulate_policy_value(
+        problem.with_n(8), policy, trials=200, seed=3
+    )
+    stream, replication = res.extras["stream"], res.extras["replication"]
+    out = transfer_infinite_to_finite(stream, replication, lam=0.9, n=8, problem=problem, trials=200.0, seed=3)
+    assert out == transfer_infinite_to_finite(stream, replication, lam=0.9, n=8, problem=problem, trials=200, seed=3)
+    assert isinstance(out.trials, int)
+
+
 def test_simulated_value_of_a_minus_inf_policy_has_infinite_standard_error():
     # Consuming nothing under CRRA alpha = -1 scores -inf on every path.
     problem = heavy_problem(VnmParams(PowerUtility(-1.0), 0.02), 1.0, 10.0).with_n(8)
