@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .grid import TimeGrid
-from .rng import sample_size, substream
+from .rng import substream, whole_count
 
 Stream = list[np.ndarray]
 
@@ -339,7 +339,7 @@ def sample_lattice_paths(lattice: Lattice, n_paths: int, seed: int = 0) -> Latti
     booleans, and the node counts summed level by level along contiguous
     rows (``np.cumsum`` along the level axis took ten times as long).
     """
-    n_paths = sample_size(n_paths, "n_paths", 1)
+    n_paths = whole_count(n_paths, "n_paths", 1)
     gen = substream(seed, "lattice-paths", "P")
     ups = np.ascontiguousarray((gen.random(size=(n_paths, lattice.n_steps)) < lattice.p_up).T)
     # A count never exceeds its level, so the running sums cannot wrap.

@@ -38,18 +38,20 @@ times values, a backward sweep's expectation over the next count) and
 ``bound_chain`` pushes the joint law of the count and the event that the
 survivor bound has held so far forward by one kernel per step.  That law
 is zero above the bound, so each step's kernel stops at the bound, not at
-the pool size.  The count alone is Binomial(n, pi_t), taken in closed form.
+the pool size.  The count alone is Binomial(n, pi_t), taken in closed form
+when it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import TimeGrid
-from .rng import sample_size, substream
+from .rng import substream, whole_count
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,7 @@ def gompertz_makeham_table(grid: TimeGrid, a: float, b: float, c: float) -> Mort
 
 def pool_size(n) -> int:
     """A finite pool's size ``n`` as an int: a positive integer, or an integral float."""
-    if not (math.isfinite(n) and float(n).is_integer() and n >= 1):
-        raise ValueError(f"pool size must be an integer n >= 1, got n = {n}")
-    return int(n)
+    return whole_count(n, "n", 1)
 
 
 # Table bins, the flag margin and the tail left to the first and last bins.
@@ -238,7 +238,7 @@ def simulate_survivor_counts(
     extinct the remaining rows are zero and nothing more is drawn.
     """
     n = pool_size(n)
-    trials = sample_size(trials, "trials", 1)
+    trials = whole_count(trials, "trials", 1)
     gen = substream(seed, label)
     m = table.grid.n_steps
     s = table.step_survival
@@ -410,9 +410,7 @@ def binomial_transition_matrix(max_count: int, survive_prob: float) -> BinomialK
     p = float(survive_prob)
     if not 0.0 <= p <= 1.0:
         raise ValueError("survive_prob must lie in [0, 1]")
-    if not (math.isfinite(max_count) and float(max_count).is_integer() and max_count >= 0):
-        raise ValueError(f"max_count must be an integer >= 0, got max_count = {max_count}")
-    size = int(max_count) + 1
+    size = whole_count(max_count, "max_count", 0) + 1
     top = size - 1
     q = 1.0 - p
     deaths = q <= 0.5
@@ -502,13 +500,18 @@ class BoundChain:
     """Exact law of (survivor count, bound-still-holds flag) over time.
 
     ``joint[t, j]`` is P(n_t = j and the 1/lam bound held at all s <= t);
-    ``count[t, j]`` is the unconditioned P(n_t = j), Binomial(n, pi_t).
+    ``count[t, j]`` is the unconditioned P(n_t = j), Binomial(n, pi_t),
+    built from the survival probabilities ``pi`` when first read.
     """
 
     n: int
     lam: float
     joint: np.ndarray
-    count: np.ndarray
+    pi: np.ndarray
+
+    @cached_property
+    def count(self) -> np.ndarray:
+        return binomial_law(self.n, self.pi)
 
 
 def binomial_law(n: int, probs: np.ndarray) -> np.ndarray:
@@ -545,4 +548,4 @@ def bound_chain(n: int, table: MortalityTable, lam: float) -> BoundChain:
     for t, cap in enumerate(caps[:-1]):
         joint[t + 1, : cap + 1] = binomial_transition_matrix(cap, s[t]).push(joint[t, : cap + 1])
         joint[t + 1, caps[t + 1] + 1 :] = 0.0
-    return BoundChain(n=n, lam=lam, joint=joint, count=binomial_law(n, table.pi[:m]))
+    return BoundChain(n=n, lam=lam, joint=joint, pi=table.pi[:m])

@@ -96,7 +96,7 @@ from .preferences import (
     _gain_levels,
     vnm_value_on_lattice,
 )
-from .rng import sample_size
+from .rng import whole_count
 
 
 class WealthGridExceeded(RuntimeError):
@@ -1027,7 +1027,8 @@ def transfer_infinite_to_finite(
     with its standard error plus the exact value, for the additive
     family.  The exact value reads the expected surviving share with the
     gate open, ``E[count_t; open] / n``, from ``bound_chain``'s joint law;
-    the closed share is ``pi_t`` less that, since ``E[count_t] / n = pi_t``.
+    the closed share is ``pi_t`` less that, since ``E[count_t] / n = pi_t``,
+    and exactly 0 until the bound first falls below n.
     The stream is checked once, at entry, by
     ``market.validate_stream``: a malformed level or a non-finite or
     negative rate raises before any path is drawn, as does a replication
@@ -1043,7 +1044,7 @@ def transfer_infinite_to_finite(
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
     n = pool_size(n)
-    trials = sample_size(trials, "trials", 2)
+    trials = whole_count(trials, "trials", 2)
     gain = problem.gain
     if not isinstance(gain, VnmParams):
         raise TypeError("Monte Carlo transfer gains are defined for the additive family")
@@ -1063,7 +1064,8 @@ def transfer_infinite_to_finite(
     # The gate stays open while every count so far is within the bound.
     # Step by step over the counts' contiguous columns, in place; the
     # 2-D ``np.logical_and.accumulate`` took six times as long.
-    gate = counts <= survivor_bound(n, table, lam)
+    bound = survivor_bound(n, table, lam)
+    gate = counts <= bound
     for t in range(1, m):
         gate[:, t] &= gate[:, t - 1]
     policy = NodePolicy(lattice, stream_rows(scaled), replication.risky_fraction, gate)
@@ -1080,7 +1082,7 @@ def transfer_infinite_to_finite(
     chain = bound_chain(n, table, lam)
     share = np.arange(n + 1) / n
     open_share = chain.joint @ share
-    closed_share = table.pi[:m] - open_share
+    closed_share = np.where(np.minimum.accumulate(bound) >= n, 0.0, table.pi[:m] - open_share)
     disc = np.exp(-gain.discount * grid.points)
     wp = lattice.node_weights("P")[:m]
     open_terms = _additive_terms(gain, scaled.copy(), open_share[:, None] * wp, disc[:, None])
@@ -1152,7 +1154,7 @@ def simulate_policy_value(
     fund values and rates as (trials, m) float arrays; the rates are
     scored in place once the fund values and the paths are released.
     """
-    trials = sample_size(trials, "trials", 2)
+    trials = whole_count(trials, "trials", 2)
     gain = problem.gain
     if not isinstance(gain, VnmParams):
         raise TypeError("re-simulation consistency is defined for the additive family")

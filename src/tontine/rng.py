@@ -4,7 +4,8 @@ All randomness in the package flows from a single master seed through
 named sub-streams, so that every experiment is reproducible bit-for-bit
 and independent components never share a stream.  Philox is counter
 based, so the draw sequence does not depend on how work is scheduled.
-``sample_size`` checks the number of paths or pools a sampler is asked for.
+``whole_count`` checks a count argument: a number of paths or trials, a
+pool's size or a kernel's.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ def substream(seed: int, *labels: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_size(value, name: str, least: int) -> int:
-    """A number of sampled paths or pools as an int: an integer >= ``least``, or an integral float.
+def whole_count(value, name: str, least: int) -> int:
+    """A count argument as an int: an integer >= ``least``, or an integral float.
 
     Anything else (a fraction, NaN, an infinity, a count below ``least``)
     raises ``ValueError`` naming ``name`` and its value.
     """
     if not (math.isfinite(value) and float(value).is_integer() and value >= least):
-        raise ValueError(f"need {name} >= {least}, got {name} = {value}")
+        raise ValueError(f"need an integer {name} >= {least}, got {name} = {value}")
     return int(value)

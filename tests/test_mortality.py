@@ -697,8 +697,6 @@ def test_bound_chain_cut_at_the_bound_is_the_full_size_chain(name, n, lam):
     joint, count = full_size_chain(n, table, lam)
     np.testing.assert_array_equal(chain.joint, joint)
     np.testing.assert_allclose(chain.count, count, rtol=0, atol=1e-12)
-    pi = table.pi[: table.grid.n_steps, None]
-    np.testing.assert_allclose(chain.count, stats.binom.pmf(np.arange(n + 1), n, pi), rtol=0, atol=1e-12)
 
 
 def test_bound_chain_builds_no_kernel_past_the_bound(monkeypatch):

@@ -363,6 +363,22 @@ def test_transfer_exact_gain_counts_gated_off_survivors_when_u0_is_minus_inf():
     assert out.exact_gain <= out.target_gain
 
 
+@pytest.mark.parametrize("utility, exact", [(LogUtility(), -24.56462396949282),
+                                             (PowerUtility(-1.0), -182.5843930045883)], ids=["log", "crra-1"])
+def test_transfer_exact_gain_is_finite_when_u0_is_minus_inf_and_the_bound_never_binds(utility, exact):
+    # At lam = 0.5 the bound n * pi_t / lam never falls below n = 8 on this
+    # table, so no gate closes and the closed share is exactly 0.  Reading it
+    # as pi_t less the open share left a rounding residue that u(0) = -inf
+    # turned into an exact gain of -inf.  Pinned from the kernel-stepped chain.
+    problem = heavy_problem(VnmParams(utility, 0.02), 1.0, 10.0)
+    assert np.all(mortality.survivor_bound(8, problem.table, 0.5) >= 8)
+    source = solve_infinite(heavy_problem(VnmParams(PowerUtility(0.5), 0.02), 1.0, 10.0), methods=("martingale",))
+    out = transfer_infinite_to_finite(source.extras["stream"], source.extras["replication"], lam=0.5, n=8,
+                                      problem=problem, trials=2000, seed=7)
+    assert out.exact_gain == pytest.approx(exact, rel=1e-13)
+    assert abs(out.gain_estimate - out.exact_gain) <= 4 * out.gain_se
+
+
 def test_transfer_exact_gain_with_finite_u0_unchanged():
     # Exponential utility has u(0) = -1; the exact gain is pinned from the
     # implementation before the u(0) = -inf fix.
