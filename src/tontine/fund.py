@@ -26,11 +26,19 @@ contiguous rows.  Any layout gives the same values.
 
 The evolution reads the sampler's ``LatticePaths`` as they come and
 holds per path and step only what needs the width: the up moves as
-booleans (each step's risky return is looked up from them), node
+booleans (each step's risky return is gathered from them), node
 indices and survivor counts in the samplers' narrow unsigned types, and
 the pre-payment fund values and the rates as floats.  Post-payment
-wealth is one scratch row, not stored: it is
-``pre_value[..., :-1] - alive * rate * dt``.
+wealth is not stored: it is ``pre_value[..., :-1] - alive * rate * dt``.
+
+Each step reads every table it needs (by node index, survivor count or
+up move) with one ``take`` gather, about three times as fast as fancy
+indexing with a narrow index, and writes its arithmetic with ``out=``
+into the post-payment row, one scratch row (both allocated once per
+call) and the next fund-value row, in the operations and order of the
+expressions above: the values are those bits.  A step is screened for
+violations by one NaN-skipping minimum over the paths; the per-path mask
+is built only on a step where some path is below the tolerance.
 """
 
 from __future__ import annotations
@@ -78,14 +86,23 @@ class TabulatedPolicy:
 
     def consumption_rate(self, t_idx, alive, wealth, node=None):
         alive_arr = np.asarray(alive)
-        j = np.clip(alive_arr, 0, self.consumption_fraction.shape[1] - 1).astype(int)
-        kappa = self.consumption_fraction[t_idx, j]
+        kappa = _column(self.consumption_fraction[t_idx], alive_arr)
         denom = np.maximum(alive_arr, 1e-300) * self.grid.dt
         return np.where(alive_arr > 0, kappa * np.asarray(wealth) / denom, 0.0)
 
     def risky_fraction(self, t_idx, alive, wealth, node=None):
-        j = np.clip(np.asarray(alive), 0, self.fraction.shape[1] - 1).astype(int)
-        return self.fraction[t_idx, j]
+        return _column(self.fraction[t_idx], np.asarray(alive))
+
+
+def _column(row: np.ndarray, alive: np.ndarray):
+    """The entries of one time's row at the survivor counts ``alive``, clipped to the row.
+
+    The infinite pool's one-column row is read as its one entry; its
+    ``alive`` is the survival fraction, not a column index.
+    """
+    if row.size == 1:
+        return row[0]
+    return row.take(alive, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -102,10 +119,11 @@ class NodePolicy:
     gate: np.ndarray  # (..., m) bool
 
     def consumption_rate(self, t_idx, alive, wealth, node=None):
-        return np.where(self.gate[..., t_idx], self.rates[t_idx][node], 0.0)
+        # Not ``gate * rate``: an infinite rate on a closed path would read NaN.
+        return np.where(self.gate[..., t_idx], self.rates[t_idx].take(node), 0.0)
 
     def risky_fraction(self, t_idx, alive, wealth, node=None):
-        return self.fractions[t_idx][node]
+        return self.fractions[t_idx].take(node)
 
 
 @dataclass(frozen=True)
@@ -136,22 +154,37 @@ def _evolve(
     """Shared evolution; ``drain_measure[..., t]`` multiplies rate * dt.
 
     Steps time-major, on ``(m, batch)`` arrays of fund values and rates
-    whose rows are contiguous, and returns them as batch-first views;
-    post-payment wealth is one scratch row.  The inputs are read one step
-    at a time along their last axis: for the samplers' time-major arrays
-    each step's row is contiguous, for C-ordered batch-first arrays it is
-    strided by ``m`` elements (the same values, slower).
+    whose rows are contiguous, and returns them as batch-first views.
+    The inputs are read one step at a time along their last axis: for the
+    samplers' time-major arrays each step's row is contiguous, for
+    C-ordered batch-first arrays it is strided by ``m`` elements (the same
+    values, slower).
+
+    Two batch rows are allocated once: ``post``, the post-payment wealth,
+    and ``scratch``.  The next fund-value row is the second scratch row
+    until the step writes its value there.  Each step writes ``alive *
+    rate * dt`` into ``post`` and subtracts it from the fund value,
+    gathers the risky return into the next row with ``np.take``, and
+    forms ``frac * risky + (1 - frac) * bond`` there and in ``scratch``,
+    each operation the one the expression names, in its order.
+
+    A path is admissible while neither its pre- nor its post-payment
+    wealth is below ``-tol``.  Each step takes ``fmin`` of the two rows and
+    reduces it with ``fmin``, which skips NaN, so a path whose wealth
+    went NaN neither flags itself nor hides another path's violation (a
+    plain minimum would be NaN); only on a step where that minimum is
+    below ``-tol`` is each path's first violation recorded.
     """
     grid = paths.lattice.grid
     m = grid.n_steps
     batch = np.broadcast_shapes(np.shape(initial), paths.ups.shape[:-1], drain_measure.shape[:-1])
     pre = np.empty((m + 1,) + batch)
-    post = np.empty(batch)
     rates = np.empty((m,) + batch)
+    post = np.empty(batch)
+    scratch = np.empty(batch)
     alive = np.moveaxis(drain_measure, -1, 0)
     nodes = np.moveaxis(paths.node_idx, -1, 0)
-    # Indexing the two-entry table by the moves as bytes takes half the
-    # time of ``np.where`` with scalar branches.
+    ups = np.moveaxis(paths.ups, -1, 0)
     risky = np.array([paths.lattice.down, paths.lattice.up])
     bond = paths.bond_gross()
     pre[0] = initial
@@ -159,11 +192,22 @@ def _evolve(
     first_violation = np.full(batch, -1, dtype=np.int64)
     for t in range(m):
         rates[t] = strategy.consumption_rate(t, alive[t], pre[t], nodes[t])
-        np.subtract(pre[t], alive[t] * rates[t] * grid.dt, out=post)
-        bad = ((pre[t] < -tol) | (post < -tol)) & (first_violation < 0)
-        first_violation[bad] = t
+        np.multiply(alive[t], rates[t], out=post)
+        np.multiply(post, grid.dt, out=post)
+        np.subtract(pre[t], post, out=post)
+        low = np.fmin(pre[t], post, out=scratch)
+        if np.fmin.reduce(low, axis=None) < -tol:
+            first_violation[(low < -tol) & (first_violation < 0)] = t
         frac = strategy.risky_fraction(t, alive[t], post, nodes[t])
-        np.multiply(post, frac * risky[paths.ups[..., t].view(np.uint8)] + (1.0 - frac) * bond, out=pre[t + 1])
+        gross = pre[t + 1]
+        # Indices 0 and 1 only, so clipping never moves one; it spares
+        # ``take`` the buffered copy that bounds checking makes with ``out=``.
+        np.take(risky, ups[t], out=gross, mode="clip")
+        np.multiply(frac, gross, out=gross)
+        np.subtract(1.0, frac, out=scratch)
+        np.multiply(scratch, bond, out=scratch)
+        np.add(gross, scratch, out=gross)
+        np.multiply(post, gross, out=gross)
     return FundTrajectory(
         grid=grid,
         pre_value=np.moveaxis(pre, 0, -1),

@@ -1,4 +1,5 @@
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from scenario_reference import equal_split, vnm_utility
 from stream_helpers import ConstantRateStrategy
 from survival_oracle import point_mass_table, uniform_table
 
-from tontine.fund import TabulatedPolicy, evolve_finite, evolve_infinite
+from tontine.fund import ADMISSIBILITY_TOL, NodePolicy, TabulatedPolicy, evolve_finite, evolve_infinite
 from tontine.grid import TimeGrid
-from tontine.market import MarketModel, build_lattice, sample_lattice_paths
+from tontine.market import MarketModel, build_lattice, sample_lattice_paths, stream_rows
 from tontine.mortality import simulate_survivor_counts
 from tontine.preferences import LogUtility, VnmParams
 from tontine.rng import substream
@@ -161,6 +162,181 @@ def test_zero_volatility_paths_compound_at_the_bond_rate_whatever_their_moves():
     traj = evolve_infinite(ConstantRateStrategy(0.0, fraction=1.0), paths, point_mass_table(grid), 1.0)
     assert np.all(traj.pre_value == traj.pre_value[0])
     assert traj.pre_value[0, -1] == pytest.approx(np.exp(0.03 * grid.horizon), rel=1e-14)
+
+
+# --- the evolution against the loop it replaced ------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceLookups:
+    """A policy's tables read by fancy indexing, as before the lookups became ``take`` gathers."""
+
+    policy: object
+
+    def consumption_rate(self, t_idx, alive, wealth, node=None):
+        p = self.policy
+        if isinstance(p, NodePolicy):
+            return np.where(p.gate[..., t_idx], p.rates[t_idx][node], 0.0)
+        if isinstance(p, TabulatedPolicy):
+            alive_arr = np.asarray(alive)
+            j = np.clip(alive_arr, 0, p.consumption_fraction.shape[1] - 1).astype(int)
+            kappa = p.consumption_fraction[t_idx, j]
+            denom = np.maximum(alive_arr, 1e-300) * p.grid.dt
+            return np.where(alive_arr > 0, kappa * np.asarray(wealth) / denom, 0.0)
+        return p.consumption_rate(t_idx, alive, wealth, node)
+
+    def risky_fraction(self, t_idx, alive, wealth, node=None):
+        p = self.policy
+        if isinstance(p, NodePolicy):
+            return p.fractions[t_idx][node]
+        if isinstance(p, TabulatedPolicy):
+            j = np.clip(np.asarray(alive), 0, p.fraction.shape[1] - 1).astype(int)
+            return p.fraction[t_idx, j]
+        return p.risky_fraction(t_idx, alive, wealth, node)
+
+
+def reference_evolve(strategy, paths, drain_measure, initial):
+    """The evolution with fresh temporaries and an elementwise violation test: the reference for ``_evolve``."""
+    grid = paths.lattice.grid
+    m = grid.n_steps
+    batch = np.broadcast_shapes(np.shape(initial), paths.ups.shape[:-1], drain_measure.shape[:-1])
+    pre = np.empty((m + 1,) + batch)
+    post = np.empty(batch)
+    rates = np.empty((m,) + batch)
+    alive = np.moveaxis(drain_measure, -1, 0)
+    nodes = np.moveaxis(paths.node_idx, -1, 0)
+    risky = np.array([paths.lattice.down, paths.lattice.up])
+    bond = paths.bond_gross()
+    pre[0] = initial
+    tol = ADMISSIBILITY_TOL * max(float(np.max(np.abs(initial))), 1.0)
+    first_violation = np.full(batch, -1, dtype=np.int64)
+    for t in range(m):
+        rates[t] = strategy.consumption_rate(t, alive[t], pre[t], nodes[t])
+        np.subtract(pre[t], alive[t] * rates[t] * grid.dt, out=post)
+        bad = ((pre[t] < -tol) | (post < -tol)) & (first_violation < 0)
+        first_violation[bad] = t
+        frac = strategy.risky_fraction(t, alive[t], post, nodes[t])
+        np.multiply(post, frac * risky[paths.ups[..., t].view(np.uint8)] + (1.0 - frac) * bond, out=pre[t + 1])
+    return SimpleNamespace(
+        pre_value=np.moveaxis(pre, 0, -1),
+        rate=np.moveaxis(rates, 0, -1),
+        admissible=first_violation < 0,
+        first_violation=first_violation,
+    )
+
+
+def assert_evolves_as_reference(traj, ref):
+    for field in ("pre_value", "rate", "admissible", "first_violation"):
+        np.testing.assert_array_equal(getattr(traj, field), getattr(ref, field), err_msg=field)
+
+
+@dataclass(frozen=True)
+class ScalarStrategy:
+    """A policy whose rate and risky fraction are plain floats, whatever the batch."""
+
+    rate: float
+    fraction: float
+
+    def consumption_rate(self, t_idx, alive, wealth, node=None):
+        return self.rate
+
+    def risky_fraction(self, t_idx, alive, wealth, node=None):
+        return self.fraction
+
+
+def test_node_policy_with_a_gate_closing_mid_path_evolves_as_the_reference():
+    grid = TimeGrid(0.1, 3.0)
+    m, n, trials = grid.n_steps, 12, 400
+    lat, paths = lattice_paths(grid, n_paths=trials, seed=11)
+    counts = simulate_survivor_counts(n, uniform_table(grid), trials=trials, seed=12)
+    gen = substream(13, "node-policy-reference")
+    rates = gen.uniform(0.0, 1.2, (m, m))
+    fractions = gen.uniform(-0.5, 1.5, (m, m))
+    gate = np.arange(m) < gen.integers(m // 3, m + 1, trials)[:, None]
+    assert gate[:, -1].any() and not gate[:, -1].all() and not gate[:, m // 3].all()
+    policy = NodePolicy(lat, stream_rows(rates), stream_rows(fractions), gate)
+    traj = evolve_finite(policy, paths, counts, np.ones(n))
+    assert_evolves_as_reference(traj, reference_evolve(ReferenceLookups(policy), paths, counts, float(n)))
+    assert not traj.admissible.all() and len(np.unique(traj.first_violation)) > 3
+    assert np.all(traj.rate[~gate] == 0.0)
+    # A closed gate pays 0 even where the stream's rate is infinite, not NaN.
+    rates[-1] = np.inf
+    closing = policy.consumption_rate(m - 1, counts[:, -1], None, paths.node_idx[:, m - 1])
+    np.testing.assert_array_equal(closing, np.where(gate[:, -1], np.inf, 0.0))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_tabulated_policy_on_narrow_and_wide_counts_evolves_as_the_reference(dtype):
+    # Counts above the table's width read its last column.
+    grid = TimeGrid(0.25, 5.0)
+    m, n, width, trials = grid.n_steps, 12, 9, 300
+    _, paths = lattice_paths(grid, n_paths=trials, seed=21)
+    counts = simulate_survivor_counts(n, uniform_table(grid), trials=trials, seed=22).astype(dtype)
+    assert counts.max() >= width and counts.min() < width
+    gen = substream(23, "tabulated-policy-reference")
+    kappa = gen.uniform(0.0, 0.12, (m, width))
+    kappa[[8, 14], 6] = 1.5  # overdraws the pools with 6 survivors then
+    policy = TabulatedPolicy(grid, kappa, gen.uniform(0.0, 1.0, (m, width)))
+    traj = evolve_finite(policy, paths, counts, np.ones(n))
+    assert_evolves_as_reference(traj, reference_evolve(ReferenceLookups(policy), paths, counts, float(n)))
+    assert not traj.admissible.all() and traj.admissible.any()
+
+
+def test_one_column_policy_in_the_infinite_pool_evolves_as_the_reference():
+    grid = TimeGrid(0.25, 5.0)
+    m, trials = grid.n_steps, 300
+    _, paths = lattice_paths(grid, n_paths=trials, seed=31)
+    table = uniform_table(grid)
+    gen = substream(32, "one-column-reference")
+    policy = TabulatedPolicy(grid, gen.uniform(0.0, 0.1, (m, 1)), gen.uniform(0.0, 1.0, (m, 1)))
+    traj = evolve_infinite(policy, paths, table, 1.0)
+    pi = np.broadcast_to(table.pi[:m], (trials, m))
+    assert_evolves_as_reference(traj, reference_evolve(ReferenceLookups(policy), paths, pi, np.asarray(1.0)))
+
+
+@pytest.mark.parametrize("strategy", [ConstantRateStrategy(0.6, fraction=0.7), ScalarStrategy(0.6, 0.7)])
+def test_constant_strategies_evolve_as_the_reference(strategy):
+    grid = TimeGrid(0.1, 3.0)
+    n, trials = 10, 300
+    _, paths = lattice_paths(grid, n_paths=trials, seed=41)
+    counts = simulate_survivor_counts(n, uniform_table(grid), trials=trials, seed=42)
+    traj = evolve_finite(strategy, paths, counts, np.ones(n))
+    assert_evolves_as_reference(traj, reference_evolve(strategy, paths, counts, float(n)))
+    assert not traj.admissible.all() and traj.admissible.any()
+
+
+@dataclass(frozen=True)
+class PostTargets:
+    """Pays each path's one survivor down to the post-payment wealth ``post[t, p]``, all in the bond."""
+
+    grid: TimeGrid
+    post: np.ndarray  # (m, paths); NaN makes the rate NaN
+
+    def consumption_rate(self, t_idx, alive, wealth, node=None):
+        return (wealth - self.post[t_idx]) / (alive * self.grid.dt)
+
+    def risky_fraction(self, t_idx, alive, wealth, node=None):
+        return 0.0
+
+
+def test_violation_mask_keeps_each_first_step_beside_nan_wealth():
+    grid = TimeGrid(0.25, 1.5)
+    paths = flat_paths(grid, rate=0.4, n_paths=6)  # the bond grows 10.5% a step
+    tol = ADMISSIBILITY_TOL
+    post = np.ones((grid.n_steps, 6))
+    post[0, 0] = -0.95 * tol  # path 0: negative only before the next payment, at step 1
+    post[0, 1] = -2 * tol  # path 1: negative after payment, at step 0
+    post[1, 2] = post[4, 2] = -1.0  # path 2: at step 1, and again at step 4
+    post[2, 3] = np.nan  # path 3: NaN wealth from step 2 on, never flagged
+    post[4, 4] = -1.0  # path 4: at step 4, beside path 3's NaN
+    post[2, 5], post[3, 5] = -0.95 * tol, np.nan  # path 5: at step 3, before a NaN payment
+    counts = np.ones((6, grid.n_steps), dtype=np.uint8)
+    strategy = PostTargets(grid, post)
+    traj = evolve_finite(strategy, paths, counts, np.ones(1))
+    np.testing.assert_array_equal(traj.first_violation, [1, 0, 1, -1, 4, 3])
+    np.testing.assert_array_equal(traj.admissible, traj.first_violation < 0)
+    assert np.isnan(traj.pre_value[3, 3:]).all() and np.isnan(traj.pre_value[5, 4:]).all()
+    assert_evolves_as_reference(traj, reference_evolve(strategy, paths, counts, 1.0))
 
 
 # --- infinite pools -----------------------------------------------------------------
