@@ -85,13 +85,16 @@ class TabulatedPolicy:
     fraction: np.ndarray  # (m, n+1) risky fraction
 
     def consumption_rate(self, t_idx, alive, wealth, node=None):
-        alive_arr = np.asarray(alive)
-        kappa = _column(self.consumption_fraction[t_idx], alive_arr)
-        denom = np.maximum(alive_arr, 1e-300) * self.grid.dt
-        return np.where(alive_arr > 0, kappa * np.asarray(wealth) / denom, 0.0)
+        alive = np.asarray(alive)
+        return payout_rate(_column(self.consumption_fraction[t_idx], alive), alive, wealth, self.grid.dt)
 
     def risky_fraction(self, t_idx, alive, wealth, node=None):
         return _column(self.fraction[t_idx], np.asarray(alive))
+
+
+def payout_rate(fraction, alive, wealth, dt: float) -> np.ndarray:
+    """Per-survivor rate that withdraws ``fraction`` of ``wealth`` in total: 0 where nobody is alive."""
+    return np.divide(fraction * wealth, alive * dt, out=np.zeros(np.shape(wealth)), where=alive > 0)
 
 
 def _column(row: np.ndarray, alive: np.ndarray):
@@ -243,7 +246,10 @@ def evolve_infinite(
     table: MortalityTable,
     budget_per_person: float,
 ) -> FundTrajectory:
-    """Evolve per-individual fund value with a deterministic survival mix."""
+    """Evolve per-individual fund value with a deterministic survival mix.
+
+    Every path drains by the one survival row ``table.pi[:m]``, which is
+    the trajectory's ``alive``: each step hands the strategy one scalar.
+    """
     m = paths.lattice.n_steps
-    pi = np.broadcast_to(table.pi[:m], paths.ups.shape[:-1] + (m,))
-    return _evolve(strategy, paths, pi, np.asarray(budget_per_person, dtype=float))
+    return _evolve(strategy, paths, table.pi[:m], np.asarray(budget_per_person, dtype=float))

@@ -316,24 +316,13 @@ class BinomialKernel:
 
         On survivor lines this is one product with the band's transpose.  On
         death lines row j reads values[j - i] on line i, a view of the values
-        shifted once per line, summed by one ``einsum``.  A 2-D ``values``
-        with ``cols`` columns goes through the dense block instead, built for
-        the one product, where ``r * (cols + 20) < 16 * lines * cols``: BLAS
-        multiplies and adds about 16 times faster than the shifted product,
-        and building the block costs about 20 of its multiply-adds per entry.
+        shifted once per line, summed by one ``einsum``.
         """
         r = len(values)
         band = self.band[:r, :r]  # lines past r - 1 reach rows past r - 1 only
         lines = len(band)
         if not self.deaths:
             return band.T @ values[:lines]
-        if values.ndim == 2 and r * (values.shape[1] + 20) < 16 * lines * values.shape[1]:
-            # Line i lands on column j - i of row j, shifted right by lines - 1
-            # so that the view holds no negative offset.
-            width = r + lines - 1
-            dense = np.zeros((r, width))
-            np.ndarray((lines, r), float, dense, (lines - 1) * 8, (-8, (width + 1) * 8))[...] = band
-            return dense[:, lines - 1 :] @ values
         pad = np.zeros((lines + r,) + values.shape[1:])
         pad[lines:] = values
         row = pad.strides[0]

@@ -66,7 +66,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fund import NodePolicy, Strategy, TabulatedPolicy, evolve_finite, evolve_infinite
+from .fund import NodePolicy, Strategy, TabulatedPolicy, evolve_finite, evolve_infinite, payout_rate
 from .grid import TimeGrid
 from .market import (
     Lattice,
@@ -390,9 +390,11 @@ class GridPolicy:
     fraction: np.ndarray  # (m, n_states, n_grid)
 
     def _lookup(self, table, t_idx, alive, wealth):
-        # State index = survivor count; the infinite pool has one state.
-        states = np.clip(np.asarray(alive).astype(int), 0, table.shape[1] - 1)
+        # State index = survivor count; the infinite pool has one state.  A
+        # scalar ``alive`` (the infinite pool's survival fraction) is one
+        # state for every path.
         w = np.asarray(wealth, dtype=float)
+        states = np.broadcast_to(np.clip(np.asarray(alive).astype(int), 0, table.shape[1] - 1), w.shape)
         if np.any(w > 4.0 * self.fgrid[-1]):
             raise WealthGridExceeded(
                 f"wealth {float(np.max(w)):.3g} far beyond the solved grid top {self.fgrid[-1]:.3g}"
@@ -406,10 +408,8 @@ class GridPolicy:
         return out
 
     def consumption_rate(self, t_idx, alive, wealth, node=None):
-        alive = np.asarray(alive, dtype=float)
-        kappa = self._lookup(self.kappa, t_idx, alive, wealth)
-        safe = np.maximum(alive, 1e-300)
-        return np.where(alive > 0, kappa * np.asarray(wealth) / (safe * self.grid.dt), 0.0)
+        alive = np.asarray(alive)
+        return payout_rate(self._lookup(self.kappa, t_idx, alive, wealth), alive, wealth, self.grid.dt)
 
     def risky_fraction(self, t_idx, alive, wealth, node=None):
         return self._lookup(self.fraction, t_idx, alive, wealth)
@@ -500,10 +500,8 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
     """Backward induction on the wealth grid, finite or infinite pool.
 
     Each time step handles every drain state at once, values being one
-    (states x wealth) array mixed by the step's banded kernel (``mix``,
-    which runs the one product through a dense block where the many wealth
-    columns make that faster), by the endogenous grid method (Carroll
-    2006) on post-consumption
+    (states x wealth) array mixed by the step's banded kernel (``mix``),
+    by the endogenous grid method (Carroll 2006) on post-consumption
     wealth x, taken on the grid itself:
 
     1. one search over the risky fraction a maximizes the continuation

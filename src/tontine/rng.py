@@ -5,7 +5,7 @@ named sub-streams, so that every experiment is reproducible bit-for-bit
 and independent components never share a stream.  Philox is counter
 based, so the draw sequence does not depend on how work is scheduled.
 ``whole_count`` checks a count argument: a number of paths or trials, a
-pool's size or a kernel's.
+pool's size or a kernel's, or a seed.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ def substream(seed: int, *labels: str) -> np.random.Generator:
     """Return a generator for the sub-stream named by ``labels``.
 
     The same (seed, labels) pair always yields the same stream; distinct
-    labels yield statistically independent streams.
+    labels yield statistically independent streams.  A seed that is not a
+    nonnegative integer (or an integral float) raises.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=_labels_key(labels))
+    ss = np.random.SeedSequence(entropy=whole_count(seed, "seed", 0), spawn_key=_labels_key(labels))
     return np.random.Generator(np.random.Philox(ss))
 
 

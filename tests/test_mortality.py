@@ -138,6 +138,16 @@ MORTALITY_FAULTS = {
     "chain-n-negative": (lambda: bound_chain(-1, gompertz_makeham_table(*HEAVY_A10), 0.9), "n = -1"),
     "chain-n-fraction": (lambda: bound_chain(2.5, gompertz_makeham_table(*HEAVY_A10), 0.9), "n = 2.5"),
     "chain-n-0": (lambda: bound_chain(0, gompertz_makeham_table(*HEAVY_A10), 0.9), "n = 0"),
+    # A fractional seed ran as its integer part; nan, inf and -1 raised
+    # Python's or numpy's own messages.
+    "survivors-seed-fraction": (lambda: simulate_survivor_counts(8, gompertz_makeham_table(*HEAVY_A10), 4, 1.5),
+                                "seed = 1.5"),
+    "survivors-seed-nan": (lambda: simulate_survivor_counts(8, gompertz_makeham_table(*HEAVY_A10), 4, math.nan),
+                           "seed = nan"),
+    "survivors-seed-inf": (lambda: simulate_survivor_counts(8, gompertz_makeham_table(*HEAVY_A10), 4, math.inf),
+                           "seed = inf"),
+    "survivors-seed-negative": (lambda: simulate_survivor_counts(8, gompertz_makeham_table(*HEAVY_A10), 4, -1),
+                                "seed = -1"),
 }
 
 
@@ -162,6 +172,11 @@ def test_an_integral_float_trial_count_is_the_integer_one():
     # This raised numpy's TypeError, although an integral float pool size was accepted.
     table = gompertz_makeham_table(*HEAVY_A10)
     np.testing.assert_array_equal(simulate_survivor_counts(8, table, 50.0, 3), simulate_survivor_counts(8, table, 50, 3))
+
+
+def test_an_integral_float_seed_is_the_integer_one():
+    table = gompertz_makeham_table(*HEAVY_A10)
+    np.testing.assert_array_equal(simulate_survivor_counts(8, table, 50, 7.0), simulate_survivor_counts(8, table, 50, 7))
 
 
 @settings(max_examples=50, deadline=None)
@@ -719,9 +734,19 @@ def test_bound_chain_joint_below_marginal():
 # --- transition-matrix kernel -------------------------------------------------------
 
 
+def band_matrix(kernel):
+    """The dense kernel scattered from the band, line by line."""
+    lines, size = kernel.band.shape
+    trans = np.zeros((size, size))
+    for i in range(lines):
+        rows = np.arange(i, size)
+        trans[rows, rows - i if kernel.deaths else i] = kernel.band[i, i:]
+    return trans
+
+
 def kernel_matrix(max_count, survive_prob):
-    """The kernel's band read densely, as its mix of the identity."""
-    return binomial_transition_matrix(max_count, survive_prob).mix(np.eye(max_count + 1))
+    """The kernel's band read densely, scattered line by line."""
+    return band_matrix(binomial_transition_matrix(max_count, survive_prob))
 
 
 @pytest.mark.parametrize("max_count", [0, 1, 8, 64, 512])
@@ -806,16 +831,6 @@ def test_transition_matrix_rejects_a_negative_size():
             binomial_transition_matrix(max_count, 0.5)
 
 
-def band_matrix(kernel):
-    """The dense kernel scattered from the band, line by line."""
-    lines, size = kernel.band.shape
-    trans = np.zeros((size, size))
-    for i in range(lines):
-        rows = np.arange(i, size)
-        trans[rows, rows - i if kernel.deaths else i] = kernel.band[i, i:]
-    return trans
-
-
 # Death lines for p = 0.5 and 0.5 + 1e-12 and 0.987, survivor lines for 0.3
 # and 0.5 - 1e-12; 2048 rows at p = 0.5 run in row blocks.
 @pytest.mark.parametrize(
@@ -826,10 +841,10 @@ def band_matrix(kernel):
 def test_kernel_products_match_the_band_read_densely(max_count, survive_prob):
     kernel = binomial_transition_matrix(max_count, survive_prob)
     assert kernel.deaths == (survive_prob >= 0.5)
-    trans = kernel_matrix(max_count, survive_prob)
-    assert np.array_equal(trans, band_matrix(kernel))
-    rng = np.random.default_rng(max_count)
     size = max_count + 1
+    trans = band_matrix(kernel)
+    assert np.array_equal(kernel.mix(np.eye(size)), trans)
+    rng = np.random.default_rng(max_count)
     for r in {size, max(size - 1, 1), size // 2 + 1}:
         for values in (rng.random(r), rng.random((r, 3)), rng.random((r, 400))):
             np.testing.assert_allclose(kernel.mix(values), trans[:r, :r] @ values, rtol=1e-13, atol=1e-300)
