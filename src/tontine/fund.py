@@ -189,7 +189,7 @@ def _evolve(
     nodes = np.moveaxis(paths.node_idx, -1, 0)
     ups = np.moveaxis(paths.ups, -1, 0)
     risky = np.array([paths.lattice.down, paths.lattice.up])
-    bond = paths.bond_gross()
+    bond = paths.lattice.bond
     pre[0] = initial
     tol = ADMISSIBILITY_TOL * max(float(np.max(np.abs(initial))), 1.0)
     first_violation = np.full(batch, -1, dtype=np.int64)

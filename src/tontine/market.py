@@ -4,7 +4,8 @@ The market has one risk-free asset (continuously compounded at a constant
 rate) and one risky lognormal asset, which makes it complete.  It is
 represented by a recombining binomial lattice on which replication is
 exact: this is the vehicle for all pricing and no-arbitrage arguments.
-Monte Carlo samples paths of the same lattice under the physical measure
+Its riskless one-step return is decided once, as ``Lattice.bond``.  Monte
+Carlo samples paths of the same lattice under the physical measure
 (``LatticePaths``); the fund evolves along them as they are.
 
 Cashflow streams on the lattice are *rates* with respect to the grid
@@ -105,7 +106,7 @@ class Lattice:
     chosen so the one-step expected gross return equals ``exp(mu*dt)``
     under the physical measure and ``exp(rate*dt)`` under the pricing
     measure; the latter makes discounted prices a martingale node by node,
-    exactly.
+    exactly.  ``bond`` is that riskless return, read by every bond leg.
 
     Node quantities are lower-triangular arrays with ``n_steps + 1``
     columns, one row per level (see the module docstring).  Node weights
@@ -119,6 +120,7 @@ class Lattice:
     down: float
     p_up: float
     q_up: float
+    bond: float
 
     @property
     def n_steps(self) -> int:
@@ -127,9 +129,6 @@ class Lattice:
     @property
     def rate(self) -> float:
         return self.model.rate
-
-    def step_discount(self) -> float:
-        return float(np.exp(-self.rate * self.grid.dt))
 
     @cached_property
     def _weights(self) -> dict[str, np.ndarray]:
@@ -170,13 +169,13 @@ def build_lattice(model: MarketModel, grid: TimeGrid) -> Lattice:
     """
     dt = grid.dt
     sigma = model.sigma[0]
+    bond = float(np.exp(model.rate * dt))
     if sigma == 0.0:
         # Degenerate bond clone: both branches grow at the risk-free rate.
-        g = float(np.exp(model.rate * dt))
-        return Lattice(model, grid, up=g, down=g, p_up=0.5, q_up=0.5)
+        return Lattice(model, grid, up=bond, down=bond, p_up=0.5, q_up=0.5, bond=bond)
     up = float(np.exp(sigma * np.sqrt(dt)))
     down = 1.0 / up
-    q_up = (np.exp(model.rate * dt) - down) / (up - down)
+    q_up = (bond - down) / (up - down)
     p_up = (np.exp(model.mu[0] * dt) - down) / (up - down)
     for name, prob in (("Q", q_up), ("P", p_up)):
         if not (0.0 <= prob <= 1.0):
@@ -184,7 +183,7 @@ def build_lattice(model: MarketModel, grid: TimeGrid) -> Lattice:
                 f"{name}-branch probability {prob:.6f} outside [0, 1]; "
                 "reduce the grid step or the drift/rate"
             )
-    return Lattice(model, grid, up=up, down=down, p_up=float(p_up), q_up=float(q_up))
+    return Lattice(model, grid, up=up, down=down, p_up=float(p_up), q_up=float(q_up), bond=bond)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,7 @@ def replicate(cashflow: Stream, lattice: Lattice) -> ReplicatingStrategy:
     tri = validate_stream(cashflow, lattice.grid, lattice)
     m = lattice.n_steps
     amounts = tri * lattice.grid.dt
-    disc = lattice.step_discount()
+    disc = float(np.exp(-lattice.rate * lattice.grid.dt))
     q = lattice.q_up
     # One spare zero column, so both branches of every node are in range.
     wealth = np.zeros((m + 1, m + 2))
@@ -317,7 +316,7 @@ class LatticePaths:
 
     What the fund evolves along: ``ups[p, i]`` is true when path ``p``
     moves up at step ``i`` (gross risky return ``up``, else ``down``;
-    the bond returns ``bond_gross()`` at every step), and
+    the bond returns ``lattice.bond`` at every step), and
     ``node_idx[p, i]`` is its up-move count at level ``i``, held in the
     narrowest unsigned type that holds ``n_steps`` (uint8 up to 255
     steps).  Both arrays are stored time-major (one contiguous row per
@@ -327,9 +326,6 @@ class LatticePaths:
     lattice: Lattice
     ups: np.ndarray  # (n_paths, n_steps) bool, a view of (n_steps, n_paths)
     node_idx: np.ndarray  # (n_paths, n_steps + 1) unsigned, a view of (n_steps + 1, n_paths)
-
-    def bond_gross(self) -> float:
-        return float(np.exp(self.lattice.rate * self.lattice.grid.dt))
 
 
 def sample_lattice_paths(lattice: Lattice, n_paths: int, seed: int = 0) -> LatticePaths:

@@ -215,9 +215,9 @@ def golden_max_vec(
 
 
 def allocation_bounds(lattice: Lattice) -> tuple[float, float]:
-    """Risky fractions keeping one-step wealth strictly positive on both branches."""
-    rf = math.exp(lattice.rate * lattice.grid.dt)
-    up, down = lattice.up, lattice.down
+    """Risky fractions keeping one-step wealth strictly positive on both
+    branches, the rest of the wealth earning ``rf = lattice.bond``."""
+    rf, up, down = lattice.bond, lattice.up, lattice.down
     if up <= down + 1e-15:
         return 0.0, 0.0
     hi = rf / (rf - down) - 1e-9 if rf > down else 40.0
@@ -227,24 +227,23 @@ def allocation_bounds(lattice: Lattice) -> tuple[float, float]:
 
 def _portfolio_gross(lattice: Lattice, a) -> tuple[np.ndarray, np.ndarray]:
     """Gross one-step returns on the (down, up) branches for fraction ``a``."""
-    rf = math.exp(lattice.rate * lattice.grid.dt)
     a = np.asarray(a, dtype=float)
-    return a * lattice.down + (1.0 - a) * rf, a * lattice.up + (1.0 - a) * rf
+    return a * lattice.down + (1.0 - a) * lattice.bond, a * lattice.up + (1.0 - a) * lattice.bond
 
 
 def best_power_growth(lattice: Lattice, alpha: float) -> tuple[float, float]:
     """Optimal risky fraction and one-step growth term of a scaling investor.
 
     The growth term is E[G**alpha] for power utility and E[log G] for log
-    utility, passed as ``alpha = 0``.  The first-order condition fixes the
-    ratio of the gross returns, G_up / G_down = R with
+    utility, passed as ``alpha = 0``.  With the riskless return
+    ``rf = lattice.bond``, the first-order condition fixes the ratio of the
+    gross returns, G_up / G_down = R with
     ``R = ((1 - p)(rf - d) / (p (u - rf))) ** (1 / (alpha - 1))``, so the
     fraction is ``rf (R - 1) / ((u - rf) + R (rf - d))``, clipped to the
     allocation bounds.  When one branch has no weight against the other
     the objective is monotone and the fraction is a bracket edge.
     """
-    p = lattice.p_up
-    rf = math.exp(lattice.rate * lattice.grid.dt)
+    p, rf = lattice.p_up, lattice.bond
     lo, hi = allocation_bounds(lattice)
     down_loss, up_gain = (1.0 - p) * (rf - lattice.down), p * (lattice.up - rf)
     if not lo < hi:
@@ -571,9 +570,8 @@ def _solve_on_grid(problem: HomogeneousProblem, n_points: int) -> ValueResult:
 
     # Per branch: the probability and the excess return over the riskless
     # one, the derivative of the gross return in the fraction.
-    rf = math.exp(lattice.rate * dt)
     weight = np.array([1.0 - p_up, p_up])[:, None, None]
-    excess = np.array([lattice.down - rf, lattice.up - rf])[:, None, None]
+    excess = np.array([lattice.down - lattice.bond, lattice.up - lattice.bond])[:, None, None]
 
     for t in range(m - 1, -1, -1):
         if not np.all(drain[t] > 0):

@@ -176,11 +176,11 @@ class VnmParams:
             raise ValueError(f"discount must be nonnegative and finite, got {self.discount}")
 
     def step(self, t, rate, expected, dt):
-        return math.exp(-self.discount * t) * self.utility(rate) * dt + expected
+        return np.exp(-self.discount * t) * self.utility(rate) * dt + expected
 
     def consumption(self, t, expected, survival, drain, slope, dt):
         """The first-order condition's rate: ``exp(-b t) u'(c) = survival * drain * slope``."""
-        return self.utility.inverse_marginal(math.exp(self.discount * t) * survival * drain * slope)
+        return self.utility.inverse_marginal(np.exp(self.discount * t) * survival * drain * slope)
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ def test_self_financing_identity_on_lattice_paths():
     lat, paths = lattice_paths(grid, n_paths=64, seed=4)
     counts = simulate_survivor_counts(10, uniform_table(grid), trials=64, seed=5)
     traj = evolve_finite(ConstantRateStrategy(0.02, fraction=0.4), paths, counts, np.ones(10))
-    gross = 0.4 * np.where(paths.ups, lat.up, lat.down) + 0.6 * paths.bond_gross()
+    gross = 0.4 * np.where(paths.ups, lat.up, lat.down) + 0.6 * paths.lattice.bond
     assert np.allclose(traj.pre_value[:, 1:], post_value(traj) * gross, rtol=1e-13)
     drains = counts * traj.rate * grid.dt
     assert np.allclose(post_value(traj), traj.pre_value[:, :-1] - drains, rtol=1e-13)
@@ -151,7 +151,7 @@ def test_post_value_is_the_wealth_the_evolution_compounded():
     traj = evolve_finite(policy, paths, counts, np.ones(n))
     post = post_value(traj)
     frac = node_fraction[np.arange(m), paths.node_idx[:, :-1]]
-    gross = frac * np.where(paths.ups, lat.up, lat.down) + (1.0 - frac) * paths.bond_gross()
+    gross = frac * np.where(paths.ups, lat.up, lat.down) + (1.0 - frac) * paths.lattice.bond
     assert np.array_equal(traj.pre_value[:, 1:], post * gross)
 
 
@@ -206,7 +206,7 @@ def reference_evolve(strategy, paths, drain_measure, initial):
     alive = np.moveaxis(drain_measure, -1, 0)
     nodes = np.moveaxis(paths.node_idx, -1, 0)
     risky = np.array([paths.lattice.down, paths.lattice.up])
-    bond = paths.bond_gross()
+    bond = paths.lattice.bond
     pre[0] = initial
     tol = ADMISSIBILITY_TOL * max(float(np.max(np.abs(initial))), 1.0)
     first_violation = np.full(batch, -1, dtype=np.int64)

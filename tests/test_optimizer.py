@@ -23,6 +23,7 @@ from tontine.optimizer import (
     PchipInterpolator,
     _value_and_grad,
     _pchip_slopes,
+    _portfolio_gross,
     _stream_price_coefficients,
     _solve_scaling,
     allocation_bounds,
@@ -1464,3 +1465,24 @@ def test_best_power_growth_edge_cases(alpha):
     lo, hi = allocation_bounds(lattice)
     assert best_power_growth(dataclasses.replace(lattice, p_up=1.0), alpha)[0] == hi
     assert best_power_growth(dataclasses.replace(lattice, p_up=0.0), alpha)[0] == lo
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.0], ids=["risky", "flat"])
+@pytest.mark.parametrize("dt", [1.0, 0.5, 0.25, 1 / 12])
+@pytest.mark.parametrize("rate", [0.0, 0.01, 0.02, 0.05])
+def test_every_bond_leg_returns_the_lattice_bond(rate, dt, sigma):
+    # math.exp and np.exp disagree in the last bit on some r * dt (r = 0.01
+    # at dt = 1/4 among them), so the riskless return is decided once.
+    model = MarketModel(rate=rate, mu=(rate + (0.03 if sigma else 0.0),), sigma=(sigma,), s0=(1.0,))
+    lattice = build_lattice(model, TimeGrid(dt, 1.0))
+    bond, up, down = lattice.bond, lattice.up, lattice.down
+    assert [float(g) for g in _portfolio_gross(lattice, 0.0)] == [bond, bond]
+    if sigma:
+        assert lattice.q_up == (bond - down) / (up - down)
+        assert allocation_bounds(lattice) == (-bond / (up - bond) + 1e-9, bond / (bond - down) - 1e-9)
+    else:
+        assert up == down == bond
+    paths = market.sample_lattice_paths(lattice, 4, seed=1)
+    counts = np.ones((4, lattice.n_steps), dtype=int)
+    trajectory = fund.evolve_finite(ConstantRateStrategy(0.0), paths, counts, np.ones(1))
+    assert np.all(trajectory.pre_value[:, 1] == bond)

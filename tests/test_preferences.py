@@ -175,6 +175,19 @@ def test_vnm_on_lattice_matches_scenario_enumeration():
     assert value == pytest.approx(total, rel=1e-13)
 
 
+@pytest.mark.parametrize("dt", [1.0, 0.25], ids=["a40", "q40"])
+def test_felicity_step_discounts_by_the_evaluators_bits(dt):
+    # The gridded DP's step and the additive evaluators discount by the
+    # same exp(-b t); math.exp differs from np.exp in the last bit at some
+    # of these points.  u(4) = 4 and dt are powers of two, so the division
+    # recovers the step's discount factor exactly.
+    grid = TimeGrid(dt, 40.0)
+    gain = VnmParams(PowerUtility(0.5), discount=0.02)
+    assert gain.utility(4.0) == 4.0
+    factors = np.array([gain.step(t, 4.0, 0.0, dt) for t in grid.points]) / (4.0 * dt)
+    assert np.array_equal(factors, np.exp(-gain.discount * grid.points))
+
+
 # --- multiplicative family -----------------------------------------------------
 
 
